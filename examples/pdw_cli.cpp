@@ -81,8 +81,8 @@ void printUsage() {
       "                     ui.perfetto.dev) of the run; enables tracing\n"
       "  --metrics-out=FILE write the metrics registry as JSON\n"
       "  --flight-out=FILE  dump every ILP solve's flight recording (JSONL,\n"
-      "                     pdw-flight-1); with --threads 1 the stream\n"
-      "                     reconciles against the registry counters via\n"
+      "                     pdw-flight-1); the stream reconciles against\n"
+      "                     the registry counters via\n"
       "                     obs_check --flight FILE --metrics M.json\n"
       "  --flight-slow=S    with --flight-out: record always but dump only\n"
       "                     solves slower than S seconds (or on budget)\n"

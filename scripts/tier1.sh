@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Tier-1 verification: the full test suite in a normal build, an
 # observability export smoke check (pdw_cli trace/metrics JSON validated by
-# tools/obs_check), a flight-recorder smoke (single-threaded pdw_cli run
-# with --flight-out, stream validated and reconciled against the metrics
+# tools/obs_check), a flight-recorder smoke (4-thread pdw_cli run with
+# --flight-out, stream validated and reconciled against the metrics
 # registry by obs_check --flight), an ILP perf smoke (bench_ilp_solver
 # --quick writing both a pdw-bench-1 JSON and a pdw-run-1 run-store record,
 # gated by tools/pdw_report against the committed BENCH_ilp.json baseline;
@@ -45,11 +45,7 @@ trap 'rm -rf "$obs_dir"' EXIT
   --metrics "$obs_dir/metrics.json" --expect-workers 3
 
 echo "== tier-1: flight recorder smoke (pdw_cli --flight-out) =="
-# Single-threaded so every lane is canonical and the flight stream's event
-# counts reconcile EXACTLY with the registry's ilp.bb.* / ilp.simplex.*
-# counters (portfolio diver lanes would add solve blocks the batched
-# counters don't see).
-./build/examples/pdw_cli --benchmark PCR --method pdw --threads 1 \
+./build/examples/pdw_cli --benchmark PCR --method pdw --threads 4 \
   --time-limit 2 --flight-out "$obs_dir/flight.jsonl" \
   --metrics-out "$obs_dir/flight_metrics.json"
 ./build/tools/obs_check --flight "$obs_dir/flight.jsonl" \

@@ -11,10 +11,9 @@
 //
 // Every stage is individually switchable for the ablation benches.
 //
-// The preferred entry point is the pdw::Pipeline facade (core/pipeline.h),
-// which adds the parallel routing runtime, the route cache, per-stage
-// timings and solver statistics. `runPathDriverWash` below survives as a
-// thin wrapper over it.
+// This header holds the options; the pdw::Pipeline facade
+// (core/pipeline.h) runs the stages, with the parallel routing runtime, the
+// route cache, per-stage timings and solver statistics.
 #pragma once
 
 #include <cstdint>
@@ -22,10 +21,8 @@
 #include <string>
 #include <utility>
 
-#include "assay/schedule.h"
 #include "core/schedule_ilp.h"
 #include "core/wash_path_ilp.h"
-#include "wash/plan.h"
 #include "wash/wash_op.h"
 
 namespace pdw::util {
@@ -42,10 +39,6 @@ class RouteCache;  // core/route_cache.h
 /// authoritative source — the Pipeline facade copies `path` over
 /// `PdwOptions::path.solver` before routing, so standalone
 /// `routeWashPathIlp(..., WashPathOptions)` use is unaffected.
-///
-/// Migration note: the former scattered knobs (`PdwOptions::schedule_solver`
-/// member, `withSolverBudget`, `withPathSolverBudget`, `withWarmNodeLps`)
-/// moved here; the old PdwOptions setters survive as deprecated delegates.
 struct SolverConfig {
   /// Scheduling-ILP knobs (eqs. 1-8, 16-26). NOTE: unless
   /// `withScheduleBudget` pins a budget, the Pipeline facade replaces stock
@@ -91,15 +84,6 @@ struct SolverConfig {
   SolverConfig& withPathBudget(double seconds, std::int64_t nodes = 0) {
     path.time_limit_seconds = seconds;
     if (nodes > 0) path.node_limit = nodes;
-    return *this;
-  }
-
-  /// Toggle warm dual re-solves of branch-and-bound node LPs in both ILP
-  /// stages (on by default; off forces every node through the cold primal —
-  /// an ablation/debugging knob, results are identical either way).
-  SolverConfig& withWarmNodeLps(bool enabled) {
-    schedule.warm_lp = enabled;
-    path.warm_lp = enabled;
     return *this;
   }
 
@@ -171,7 +155,7 @@ struct PdwOptions {
   SolverConfig solver;
 
   /// Execution lanes for the parallel runtime (per-operation wash-path
-  /// routing, solver portfolio race, rescheduler precomputation).
+  /// routing, rescheduler precomputation).
   /// 0 = hardware concurrency; 1 = fully sequential, reproducing the
   /// pre-runtime behavior bit-for-bit. Results are identical for every
   /// value — only wall-clock changes.
@@ -238,25 +222,6 @@ struct PdwOptions {
   /// Budget of each per-operation wash-path ILP.
   PdwOptions& withPathBudget(double seconds, std::int64_t nodes = 0) {
     solver.withPathBudget(seconds, nodes);
-    return *this;
-  }
-
-  /// Deprecated alias of withScheduleBudget (knob moved to SolverConfig).
-  [[deprecated("use withScheduleBudget / PdwOptions::solver")]] PdwOptions&
-  withSolverBudget(double seconds, std::int64_t nodes = 0) {
-    return withScheduleBudget(seconds, nodes);
-  }
-
-  /// Deprecated alias of withPathBudget (knob moved to SolverConfig).
-  [[deprecated("use withPathBudget / PdwOptions::solver")]] PdwOptions&
-  withPathSolverBudget(double seconds, std::int64_t nodes = 0) {
-    return withPathBudget(seconds, nodes);
-  }
-
-  /// Deprecated: warm-LP toggle moved to SolverConfig::withWarmNodeLps.
-  [[deprecated("use PdwOptions::solver.withWarmNodeLps")]] PdwOptions&
-  withWarmNodeLps(bool enabled) {
-    solver.withWarmNodeLps(enabled);
     return *this;
   }
 
@@ -335,16 +300,5 @@ struct PdwOptions {
     return *this;
   }
 };
-
-/// Run PDW on a wash-oblivious base schedule. The returned schedule points
-/// to the same graph/chip as `base`.
-///
-/// Deprecated: thin compatibility wrapper over pdw::Pipeline
-/// (core/pipeline.h), which returns stage timings, solver statistics and
-/// route-cache metrics alongside the plan. New code should construct a
-/// Pipeline — and hold on to it, so the route cache persists across runs.
-[[deprecated("construct a pdw::Pipeline (core/pipeline.h) instead")]]
-wash::WashPlanResult runPathDriverWash(const assay::AssaySchedule& base,
-                                       const PdwOptions& options = {});
 
 }  // namespace pdw::core

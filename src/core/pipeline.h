@@ -9,14 +9,13 @@
 //
 // The Pipeline owns the parallel runtime: a work-stealing thread pool that
 // routes the per-operation wash-path ILPs concurrently (they are
-// independent given the necessity analysis), a solver portfolio race inside
-// the scheduling ILP, and an LRU route cache that persists across run()
-// calls so repeated sub-assays skip the ILP entirely.
+// independent given the necessity analysis), and an LRU route cache that
+// persists across run() calls so repeated sub-assays skip the ILP entirely.
 //
 // Determinism guarantee: for a fixed option set, run() produces the same
 // wash plan for every num_threads value (parallel routing merges in
-// wash-operation index order; the portfolio race never substitutes a
-// differing assignment). num_threads = 1 executes the exact sequential
+// wash-operation index order; every MILP runs one single-threaded
+// branch-and-bound search). num_threads = 1 executes the exact sequential
 // code path.
 #pragma once
 

@@ -131,21 +131,7 @@ class Builder {
       PDW_TRACE_SPAN("scheduling", "phase_b_full_model");
       return ilp::solve(model_, params_b);
     }();
-    result.stats.nodes_explored += full.stats.nodes_explored;
-    result.stats.simplex_iterations += full.stats.simplex_iterations;
-    result.stats.wall_seconds += full.stats.wall_seconds;
-    result.stats.lp_solves += full.stats.lp_solves;
-    result.stats.warm_hits += full.stats.warm_hits;
-    result.stats.warm_misses += full.stats.warm_misses;
-    result.stats.dual_pivots += full.stats.dual_pivots;
-    result.stats.rc_fixed += full.stats.rc_fixed;
-    result.stats.cuts_added += full.stats.cuts_added;
-    result.stats.cuts_gomory += full.stats.cuts_gomory;
-    result.stats.cuts_cover += full.stats.cuts_cover;
-    result.stats.cuts_gomory_active += full.stats.cuts_gomory_active;
-    result.stats.cuts_cover_active += full.stats.cuts_cover_active;
-    result.stats.cuts_evicted += full.stats.cuts_evicted;
-    result.stats.cut_rounds += full.stats.cut_rounds;
+    result.stats += full.stats;
     if (full.hasSolution() &&
         (!best.hasSolution() || full.objective < best.objective)) {
       best = full;

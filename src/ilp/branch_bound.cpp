@@ -1,12 +1,11 @@
 #include "ilp/branch_bound.h"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <memory>
+#include <optional>
 #include <queue>
-#include <thread>
 
 #include "ilp/cuts.h"
 #include "ilp/lp_backend.h"
@@ -32,8 +31,6 @@ void recordMipSolve(const Solution& result, double wall_seconds) {
   obs::Registry& reg = obs::Registry::instance();
   static obs::Counter& solves = reg.counter(names::kBbSolves);
   static obs::Counter& nodes = reg.counter(names::kBbNodes);
-  static obs::Counter& diver_nodes = reg.counter(names::kBbDiverNodes);
-  static obs::Counter& certified = reg.counter(names::kBbRaceCertified);
   static obs::Counter& rc_fixed = reg.counter(names::kBbRcFixed);
   static obs::Counter& simplex_calls = reg.counter(names::kSimplexCalls);
   static obs::Counter& simplex_iters = reg.counter(names::kSimplexIterations);
@@ -56,8 +53,6 @@ void recordMipSolve(const Solution& result, double wall_seconds) {
                   result.stats.cuts_cover_active);
   cuts_evicted.add(result.stats.cuts_evicted);
   nodes.add(result.stats.nodes_explored);
-  diver_nodes.add(result.stats.portfolio_nodes);
-  if (result.stats.race_certified) certified.increment();
   rc_fixed.add(result.stats.rc_fixed);
   if (result.stats.lp_solves > 0) {
     simplex_calls.add(result.stats.lp_solves);
@@ -104,64 +99,23 @@ struct QueueEntry {
   }
 };
 
-/// Shared state of the portfolio race (one canonical best-bound search, one
-/// depth-first diver). The canonical search only *publishes* its incumbents
-/// and reads the `proven` certificate for early exit; it never lets the
-/// diver's bound steer its exploration, which keeps its returned assignment
-/// bit-identical to a single-threaded solve. The diver prunes against the
-/// shared bound aggressively — its solutions are discarded, so only its
-/// certificate has to be sound.
-struct RaceState {
-  std::atomic<double> best_obj{kInfinity};   ///< best feasible objective seen
-  std::atomic<bool> proven{false};
-  std::atomic<double> proven_obj{kInfinity};  ///< certified optimal objective
-  std::atomic<bool> cancel{false};
-
-  void publish(double objective) {
-    double current = best_obj.load(std::memory_order_relaxed);
-    while (objective < current &&
-           !best_obj.compare_exchange_weak(current, objective,
-                                           std::memory_order_release,
-                                           std::memory_order_relaxed)) {
-    }
-  }
-
-  void certify(double objective) {
-    proven_obj.store(objective, std::memory_order_release);
-    proven.store(true, std::memory_order_release);
-  }
-};
-
-enum class Strategy {
-  BestBound,   ///< canonical: global best-first (the sequential behavior)
-  DepthFirst,  ///< diver: LIFO plunge to find incumbents early
-};
-
+/// Best-bound branch-and-bound over one model. Its node sequence depends
+/// only on the model and the params, never on other threads, so a
+/// work-capped solve is identical at every thread count.
 class BranchAndBound {
  public:
-  /// `external_flight`, when non-null, is a caller-owned recorder this lane
-  /// records into instead of constructing its own — solveMip uses it to keep
-  /// the root separation loop's cut events and the canonical search in one
-  /// dump block. It must outlive the BranchAndBound.
+  /// `flight`, when non-null, is the solve's recorder. The caller owns it,
+  /// and it must outlive the BranchAndBound (the engine keeps a raw pointer
+  /// to it).
   BranchAndBound(const Model& model, const SolveParams& params,
-                 Strategy strategy = Strategy::BestBound,
-                 RaceState* race = nullptr,
-                 obs::FlightRecorder* external_flight = nullptr)
+                 obs::FlightRecorder* flight)
       : model_(model),
         params_(params),
-        strategy_(strategy),
-        race_(race),
+        flight_(flight),
         engine_(makeLpBackend(params.engine, model, params)),
         start_(Clock::now()) {
     for (VarId v = 0; v < model.numVars(); ++v)
       if (model.var(v).type != VarType::Continuous) integer_vars_.push_back(v);
-    if (external_flight != nullptr) {
-      flight_ = external_flight;
-    } else if (params.flight.enabled) {
-      flight_owned_ = std::make_unique<obs::FlightRecorder>(
-          params.flight, canonical() ? "canonical" : "diver");
-      flight_ = flight_owned_.get();
-    }
     if (flight_) engine_->setFlightRecorder(flight_);
     if (params.branch_rule == BranchRule::Pseudocost) {
       const std::size_t n = static_cast<std::size_t>(model.numVars());
@@ -202,8 +156,7 @@ class BranchAndBound {
         incumbent_ = std::move(warm);
         incumbent_obj_ = model_.objective().evaluate(incumbent_);
         has_incumbent_ = true;
-        publishIncumbent();
-      } else if (canonical()) {
+      } else {
         PDW_LOG(Info, "ilp") << "warm start rejected: " << violation;
       }
     }
@@ -211,7 +164,7 @@ class BranchAndBound {
     nodes_.push_back(Node{});  // root: no bound change
     on_path_.push_back(1);
     path_.push_back(Frame{0, 0});
-    pushOpen(QueueEntry{-kInfinity, 0});
+    open_.push(QueueEntry{-kInfinity, 0});
 
     static obs::Histogram& pivots_per_node = obs::Registry::instance()
         .histogram(obs::names::kSimplexPivotsPerNode);
@@ -221,35 +174,17 @@ class BranchAndBound {
                       static_cast<double>(model_.numVars()),
                       static_cast<double>(integer_vars_.size()));
 
-    bool hit_limit = false;
+    // The budget that stopped the search, if one did.
+    std::optional<SolveStatus> limit;
     bool lp_trouble = false;
-    bool cancelled = false;
 
-    while (!openEmpty()) {
-      if (race_ && race_->cancel.load(std::memory_order_acquire)) {
-        cancelled = true;
-        break;
-      }
-      // Canonical early exit: once the diver has certified the optimal
-      // objective and our own incumbent matches it, the incumbent can never
-      // be replaced (incumbents must strictly improve), so the sequential
-      // run would return this exact assignment too — stop proving.
-      if (canonical() && race_ && has_incumbent_ &&
-          race_->proven.load(std::memory_order_acquire) &&
-          incumbent_obj_ <=
-              race_->proven_obj.load(std::memory_order_acquire) + absTol()) {
-        certified_ = true;
-        break;
-      }
-      if (elapsedSeconds() > params_.time_limit_seconds ||
-          stats_.nodes_explored >= params_.node_limit ||
-          stats_.simplex_iterations >= params_.simplex_iteration_limit) {
-        hit_limit = true;
-        break;
-      }
+    while (!open_.empty()) {
+      limit = limitReached();
+      if (limit) break;
 
-      const QueueEntry entry = popNext();
-      if (entry.bound >= pruneBound() - absTol()) {
+      const QueueEntry entry = open_.top();
+      open_.pop();
+      if (entry.bound >= incumbentBound() - absTol()) {
         // Pruned before its LP ran: the incumbent improved since this node
         // was queued. It gets a NodePruned event but no NodeOpen, so the
         // NodeOpen count stays equal to stats_.nodes_explored.
@@ -339,7 +274,7 @@ class BranchAndBound {
         }
       }
 
-      if (lp.objective >= pruneBound() - absTol()) {
+      if (lp.objective >= incumbentBound() - absTol()) {
         if (flight_)
           flight_->record(obs::FlightEventKind::NodePruned, entry.node,
                           lp.objective, obs::kPruneReasonLpBound);
@@ -349,10 +284,7 @@ class BranchAndBound {
       const VarId branch_var = pickBranchVariable(lp.values);
       if (branch_var < 0) {
         acceptIncumbent(lp);
-        // The diver runs to exhaustion (pruning clears its stack once the
-        // optimum is known) so that reaching an empty open set certifies
-        // optimality; only the canonical search uses the gap early-stop.
-        if (canonical() && gapClosed()) break;
+        if (gapClosed()) break;
         continue;
       }
 
@@ -361,7 +293,7 @@ class BranchAndBound {
       // children inherit the fixes through the node's extra range).
       if (params_.rc_fixing && has_incumbent_) {
         fix_buffer_.clear();
-        engine_->collectReducedCostFixes(pruneBound() - lp.objective,
+        engine_->collectReducedCostFixes(incumbent_obj_ - lp.objective,
                                          params_.integrality_tol,
                                          &fix_buffer_);
         if (!fix_buffer_.empty()) applyRcFixes(entry.node);
@@ -382,43 +314,40 @@ class BranchAndBound {
                 1.0 - frac, /*up_branch=*/true);
     }
 
-    // Sound certificate for the racing canonical search: the diver pruned
-    // only against objectives someone actually attained, so exhausting its
-    // open set proves nothing beats the best shared objective.
-    if (!canonical() && race_ && !hit_limit && !lp_trouble && !cancelled &&
-        openEmpty()) {
-      const double best = std::min(
-          has_incumbent_ ? incumbent_obj_ : kInfinity,
-          race_->best_obj.load(std::memory_order_acquire));
-      if (best < kInfinity) race_->certify(best);
-    }
-
     fillStats(result);
     if (has_incumbent_) {
       result.objective = incumbent_obj_;
       result.values = incumbent_;
-      result.status = (hit_limit || lp_trouble || cancelled || !openEmpty())
+      result.status = (limit || lp_trouble || !open_.empty())
                           ? SolveStatus::Feasible
                           : SolveStatus::Optimal;
-      if (gapClosed() || certified_) result.status = SolveStatus::Optimal;
-      result.stats.race_certified = certified_;
-    } else if (hit_limit || cancelled) {
-      result.status = elapsedSeconds() > params_.time_limit_seconds
-                          ? SolveStatus::TimeLimit
-                          : SolveStatus::NodeLimit;
+      if (gapClosed()) result.status = SolveStatus::Optimal;
+    } else if (limit) {
+      result.status = *limit;
     } else if (lp_trouble) {
       result.status = SolveStatus::IterLimit;
     } else {
       result.status = SolveStatus::Infeasible;
     }
-    maybeDumpFlight(result, hit_limit);
+    maybeDumpFlight(result, limit.has_value());
     return result;
   }
 
  private:
   double absTol() const { return 1e-9; }
 
-  bool canonical() const { return strategy_ == Strategy::BestBound; }
+  /// The budget (wall clock, nodes, simplex iterations) that is exhausted,
+  /// as the status a search stopped by it reports without an incumbent;
+  /// nullopt while all three remain.
+  std::optional<SolveStatus> limitReached() const {
+    if (elapsedSeconds() > params_.time_limit_seconds)
+      return SolveStatus::TimeLimit;
+    if (stats_.nodes_explored >= params_.node_limit)
+      return SolveStatus::NodeLimit;
+    if (stats_.simplex_iterations >= params_.simplex_iteration_limit)
+      return SolveStatus::IterLimit;
+    return std::nullopt;
+  }
 
   void maybeDumpFlight(const Solution& result, bool hit_limit) const {
     if (flight_ &&
@@ -427,77 +356,25 @@ class BranchAndBound {
     }
   }
 
-  /// Objective threshold for pruning. The canonical search prunes only
-  /// against its *own* incumbent (determinism: its node sequence never
-  /// depends on the race). The diver additionally prunes against the shared
-  /// race bound — its job is certification, not its own incumbent.
-  double pruneBound() const {
-    double bound = has_incumbent_ ? incumbent_obj_ : kInfinity;
-    if (!canonical() && race_)
-      bound = std::min(bound,
-                       race_->best_obj.load(std::memory_order_acquire));
-    return bound;
-  }
-
-  void publishIncumbent() {
-    if (race_) race_->publish(incumbent_obj_);
+  /// Objective threshold for pruning: the incumbent's, +inf without one.
+  double incumbentBound() const {
+    return has_incumbent_ ? incumbent_obj_ : kInfinity;
   }
 
   double elapsedSeconds() const {
     return std::chrono::duration<double>(Clock::now() - start_).count();
   }
 
-  // ---- open-set abstraction over the two strategies ----------------------
-  bool openEmpty() const {
-    return canonical() ? open_.empty() : stack_.empty();
-  }
-
-  QueueEntry popNext() {
-    if (canonical()) {
-      const QueueEntry entry = open_.top();
-      open_.pop();
-      return entry;
-    }
-    const QueueEntry entry = stack_.back();
-    stack_.pop_back();
-    stack_min_.pop_back();
-    return entry;
-  }
-
-  void pushOpen(QueueEntry entry) {
-    if (canonical()) {
-      open_.push(entry);
-    } else {
-      stack_.push_back(entry);
-      // Prefix minimum alongside the stack: bestOpenBound() in O(1).
-      stack_min_.push_back(stack_min_.empty()
-                               ? entry.bound
-                               : std::min(entry.bound, stack_min_.back()));
-    }
-  }
-
-  /// Tightest proven lower bound among open nodes (for stats/gap). O(1) for
-  /// both strategies: the heap's top for best-bound, the prefix-minimum for
-  /// the diver's stack.
-  double bestOpenBound() const {
-    if (canonical())
-      return open_.empty() ? kInfinity : open_.top().bound;
-    return stack_min_.empty() ? kInfinity : stack_min_.back();
-  }
-
   void fillStats(Solution& result) {
     stats_.wall_seconds = elapsedSeconds();
-    stats_.best_bound = openEmpty()
-                            ? (has_incumbent_ ? incumbent_obj_ : kInfinity)
-                            : bestOpenBound();
+    stats_.best_bound = open_.empty() ? incumbentBound() : open_.top().bound;
     result.stats = stats_;
   }
 
   bool gapClosed() const {
     if (!has_incumbent_) return false;
-    if (openEmpty()) return true;
-    const double bound = bestOpenBound();
-    const double gap = (incumbent_obj_ - bound) /
+    if (open_.empty()) return true;
+    const double gap = (incumbent_obj_ - open_.top().bound) /
                        std::max(1.0, std::abs(incumbent_obj_));
     return gap <= params_.mip_gap;
   }
@@ -658,7 +535,6 @@ class BranchAndBound {
     incumbent_ = std::move(values);
     incumbent_obj_ = objective;
     has_incumbent_ = true;
-    publishIncumbent();
     if (flight_)
       flight_->record(obs::FlightEventKind::Incumbent, -1, incumbent_obj_,
                       static_cast<double>(stats_.nodes_explored));
@@ -682,17 +558,11 @@ class BranchAndBound {
     node.up_branch = up_branch;
     nodes_.push_back(node);
     on_path_.push_back(0);
-    pushOpen(QueueEntry{bound, static_cast<int>(nodes_.size()) - 1});
+    open_.push(QueueEntry{bound, static_cast<int>(nodes_.size()) - 1});
   }
 
   const Model& model_;
   const SolveParams& params_;
-  Strategy strategy_;
-  RaceState* race_;
-  /// Declared before engine_ so an owned recorder outlives the backend
-  /// holding a raw pointer to it (members destroy in reverse declaration
-  /// order). flight_ aliases flight_owned_ or the caller's recorder.
-  std::unique_ptr<obs::FlightRecorder> flight_owned_;
   obs::FlightRecorder* flight_ = nullptr;
   std::unique_ptr<LpBackend> engine_;  ///< selected via params.engine
   Clock::time_point start_;
@@ -701,9 +571,7 @@ class BranchAndBound {
   std::vector<Node> nodes_;
   std::priority_queue<QueueEntry, std::vector<QueueEntry>,
                       std::greater<QueueEntry>>
-      open_;               // BestBound strategy
-  std::vector<QueueEntry> stack_;  // DepthFirst strategy
-  std::vector<double> stack_min_;  // prefix minima of stack_ bounds
+      open_;
 
   std::vector<double> lower_, upper_;  // bounds of the current path
   std::vector<Frame> path_;
@@ -716,7 +584,6 @@ class BranchAndBound {
   std::vector<double> incumbent_;
   double incumbent_obj_ = kInfinity;
   bool has_incumbent_ = false;
-  bool certified_ = false;
 
   /// Per-variable pseudocosts, indexed [direction][var] with direction
   /// 0 = down, 1 = up: running sum of per-unit LP-bound degradations and
@@ -763,18 +630,17 @@ Solution solveMip(const Model& model, const SolveParams& params) {
     return result;
   }
 
-  // The canonical lane's flight recorder is constructed up front so the
-  // root separation loop's cut events and the canonical search land in one
-  // dump block (obs_check reconciles cut_added against ilp.cuts.added).
-  std::unique_ptr<obs::FlightRecorder> canonical_flight;
+  // The recorder is constructed before the root separation loop so its cut
+  // events and the search land in one dump block (obs_check reconciles
+  // cut_added against ilp.cuts.added). "canonical" is the lane label the
+  // pdw-flight-1 stream and obs_check's reconciliation use.
+  std::unique_ptr<obs::FlightRecorder> flight;
   if (params.flight.enabled)
-    canonical_flight =
-        std::make_unique<obs::FlightRecorder>(params.flight, "canonical");
+    flight = std::make_unique<obs::FlightRecorder>(params.flight, "canonical");
 
   // Root cutting planes, separated once on an augmented copy of the model
-  // before any lane starts: both lanes inherit the same cut rows as
-  // ordinary constraints, so the warm-start contract inside each lane is
-  // untouched and the canonical assignment stays deterministic.
+  // before the search starts: the search inherits the cut rows as ordinary
+  // constraints, so its warm-start contract is untouched.
   Model augmented;
   const Model* search_model = &model;
   CutStats cut_stats;
@@ -791,66 +657,23 @@ Solution solveMip(const Model& model, const SolveParams& params) {
     }
     PDW_TRACE_SPAN("ilp", "root_cuts");
     augmented = model;
-    cut_stats = separateRootCuts(augmented, params, check_point,
-                                 canonical_flight.get());
+    cut_stats = separateRootCuts(augmented, params, check_point, flight.get());
     search_model = &augmented;
-  }
-  const auto mergeCutStats = [&cut_stats](Solution& r) {
-    r.stats.cuts_added = cut_stats.added;
-    r.stats.cuts_gomory = cut_stats.gomory;
-    r.stats.cuts_cover = cut_stats.cover;
-    r.stats.cuts_gomory_active = cut_stats.gomory_active;
-    r.stats.cuts_cover_active = cut_stats.cover_active;
-    r.stats.cuts_evicted = cut_stats.evicted;
-    r.stats.cut_rounds = cut_stats.rounds;
-  };
-
-  if (params.portfolio_threads >= 2) {
-    // Portfolio race: canonical best-bound search on this thread, a
-    // depth-first diver on a second one. The diver feeds the shared
-    // incumbent bound and certifies optimality early; the canonical search
-    // supplies the returned assignment, so the race changes wall-clock and
-    // stats but never the solution.
-    RaceState race;
-    Solution diver_result;
-    std::thread diver([&] {
-      obs::setThreadName("pdw-diver");
-      PDW_TRACE_SPAN("ilp", "diver_lane");
-      BranchAndBound d(*search_model, params, Strategy::DepthFirst, &race);
-      diver_result = d.run();
-    });
-    Solution result;
-    {
-      PDW_TRACE_SPAN("ilp", "canonical_lane");
-      BranchAndBound canonical(*search_model, params, Strategy::BestBound,
-                               &race, canonical_flight.get());
-      result = canonical.run();
-    }
-    race.cancel.store(true, std::memory_order_release);
-    diver.join();
-    result.stats.portfolio_nodes = diver_result.stats.nodes_explored;
-    // Late certificate: the canonical search may have finished Feasible on a
-    // limit right as the diver proved that very objective optimal.
-    if (result.status == SolveStatus::Feasible &&
-        race.proven.load(std::memory_order_acquire) &&
-        result.objective <=
-            race.proven_obj.load(std::memory_order_acquire) + 1e-9) {
-      result.status = SolveStatus::Optimal;
-      result.stats.race_certified = true;
-    }
-    mergeCutStats(result);
-    recordMipSolve(result, wallSeconds());
-    return result;
   }
 
   Solution result;
   {
-    PDW_TRACE_SPAN("ilp", "canonical_lane");
-    BranchAndBound solver(*search_model, params, Strategy::BestBound, nullptr,
-                          canonical_flight.get());
-    result = solver.run();
+    PDW_TRACE_SPAN("ilp", "branch_and_bound");
+    BranchAndBound search(*search_model, params, flight.get());
+    result = search.run();
   }
-  mergeCutStats(result);
+  result.stats.cuts_added = cut_stats.added;
+  result.stats.cuts_gomory = cut_stats.gomory;
+  result.stats.cuts_cover = cut_stats.cover;
+  result.stats.cuts_gomory_active = cut_stats.gomory_active;
+  result.stats.cuts_cover_active = cut_stats.cover_active;
+  result.stats.cuts_evicted = cut_stats.evicted;
+  result.stats.cut_rounds = cut_stats.rounds;
   recordMipSolve(result, wallSeconds());
   return result;
 }

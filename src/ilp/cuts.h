@@ -1,11 +1,11 @@
 // Root cutting planes: Gomory mixed-integer cuts and knapsack-cover cuts.
 //
-// The separation loop runs once per MIP solve, at the root, before any
-// branch-and-bound lane starts (DESIGN.md §13). Cuts are derived from the
+// The separation loop runs once per MIP solve, at the root, before the
+// branch-and-bound search starts (DESIGN.md §13). Cuts are derived from the
 // root LP optimum, deduplicated through a shared CutPool, materialized as
-// ordinary model rows — so the canonical and diver lanes both inherit them
-// for free and the warm-start contract inside each lane is untouched — and
-// aged out by activity before the search begins. Within the loop itself the
+// ordinary model rows — so the search inherits them for free and its
+// warm-start contract is untouched — and aged out by activity before the
+// search begins. Within the loop itself the
 // engine-side rows are appended incrementally (LpBackend::addCutRows): each
 // cut row arrives with its slack basic, the current basis stays
 // dual-feasible, and the next round's LP is a warm dual re-solve rather

@@ -18,7 +18,7 @@
 // basis after the caller's bound deltas, falls back to a cold solve
 // deterministically, and exposes reduced-cost fixing at the node optimum.
 // Backends are stateful and single-threaded by design — one instance per
-// branch-and-bound lane.
+// branch-and-bound search.
 #pragma once
 
 #include <cstdint>

@@ -14,7 +14,7 @@ std::string fingerprint(const SolveParams& params) {
       buf, sizeof(buf),
       "engine=%s tl=%.3g nodes=%lld iters=%lld gap=%.3g presolve=%d "
       "probing=%d coeftight=%d cuts=%d%s%s cutrounds=%d branch=%s "
-      "warm=%d rc=%d portfolio=%d",
+      "warm=%d rc=%d",
       params.engine.empty() ? defaultLpBackendName().c_str()
                             : params.engine.c_str(),
       params.time_limit_seconds, static_cast<long long>(params.node_limit),
@@ -25,8 +25,7 @@ std::string fingerprint(const SolveParams& params) {
       params.cuts.enabled && !params.cuts.cover ? " -cover" : "",
       params.cuts.max_rounds,
       params.branch_rule == BranchRule::Pseudocost ? "pseudocost" : "mostfrac",
-      params.warm_lp ? 1 : 0, params.rc_fixing ? 1 : 0,
-      params.portfolio_threads);
+      params.warm_lp ? 1 : 0, params.rc_fixing ? 1 : 0);
   return buf;
 }
 

@@ -81,11 +81,6 @@ struct SolveStats {
   int cuts_cover_active = 0;
   int cuts_evicted = 0;
   int cut_rounds = 0;
-  /// Portfolio race (SolveParams::portfolio_threads >= 2) bookkeeping:
-  /// nodes explored by the racing depth-first diver, and whether the diver
-  /// certified optimality before the canonical search proved it itself.
-  std::int64_t portfolio_nodes = 0;
-  bool race_certified = false;
   /// Node LPs run by the in-tree simplex engine (root + children).
   std::int64_t lp_solves = 0;
   /// Non-root node LPs re-optimized by the warm dual-simplex path vs. those
@@ -100,6 +95,29 @@ struct SolveStats {
   /// Sparse-basis (re)factorizations across all node LPs (revised backend
   /// only; the dense tableau backend reports 0).
   std::int64_t refactorizations = 0;
+
+  /// Fold another solve's work in (e.g. phase B into phase A of one
+  /// schedule): sums every counter and the wall time. best_bound is a
+  /// per-solve reading and keeps this side's value.
+  SolveStats& operator+=(const SolveStats& other) {
+    simplex_iterations += other.simplex_iterations;
+    nodes_explored += other.nodes_explored;
+    wall_seconds += other.wall_seconds;
+    cuts_added += other.cuts_added;
+    cuts_gomory += other.cuts_gomory;
+    cuts_cover += other.cuts_cover;
+    cuts_gomory_active += other.cuts_gomory_active;
+    cuts_cover_active += other.cuts_cover_active;
+    cuts_evicted += other.cuts_evicted;
+    cut_rounds += other.cut_rounds;
+    lp_solves += other.lp_solves;
+    warm_hits += other.warm_hits;
+    warm_misses += other.warm_misses;
+    dual_pivots += other.dual_pivots;
+    rc_fixed += other.rc_fixed;
+    refactorizations += other.refactorizations;
+    return *this;
+  }
 };
 
 /// Result of solving a Model. `values` is indexed by VarId of the *original*
@@ -130,9 +148,9 @@ enum class BranchRule {
 };
 
 /// Root cutting-plane knobs (cuts.h). Cuts are generated once at the root
-/// of every MIP solve, materialized as ordinary model rows, and therefore
-/// shared by the canonical and diver lanes; within a lane they ride the
-/// warm-start contract unchanged (no rows are ever added mid-search).
+/// of every MIP solve and materialized as ordinary model rows before the
+/// search starts, so they ride the warm-start contract unchanged (no rows
+/// are ever added mid-search).
 struct CutParams {
   bool enabled = true;   ///< master switch for the root separation loop
   bool gomory = true;    ///< Gomory mixed-integer cuts from the tableau
@@ -207,17 +225,12 @@ struct SolveParams {
   /// set 1 to exercise the Bland path directly.
   std::int64_t bland_iteration_override = 0;
   /// Flight recorder (obs/flight.h): when `flight.enabled`, every
-  /// branch-and-bound lane records structured search events into a bounded
+  /// branch-and-bound solve records structured search events into a bounded
   /// ring and dumps them as `pdw-flight-1` JSONL per the config's triggers
   /// (explicit path, budget-capped solve, slow solve). Off by default —
-  /// disabled lanes pay one null check per event site.
+  /// disabled solves pay one null check per event site.
   obs::FlightConfig flight;
-  /// >= 2 races the canonical best-bound search against a depth-first diver
-  /// on a second thread. The diver publishes feasible objectives through an
-  /// atomic incumbent bound; the canonical search stops early once its own
-  /// incumbent matches a diver-certified optimum. The returned variable
-  /// assignment is always the canonical one, so results are identical to a
-  /// single-threaded solve (only stats/status certification differ).
+  /// Does nothing; kept only so perfbench/pdw_perfbench.cpp still builds.
   int portfolio_threads = 1;
 };
 

@@ -3,11 +3,11 @@
 // A bounded per-lane ring buffer of structured branch-and-bound search
 // events: node open/solved/pruned/branched, incumbent updates, bound-delta
 // sizes, warm-miss→cold fallbacks, basis refactorizations, degenerate
-// dual-pivot stalls. One recorder per solver lane (canonical / diver), like
-// the LpBackend it instruments — recording is single-threaded by design and
-// costs one branch plus a ring-slot write per event. A lane with no
-// recorder attached pays exactly one null-pointer check per site, so the
-// search loop is unchanged when the feature is off.
+// dual-pivot stalls. One recorder per MIP solve, like the LpBackend it
+// instruments — recording is single-threaded by design and costs one
+// branch plus a ring-slot write per event. A solve with no recorder
+// attached pays exactly one null-pointer check per site, so the search
+// loop is unchanged when the feature is off.
 //
 // The ring keeps the *latest* `ring_capacity` events (the tail of the
 // search is what explains where a slow solve went); per-kind counts stay
@@ -86,8 +86,8 @@ struct FlightConfig {
 
 class FlightRecorder {
  public:
-  /// `lane` labels the dump ("canonical", "diver"). A zero ring capacity is
-  /// clamped to 1.
+  /// `lane` labels the dump (MIP solves use "canonical"). A zero ring
+  /// capacity is clamped to 1.
   FlightRecorder(const FlightConfig& config, std::string lane);
 
   void record(FlightEventKind kind, std::int64_t node = -1,

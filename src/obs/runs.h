@@ -8,7 +8,7 @@
 // `--run-store=FILE`; `tools/pdw_report` loads two labels (or a label vs a
 // frozen `pdw-bench-1` document) and prints a regression/improvement table
 // with a machine-readable exit code, superseding one-off `--json-out`
-// files and the ad-hoc `obs_check --baseline` totals gate.
+// files and ad-hoc totals-only gates.
 //
 // Rows carry an open-ended `values` map instead of a fixed struct so every
 // bench family (solver benches, Table-II metrics, pipeline stage timings)

@@ -151,6 +151,33 @@ TEST(Mip, GeneralIntegerVariables) {
   EXPECT_NEAR(s.objective, best, 1e-6);
 }
 
+TEST(Mip, IterationBudgetWithoutIncumbentReportsIterLimit) {
+  // 2 * sum(x) = 7 has no integer solution, but every node whose fixings
+  // leave a free variable has a feasible (fractional) LP. The search can
+  // therefore never find an incumbent and runs until a budget stops it;
+  // here the simplex-iteration budget does, long before the node budget.
+  Model m;
+  LinExpr twice_sum, objective;
+  for (int i = 0; i < 8; ++i) {
+    const VarId x = m.addBinary();
+    twice_sum += 2.0 * LinExpr(x);
+    objective += static_cast<double>(i + 1) * LinExpr(x);
+  }
+  m.addEqual(twice_sum, 7);
+  m.setObjective(objective);
+
+  SolveParams params = quickParams();
+  params.enable_presolve = false;
+  params.cuts.enabled = false;
+  params.simplex_iteration_limit = 40;
+  const Solution s = solve(m, params);
+  EXPECT_EQ(s.status, SolveStatus::IterLimit);
+  EXPECT_FALSE(s.hasSolution());
+  EXPECT_GE(s.stats.simplex_iterations, params.simplex_iteration_limit);
+  EXPECT_GT(s.stats.nodes_explored, 1);  // stopped by the search, not the root
+  EXPECT_LT(s.stats.nodes_explored, params.node_limit);
+}
+
 TEST(Mip, StatsArePopulated) {
   Model m;
   VarId x = m.addBinary("x");

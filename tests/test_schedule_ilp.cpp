@@ -166,6 +166,25 @@ TEST_F(ScheduleIlpFixture, EmptyWashListKeepsCompletionTime) {
   EXPECT_TRUE(v.ok()) << v.summary();
 }
 
+TEST_F(ScheduleIlpFixture, ColdStatsCountBothPhases) {
+  // Node caps and a wall limit that never binds: phase A runs the same
+  // search in cold and repair mode, and the cold solve adds phase B on top,
+  // so every work counter of the cold solve must exceed the repair solve's.
+  const auto base = makeBase();
+  const std::vector<wash::WashOperation> washes{corridorWash()};
+  ScheduleIlpOptions options;
+  options.solver.time_limit_seconds = 1e6;
+  options.solver.node_limit = 200;
+  const ScheduleIlpResult cold = solveWashSchedule(base, washes, options);
+  options.repair_mode = true;
+  const ScheduleIlpResult phase_a = solveWashSchedule(base, washes, options);
+  ASSERT_TRUE(cold.success);
+  ASSERT_TRUE(phase_a.success);
+  EXPECT_GT(cold.stats.lp_solves, phase_a.stats.lp_solves);
+  EXPECT_GT(cold.stats.simplex_iterations, phase_a.stats.simplex_iterations);
+  EXPECT_GT(cold.stats.refactorizations, phase_a.stats.refactorizations);
+}
+
 TEST_F(ScheduleIlpFixture, ReportsModelSizeBookkeeping) {
   const auto base = makeBase();
   const ScheduleIlpResult r =
