@@ -93,7 +93,7 @@ struct ObsArgs {
 
 /// A run record pre-stamped with everything environmental — label, bench
 /// binary, timestamp, git SHA, build flags, current registry snapshot. The
-/// caller fills `engine`, `config`, `quick` and the rows.
+/// caller fills `config`, `quick` and the rows.
 inline obs::RunRecord makeRunRecord(const ObsArgs& args,
                                     std::string bench_name) {
   obs::RunRecord record;

@@ -32,7 +32,6 @@
 #include "assay/benchmarks.h"
 #include "bench_common.h"
 #include "core/pipeline.h"
-#include "ilp/lp_backend.h"
 #include "ilp/solver.h"
 #include "obs/json.h"
 #include "obs/metrics.h"
@@ -41,11 +40,6 @@
 namespace {
 
 using namespace pdw;
-
-/// LP backend under measurement ("" = library default). Set by --engine;
-/// stamped into the pdw-bench-1 document so baselines are comparable only
-/// within one engine.
-std::string g_engine;  // NOLINT(runtime/string)
 
 /// Flight-recorder config applied to every measured solve (disabled unless
 /// --flight-out was given).
@@ -66,9 +60,7 @@ void applyPreCuts(ilp::SolveParams* p) {
 
 ilp::SolveParams benchParams() {
   ilp::SolveParams p;
-  p.engine = g_engine;
   p.time_limit_seconds = 5.0;  // best-effort cap per solve
-  p.log_progress = false;
   p.flight = g_flight;
   if (g_no_cuts) applyPreCuts(&p);
   return p;
@@ -228,7 +220,6 @@ BenchRecord runPipelineBenchmark(assay::BenchmarkId id) {
   synth::SynthResult base =
       synth::synthesizeOnChip(*b.graph, synth::placeChip(b.library));
   core::PdwOptions options = bench::defaultBenchOptions();
-  options.withEngine(g_engine);
   options.solver.schedule.flight = g_flight;
   options.solver.path.flight = g_flight;
   if (g_no_cuts) {
@@ -316,14 +307,10 @@ int runJsonMode(const std::string& path, const bench::ObsArgs& obs_args,
     totals.rc_fixed += r.rc_fixed;
   }
 
-  const std::string engine =
-      g_engine.empty() ? ilp::defaultLpBackendName() : g_engine;
-
   // --run-store: append one pdw-run-1 record carrying the same rows (plus
   // the environment stamps and the registry snapshot) to the durable store.
   if (!obs_args.run_store.empty()) {
     obs::RunRecord record = bench::makeRunRecord(obs_args, "bench_ilp_solver");
-    record.engine = engine;
     record.config = ilp::fingerprint(benchParams());
     record.quick = quick;
     for (const BenchRecord& r : records) {
@@ -349,8 +336,7 @@ int runJsonMode(const std::string& path, const bench::ObsArgs& obs_args,
 
   std::ostringstream out;
   out << "{\n  \"schema\": \"pdw-bench-1\",\n  \"label\": "
-      << obs::json::quote(label) << ",\n  \"engine\": "
-      << obs::json::quote(engine) << ",\n  \"quick\": "
+      << obs::json::quote(label) << ",\n  \"quick\": "
       << (quick ? "true" : "false") << ",\n  \"benchmarks\": [\n";
   for (std::size_t i = 0; i < records.size(); ++i)
     appendRecord(out, records[i], i == 0);
@@ -393,10 +379,6 @@ int main(int argc, char** argv) {
       json_out = arg.substr(std::strlen("--json-out="));
     } else if (arg == "--json-out" && i + 1 < argc) {
       json_out = argv[++i];
-    } else if (arg.rfind("--engine=", 0) == 0) {
-      g_engine = arg.substr(std::strlen("--engine="));
-    } else if (arg == "--engine" && i + 1 < argc) {
-      g_engine = argv[++i];
     } else if (arg == "--quick") {
       quick = true;
     } else if (arg == "--no-cuts") {

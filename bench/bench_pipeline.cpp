@@ -17,7 +17,6 @@
 #include "bench_common.h"
 #include "core/pipeline.h"
 #include "core/wash_path_ilp.h"
-#include "ilp/lp_backend.h"
 #include "obs/metric_names.h"
 #include "synth/placer.h"
 #include "synth/synthesizer.h"
@@ -164,7 +163,6 @@ int runStoreMode(const bench::ObsArgs& obs_args) {
   const obs::MetricsSnapshot delta = reg.snapshot().since(before);
 
   obs::RunRecord record = bench::makeRunRecord(obs_args, "bench_pipeline");
-  record.engine = ilp::defaultLpBackendName();
   record.config = options.solver.fingerprint();
 
   obs::RunRow stages;

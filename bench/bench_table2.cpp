@@ -14,7 +14,6 @@
 #include <iostream>
 
 #include "bench_common.h"
-#include "ilp/lp_backend.h"
 #include "util/strings.h"
 #include "util/table.h"
 
@@ -82,9 +81,6 @@ int main(int argc, char** argv) {
 
   if (!obs_args.run_store.empty()) {
     obs::RunRecord record = bench::makeRunRecord(obs_args, "bench_table2");
-    record.engine = options.solver.engine.empty()
-                        ? ilp::defaultLpBackendName()
-                        : options.solver.engine;
     record.config = options.solver.fingerprint();
     for (const bench::BenchmarkRun& run : runs) {
       obs::RunRow row;

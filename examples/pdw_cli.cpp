@@ -56,8 +56,6 @@ void printUsage() {
       "  --method M         pdw | dawo | both (default both)\n"
       "  --alpha/--beta/--gamma X   objective weights (default .3/.3/.4)\n"
       "  --time-limit S     scheduling-ILP budget in seconds (default 8)\n"
-      "  --engine NAME      LP backend for both ILP stages: revised\n"
-      "                     (default) | dense (tableau oracle)\n"
       "  --threads N        execution lanes (default 0 = hardware\n"
       "                     concurrency; results are identical for any N)\n"
       "  --cuts MODE        root cutting planes for both ILP stages:\n"
@@ -187,18 +185,10 @@ std::optional<CliOptions> parseArgs(int argc, char** argv) {
       else if (arg == "--beta") options.pdw.beta = x;
       else if (arg == "--gamma") options.pdw.gamma = x;
       else options.pdw.withScheduleBudget(x, 60000);
-    } else if (arg == "--engine") {
-      const auto value = value_of(i);
-      if (!value) return std::nullopt;
-      options.pdw.withEngine(*value);
     } else if (arg == "--cuts") {
       const auto value = value_of(i);
       if (!value) return std::nullopt;
-      if (*value == "on") options.pdw.withCuts(true);
-      else if (*value == "off") options.pdw.withCuts(false);
-      else if (*value == "gomory") options.pdw.withCuts(true, false);
-      else if (*value == "cover") options.pdw.withCuts(false, true);
-      else {
+      if (value->empty() || !core::applyCutsMode(*value, options.pdw.solver)) {
         std::cerr << "unknown --cuts mode '" << *value
                   << "' (on|off|gomory|cover)\n";
         return std::nullopt;

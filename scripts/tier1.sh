@@ -53,15 +53,14 @@ echo "== tier-1: flight recorder smoke (pdw_cli --flight-out) =="
 
 echo "== tier-1: ILP perf smoke (bench_ilp_solver --quick + pdw_report) =="
 # One quick run produces both the pdw-bench-1 document (schema-validated,
-# warm dual path must have fired, engine label checked) and a pdw-run-1
-# run-store record; pdw_report gates wall time + simplex iterations on the
-# rows shared with the committed perf baseline (exit 1 = regression).
+# warm dual path must have fired) and a pdw-run-1 run-store record;
+# pdw_report gates wall time + simplex iterations on the rows shared with
+# the committed perf baseline (exit 1 = regression).
 ./build/bench/bench_ilp_solver --json-out="$obs_dir/bench.json" \
   --run-store="$obs_dir/runs.jsonl" --label tier1-smoke --quick \
   --flight-out "$obs_dir/bench_flight.jsonl" \
   --metrics-out "$obs_dir/bench_metrics.json"
-./build/tools/obs_check --bench "$obs_dir/bench.json" --expect-warm-hits \
-  --expect-engine revised
+./build/tools/obs_check --bench "$obs_dir/bench.json" --expect-warm-hits
 ./build/tools/pdw_report --store "$obs_dir/runs.jsonl" --label tier1-smoke \
   --against BENCH_ilp.json --max-regression 10% --min-wall 0.05
 
@@ -146,7 +145,7 @@ else
   cmake --build build-asan -j --target pdw_tests
   ASAN_OPTIONS="halt_on_error=1" UBSAN_OPTIONS="print_stacktrace=1" \
     ./build-asan/tests/pdw_tests \
-    --gtest_filter='BasisLu.*:BackendDifferential.*:BothEngines/*:DenseWarmPath.*:Simplex.*:Mip.*:WarmStart.*:Model.*:Presolve.*:LinExpr.*:ObsJson.*'
+    --gtest_filter='BasisLu.*:BackendDifferential.*:ReferenceLp.*:WarmPath.*:GmiCuts.*:Simplex.*:Mip.*:WarmStart.*:Model.*:Presolve.*:LinExpr.*:ObsJson.*'
 fi
 
 if [[ "${PDW_SKIP_TSAN:-0}" == "1" ]]; then

@@ -19,6 +19,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <utility>
 
 #include "core/schedule_ilp.h"
@@ -34,11 +35,10 @@ namespace pdw::core {
 class RouteCache;  // core/route_cache.h
 
 /// All solver knobs of the pipeline in one place: per-stage ilp::SolveParams
-/// for the scheduling ILP and the per-operation wash-path ILPs, plus the LP
-/// backend choice (lp_backend.h). Within `PdwOptions`, this struct is the
-/// authoritative source — the Pipeline facade copies `path` over
-/// `PdwOptions::path.solver` before routing, so standalone
-/// `routeWashPathIlp(..., WashPathOptions)` use is unaffected.
+/// for the scheduling ILP and the per-operation wash-path ILPs. Within
+/// `PdwOptions`, this struct is the authoritative source — the Pipeline
+/// facade copies `path` over `PdwOptions::path.solver` before routing, so
+/// standalone `routeWashPathIlp(..., WashPathOptions)` use is unaffected.
 struct SolverConfig {
   /// Scheduling-ILP knobs (eqs. 1-8, 16-26). NOTE: unless
   /// `withScheduleBudget` pins a budget, the Pipeline facade replaces stock
@@ -50,12 +50,6 @@ struct SolverConfig {
   /// standalone WashPathOptions (1.5 s / 8000 nodes).
   ilp::SolveParams path;
 
-  /// LP backend for both ILP stages: "revised" (sparse revised simplex, the
-  /// default) or "dense" (the dense-tableau oracle); "" picks the library
-  /// default. Per-stage override: set `schedule.engine` / `path.engine`
-  /// directly — a non-empty per-stage engine wins over this field.
-  std::string engine;
-
   /// True once withScheduleBudget() pinned an explicit budget (suppresses
   /// the facade's default-budget substitution).
   bool schedule_budget_pinned = false;
@@ -63,12 +57,6 @@ struct SolverConfig {
   SolverConfig() {
     path.time_limit_seconds = 1.5;
     path.node_limit = 8000;
-  }
-
-  /// Select the LP backend for both stages (see `engine`).
-  SolverConfig& withEngine(std::string name) {
-    engine = std::move(name);
-    return *this;
   }
 
   /// Pin the scheduling-ILP budget (wall-clock seconds and, optionally, a
@@ -123,6 +111,19 @@ struct SolverConfig {
   }
 };
 
+/// Apply a named root-cut policy to both ILP stages — the vocabulary of
+/// `pdw_cli --cuts`, `pdwd --cuts` and the pdwd `cuts` request key: "on",
+/// "off", "gomory" or "cover" (one separator family only); "" keeps the
+/// defaults. Returns false, leaving `config` unchanged, for any other name.
+inline bool applyCutsMode(std::string_view mode, SolverConfig& config) {
+  if (mode == "on") config.withCuts(true);
+  else if (mode == "off") config.withCuts(false);
+  else if (mode == "gomory") config.withCuts(true, false);
+  else if (mode == "cover") config.withCuts(false, true);
+  else return mode.empty();
+  return true;
+}
+
 /// One consolidated option block for the whole pipeline. The builder-style
 /// `with*` setters below are the supported way to configure a run — they
 /// cover every knob of the nested stage structs (wash physics, necessity
@@ -150,8 +151,8 @@ struct PdwOptions {
 
   double order_horizon_s = 12.0;
 
-  /// All solver knobs (per-stage SolveParams, LP backend choice, pinned
-  /// budget flag). Authoritative within the pipeline; see SolverConfig.
+  /// All solver knobs (per-stage SolveParams, pinned budget flag).
+  /// Authoritative within the pipeline; see SolverConfig.
   SolverConfig solver;
 
   /// Execution lanes for the parallel runtime (per-operation wash-path
@@ -193,12 +194,6 @@ struct PdwOptions {
   /// Runtime width; see num_threads.
   PdwOptions& withThreads(int threads) {
     num_threads = threads;
-    return *this;
-  }
-
-  /// Select the LP backend ("revised" / "dense") for both ILP stages.
-  PdwOptions& withEngine(std::string name) {
-    solver.withEngine(std::move(name));
     return *this;
   }
 

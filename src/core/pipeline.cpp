@@ -146,14 +146,6 @@ Pipeline::Pipeline(core::PdwOptions options) : options_(std::move(options)) {
     }
   }
 
-  // Resolve the LP backend choice: the SolverConfig-wide engine fills any
-  // stage that did not set its own (a non-empty per-stage engine wins).
-  if (!options_.solver.engine.empty()) {
-    if (options_.solver.schedule.engine.empty())
-      options_.solver.schedule.engine = options_.solver.engine;
-    if (options_.solver.path.engine.empty())
-      options_.solver.path.engine = options_.solver.engine;
-  }
   // SolverConfig is the authoritative source of the wash-path solver knobs;
   // the copy keeps routeOperation's WashPathOptions (and the route-cache
   // key, which hashes them) in sync with it.

@@ -46,12 +46,12 @@ void recordMipSolve(const Solution& result, double wall_seconds) {
   static obs::Counter& cuts_evicted = reg.counter(names::kCutsEvicted);
   static obs::Histogram& seconds = reg.histogram(names::kSolveSeconds);
   solves.increment();
-  cuts_added.add(result.stats.cuts_added);
-  cuts_gomory.add(result.stats.cuts_gomory);
-  cuts_cover.add(result.stats.cuts_cover);
-  cuts_active.add(result.stats.cuts_gomory_active +
-                  result.stats.cuts_cover_active);
-  cuts_evicted.add(result.stats.cuts_evicted);
+  const CutStats& cuts = result.stats.cuts;
+  cuts_added.add(cuts.added);
+  cuts_gomory.add(cuts.gomory);
+  cuts_cover.add(cuts.cover);
+  cuts_active.add(cuts.gomory_active + cuts.cover_active);
+  cuts_evicted.add(cuts.evicted);
   nodes.add(result.stats.nodes_explored);
   rc_fixed.add(result.stats.rc_fixed);
   if (result.stats.lp_solves > 0) {
@@ -112,7 +112,7 @@ class BranchAndBound {
       : model_(model),
         params_(params),
         flight_(flight),
-        engine_(makeLpBackend(params.engine, model, params)),
+        engine_(makeLpBackend(model, params)),
         start_(Clock::now()) {
     for (VarId v = 0; v < model.numVars(); ++v)
       if (model.var(v).type != VarType::Continuous) integer_vars_.push_back(v);
@@ -208,13 +208,12 @@ class BranchAndBound {
       }
 
       // Node LP: warm dual re-solve from the engine's current basis when
-      // possible, cold two-phase primal otherwise. The root is always cold
-      // (there is no prior basis) and counts as neither hit nor miss.
+      // possible, cold solve otherwise. The root is always cold (there is
+      // no prior basis) and counts as neither hit nor miss.
       bool used_warm = false;
       std::int64_t dual_pivots = 0;
-      LpResult lp =
-          engine_->solve(lower_, upper_, params_.warm_lp && entry.node != 0,
-                         &used_warm, &dual_pivots);
+      LpResult lp = engine_->solve(lower_, upper_, entry.node != 0,
+                                   &used_warm, &dual_pivots);
       ++stats_.lp_solves;
       stats_.simplex_iterations += lp.iterations;
       stats_.dual_pivots += dual_pivots;
@@ -291,7 +290,7 @@ class BranchAndBound {
       // Reduced-cost fixing: variables the node optimum proves immovable in
       // any improving solution are fixed for the whole subtree (both
       // children inherit the fixes through the node's extra range).
-      if (params_.rc_fixing && has_incumbent_) {
+      if (has_incumbent_) {
         fix_buffer_.clear();
         engine_->collectReducedCostFixes(incumbent_obj_ - lp.objective,
                                          params_.integrality_tol,
@@ -538,10 +537,6 @@ class BranchAndBound {
     if (flight_)
       flight_->record(obs::FlightEventKind::Incumbent, -1, incumbent_obj_,
                       static_cast<double>(stats_.nodes_explored));
-    if (params_.log_progress) {
-      PDW_LOG(Info, "ilp") << "incumbent " << incumbent_obj_ << " after "
-                           << stats_.nodes_explored << " nodes";
-    }
   }
 
   void pushChild(int parent, VarId var, double lower, double upper,
@@ -564,7 +559,7 @@ class BranchAndBound {
   const Model& model_;
   const SolveParams& params_;
   obs::FlightRecorder* flight_ = nullptr;
-  std::unique_ptr<LpBackend> engine_;  ///< selected via params.engine
+  std::unique_ptr<LpBackend> engine_;
   Clock::time_point start_;
 
   std::vector<VarId> integer_vars_;
@@ -643,7 +638,7 @@ Solution solveMip(const Model& model, const SolveParams& params) {
   // constraints, so its warm-start contract is untouched.
   Model augmented;
   const Model* search_model = &model;
-  CutStats cut_stats;
+  CutStats cuts;
   if (params.cuts.enabled) {
     std::vector<double> check_point;
     if (params.warm_start.size() ==
@@ -657,7 +652,7 @@ Solution solveMip(const Model& model, const SolveParams& params) {
     }
     PDW_TRACE_SPAN("ilp", "root_cuts");
     augmented = model;
-    cut_stats = separateRootCuts(augmented, params, check_point, flight.get());
+    cuts = separateRootCuts(augmented, params, check_point, flight.get());
     search_model = &augmented;
   }
 
@@ -667,13 +662,7 @@ Solution solveMip(const Model& model, const SolveParams& params) {
     BranchAndBound search(*search_model, params, flight.get());
     result = search.run();
   }
-  result.stats.cuts_added = cut_stats.added;
-  result.stats.cuts_gomory = cut_stats.gomory;
-  result.stats.cuts_cover = cut_stats.cover;
-  result.stats.cuts_gomory_active = cut_stats.gomory_active;
-  result.stats.cuts_cover_active = cut_stats.cover_active;
-  result.stats.cuts_evicted = cut_stats.evicted;
-  result.stats.cut_rounds = cut_stats.rounds;
+  result.stats.cuts = cuts;
   recordMipSolve(result, wallSeconds());
   return result;
 }

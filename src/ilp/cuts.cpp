@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <memory>
 
 #include "obs/flight.h"
 #include "util/logging.h"
@@ -260,7 +261,7 @@ CutStats separateRootCuts(Model& model, const SolveParams& params,
     upper[static_cast<std::size_t>(v)] = model.var(v).upper;
   }
 
-  auto engine = makeLpBackend(params.engine, model, params);
+  const std::unique_ptr<LpBackend> engine = makeLpBackend(model, params);
   LpResult lp = engine->coldSolve(lower, upper);
   if (lp.status != LpStatus::Optimal) return stats;
 
@@ -375,16 +376,11 @@ CutStats separateRootCuts(Model& model, const SolveParams& params,
     }
     if (added_this_round == 0) break;
 
-    // Re-optimize over the extended row set: incrementally (cut slacks
-    // enter basic, warm dual re-solve) when the backend supports it, else
-    // by rebuilding the backend over the augmented model.
+    // Re-optimize over the extended row set incrementally: the cut slacks
+    // enter basic and the LP is a warm dual re-solve.
     const double prev_obj = lp.objective;
-    if (engine->addCutRows(engine_rows)) {
-      lp = engine->solve(lower, upper, /*allow_warm=*/true);
-    } else {
-      engine = makeLpBackend(params.engine, model, params);
-      lp = engine->coldSolve(lower, upper);
-    }
+    engine->addCutRows(engine_rows);
+    lp = engine->solve(lower, upper, /*allow_warm=*/true);
     if (lp.status != LpStatus::Optimal) break;
     // Tailing off: two consecutive rounds that barely move the root bound
     // mean further rounds only bloat the row set the search inherits (a

@@ -47,17 +47,6 @@ struct Cut {
   double violation = 0.0;
 };
 
-/// Outcome of one root separation run (mirrored into SolveStats).
-struct CutStats {
-  int added = 0;   ///< cuts materialized, before eviction (gomory + cover)
-  int gomory = 0;
-  int cover = 0;
-  int gomory_active = 0;  ///< survivors after activity-based eviction
-  int cover_active = 0;
-  int evicted = 0;
-  int rounds = 0;
-};
-
 /// Deduplicating cut pool shared by all separators within one root loop.
 /// Identity is the normalized support: term vars plus coefficients and rhs
 /// scaled to unit max-magnitude and quantized, so the same cut rederived in

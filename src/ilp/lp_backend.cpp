@@ -1,75 +1,26 @@
 #include "ilp/lp_backend.h"
 
-#include <algorithm>
-#include <map>
-#include <mutex>
+#include <atomic>
 
-#include "ilp/dual_simplex.h"
 #include "ilp/revised_simplex.h"
-#include "util/logging.h"
 
 namespace pdw::ilp {
 
 namespace {
 
-struct Registry {
-  std::mutex mutex;
-  std::map<std::string, LpBackendFactory> factories;
-
-  Registry() {
-    factories["dense"] = [](const Model& model, const SolveParams& params) {
-      return std::make_unique<SimplexEngine>(model, params);
-    };
-    factories["revised"] = [](const Model& model, const SolveParams& params) {
-      return std::make_unique<RevisedSimplex>(model, params);
-    };
-  }
-
-  static Registry& instance() {
-    static Registry registry;
-    return registry;
-  }
-};
+std::atomic<LpBackendFactory> g_substitute{nullptr};
 
 }  // namespace
 
-void registerLpBackend(const std::string& name, LpBackendFactory factory) {
-  Registry& reg = Registry::instance();
-  std::lock_guard<std::mutex> lock(reg.mutex);
-  reg.factories[name] = std::move(factory);
-}
-
-const std::string& defaultLpBackendName() {
-  static const std::string name = "revised";
-  return name;
-}
-
-std::unique_ptr<LpBackend> makeLpBackend(const std::string& name,
-                                         const Model& model,
+std::unique_ptr<LpBackend> makeLpBackend(const Model& model,
                                          const SolveParams& params) {
-  Registry& reg = Registry::instance();
-  const std::string& resolved = name.empty() ? defaultLpBackendName() : name;
-  LpBackendFactory factory;
-  {
-    std::lock_guard<std::mutex> lock(reg.mutex);
-    auto it = reg.factories.find(resolved);
-    if (it == reg.factories.end()) {
-      PDW_LOG(Warn, "ilp") << "unknown LP backend '" << resolved
-                           << "', using '" << defaultLpBackendName() << "'";
-      it = reg.factories.find(defaultLpBackendName());
-    }
-    factory = it->second;
-  }
-  return factory(model, params);
+  if (const LpBackendFactory factory = g_substitute.load())
+    return factory(model, params);
+  return std::make_unique<RevisedSimplex>(model, params);
 }
 
-std::vector<std::string> lpBackendNames() {
-  Registry& reg = Registry::instance();
-  std::lock_guard<std::mutex> lock(reg.mutex);
-  std::vector<std::string> names;
-  names.reserve(reg.factories.size());
-  for (const auto& [name, factory] : reg.factories) names.push_back(name);
-  return names;
+LpBackendFactory substituteLpBackendForTesting(LpBackendFactory factory) {
+  return g_substitute.exchange(factory);
 }
 
 }  // namespace pdw::ilp

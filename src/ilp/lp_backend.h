@@ -1,30 +1,24 @@
-// Engine-agnostic LP backend seam.
+// The LP backend seam.
 //
-// Branch-and-bound, the lazy-cut callback and the standalone `ilp::solve`
-// LP path all talk to this interface instead of a concrete simplex
-// implementation, so the MILP layer does not know which LP engine is
-// underneath (the solver-abstraction shape of TCPSPSuite's
-// contrib/ilpabstraction, DESIGN.md §12). Two backends ship in-tree:
+// Branch-and-bound, the root cut loop and the standalone `ilp::solve` LP
+// path all talk to this interface rather than to the concrete engine, the
+// sparse revised simplex (revised_simplex.h): CSC storage, Markowitz LU
+// with product-form updates and periodic refactorization, native
+// bounded-variable columns, devex pricing. Every solve builds it through
+// makeLpBackend(); the interface exists so tests can wrap the production
+// engine (substituteLpBackendForTesting) and check its node LPs against an
+// independent reference.
 //
-//  * "revised" (default) — sparse revised simplex over a factorized basis
-//    (revised_simplex.h): CSC storage, Markowitz LU with product-form
-//    updates and periodic refactorization, native bounded-variable columns,
-//    devex pricing.
-//  * "dense" — the original dense-tableau SimplexEngine (dual_simplex.h),
-//    kept as the cross-check oracle for the differential test suite.
-//
-// Both honor the same warm-start contract (DESIGN.md §11): `solve` with
-// `allow_warm` re-optimizes with the dual simplex from the engine's current
-// basis after the caller's bound deltas, falls back to a cold solve
-// deterministically, and exposes reduced-cost fixing at the node optimum.
-// Backends are stateful and single-threaded by design — one instance per
+// The warm-start contract (DESIGN.md §11): `solve` with `allow_warm`
+// re-optimizes with the dual simplex from the engine's current basis after
+// the caller's bound deltas, falls back to a cold solve deterministically,
+// and exposes reduced-cost fixing at the node optimum. Backends are
+// stateful and single-threaded by design — one instance per
 // branch-and-bound search.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
-#include <string>
 #include <utility>
 #include <vector>
 
@@ -48,10 +42,10 @@ class LpBackend {
   };
 
   /// Where a canonical column sits in the basis the backend last solved
-  /// with. The canonical column space is shared by both engines: columns
-  /// 0..n-1 are the model variables, column n+r is the slack of constraint
-  /// row r defined by `a_r . x + s_r = rhs_r` (so s_r >= 0 for LessEqual,
-  /// s_r <= 0 for GreaterEqual, s_r == 0 for Equal rows).
+  /// with. In the canonical column space, columns 0..n-1 are the model
+  /// variables and column n+r is the slack of constraint row r defined by
+  /// `a_r . x + s_r = rhs_r` (so s_r >= 0 for LessEqual, s_r <= 0 for
+  /// GreaterEqual, s_r == 0 for Equal rows).
   enum class ColStatus : std::uint8_t { Basic, AtLower, AtUpper, Free };
 
   /// One row of the optimal simplex tableau in the canonical column space,
@@ -107,58 +101,34 @@ class LpBackend {
 
   /// Extract the optimal-tableau row of the *basic* model variable `var`
   /// into `out` (see TableauRowView). Only meaningful immediately after a
-  /// solve that returned Optimal. Returns false when `var` is nonbasic, the
-  /// backend holds no optimal basis, or extraction is not supported — the
-  /// Gomory separator just skips the variable then.
-  virtual bool tableauRow(VarId var, TableauRowView* out) const {
-    (void)var;
-    (void)out;
-    return false;
-  }
+  /// solve that returned Optimal. Returns false when `var` is nonbasic or
+  /// the backend holds no optimal basis — the Gomory separator just skips
+  /// the variable then.
+  virtual bool tableauRow(VarId var, TableauRowView* out) const = 0;
 
-  /// Append cut rows to the engine *without* rebuilding its standard form:
-  /// each row arrives with its slack basic, so the current basis stays
-  /// valid and dual-feasible and the next `solve(..., allow_warm=true)`
-  /// re-optimizes with the dual simplex from it (the classic cut-loop warm
-  /// start). Returns false when the backend does not support incremental
-  /// rows — the separation loop then rebuilds a fresh backend over the
-  /// augmented model and cold-solves, which is slower but identical.
-  virtual bool addCutRows(const std::vector<CutRow>& rows) {
-    (void)rows;
-    return false;
-  }
-
-  /// Registry name of this backend ("revised", "dense", ...).
-  virtual const char* name() const = 0;
+  /// Append cut rows to the engine without rebuilding it: each row arrives
+  /// with its slack basic, so the current basis stays valid and
+  /// dual-feasible and the next `solve(..., allow_warm=true)` re-optimizes
+  /// with the dual simplex from it (the classic cut-loop warm start).
+  virtual void addCutRows(const std::vector<CutRow>& rows) = 0;
 
   /// Attach a flight recorder (obs/flight.h) owned by the calling lane; the
   /// backend records engine-level events (refactorizations, degenerate-pivot
   /// stalls) into it. nullptr (the default) disables recording. The recorder
   /// must outlive the backend or be detached before destruction.
-  virtual void setFlightRecorder(obs::FlightRecorder* recorder) {
-    (void)recorder;
-  }
+  virtual void setFlightRecorder(obs::FlightRecorder* recorder) = 0;
 };
 
-/// Factory signature: `model` and `params` must outlive the backend.
-using LpBackendFactory = std::function<std::unique_ptr<LpBackend>(
-    const Model& model, const SolveParams& params)>;
-
-/// Register a backend under `name` (replaces a previous registration of the
-/// same name). The built-ins "revised" and "dense" are pre-registered.
-void registerLpBackend(const std::string& name, LpBackendFactory factory);
-
-/// Instantiate the backend selected by `name` ("" resolves to
-/// defaultLpBackendName()). An unknown name falls back to the default with
-/// a warning — solves must not fail over a config typo.
-std::unique_ptr<LpBackend> makeLpBackend(const std::string& name,
-                                         const Model& model,
+/// The LP engine every solve uses: the sparse revised simplex, unless a
+/// test substituted a factory. `model` and `params` must outlive it.
+std::unique_ptr<LpBackend> makeLpBackend(const Model& model,
                                          const SolveParams& params);
 
-/// Registered backend names, sorted (for CLI help / diagnostics).
-std::vector<std::string> lpBackendNames();
-
-/// Name the empty engine string resolves to ("revised").
-const std::string& defaultLpBackendName();
+/// Test-only hook: while `factory` is non-null, makeLpBackend() returns
+/// `factory(model, params)` instead of the revised simplex, in every
+/// thread. Returns the previous factory so a test can restore it.
+using LpBackendFactory = std::unique_ptr<LpBackend> (*)(
+    const Model& model, const SolveParams& params);
+LpBackendFactory substituteLpBackendForTesting(LpBackendFactory factory);
 
 }  // namespace pdw::ilp

@@ -8,10 +8,61 @@
 
 namespace pdw::ilp {
 
+RevisedSimplex::Csc RevisedSimplex::buildCsc(const Model& model) {
+  const int m = model.numConstraints();
+  const std::size_t n = static_cast<std::size_t>(model.numVars());
+  Csc csc;
+  // Count pass (duplicates counted, merged during the compaction below).
+  std::vector<int> counts(n + 1, 0);
+  for (int i = 0; i < m; ++i)
+    for (const auto& [var, coeff] : model.constraint(i).expr.terms())
+      ++counts[static_cast<std::size_t>(var) + 1];
+  csc.col_start.assign(n + 1, 0);
+  for (std::size_t j = 0; j < n; ++j)
+    csc.col_start[j + 1] = csc.col_start[j] + counts[j + 1];
+  const std::size_t raw_nnz = static_cast<std::size_t>(csc.col_start[n]);
+  csc.row_index.resize(raw_nnz);
+  csc.value.resize(raw_nnz);
+  std::vector<int> cursor(csc.col_start.begin(), csc.col_start.end() - 1);
+  for (int i = 0; i < m; ++i) {
+    for (const auto& [var, coeff] : model.constraint(i).expr.terms()) {
+      const int slot = cursor[static_cast<std::size_t>(var)]++;
+      csc.row_index[static_cast<std::size_t>(slot)] = i;
+      csc.value[static_cast<std::size_t>(slot)] = coeff;
+    }
+  }
+  // Rows land in ascending order per column already (outer loop over rows),
+  // so merging duplicates is a linear compaction.
+  std::size_t out = 0;
+  std::vector<int> merged_start(n + 1, 0);
+  for (std::size_t j = 0; j < n; ++j) {
+    merged_start[j] = static_cast<int>(out);
+    std::size_t k = static_cast<std::size_t>(csc.col_start[j]);
+    const std::size_t end = static_cast<std::size_t>(csc.col_start[j + 1]);
+    while (k < end) {
+      const int row = csc.row_index[k];
+      double v = csc.value[k];
+      ++k;
+      while (k < end && csc.row_index[k] == row) {
+        v += csc.value[k];
+        ++k;
+      }
+      if (v != 0.0) {
+        csc.row_index[out] = row;
+        csc.value[out] = v;
+        ++out;
+      }
+    }
+  }
+  merged_start[n] = static_cast<int>(out);
+  csc.row_index.resize(out);
+  csc.value.resize(out);
+  csc.col_start = std::move(merged_start);
+  return csc;
+}
+
 RevisedSimplex::RevisedSimplex(const Model& model, const SolveParams& params)
-    : model_(model),
-      params_(params),
-      csc_(StandardForm::buildStructuralCsc(model)) {
+    : model_(model), params_(params), csc_(buildCsc(model)) {
   n_ = model.numVars();
   m_ = model.numConstraints();
   total_ = n_ + m_;
@@ -359,7 +410,7 @@ std::optional<LpResult> RevisedSimplex::warmSolve(
   // Apply: move every changed nonbasic column to its new bound and fold all
   // the deltas into ONE aggregated right-hand-side correction — a single
   // FTRAN re-prices the whole basic solution regardless of how many bounds
-  // changed (the dense engine pays one rank-one pass per changed column).
+  // changed.
   std::vector<double> agg(static_cast<std::size_t>(m_), 0.0);
   bool any_delta = false;
   const auto addColumnTimes = [&](int j, double delta) {
@@ -440,9 +491,9 @@ std::optional<LpResult> RevisedSimplex::warmSolve(
           agg[static_cast<std::size_t>(i)];
   }
 
-  // Re-optimize with the dual simplex; the cap mirrors SimplexEngine — a
-  // healthy warm re-solve takes a handful of pivots, and large best-first
-  // jumps legitimately need more, scaling with the model.
+  // Re-optimize with the dual simplex. A healthy warm re-solve takes a
+  // handful of pivots, and large best-first jumps legitimately need more,
+  // so the cap scales with the model.
   const std::int64_t cap = 1000 + 4LL * (m_ + total_);
   const DualStatus status = dualIterate(/*zero_cost=*/false, cap);
   if (status == DualStatus::Stalled) {
@@ -859,8 +910,8 @@ bool RevisedSimplex::tableauRow(VarId var, TableauRowView* out) const {
   return true;
 }
 
-bool RevisedSimplex::addCutRows(const std::vector<CutRow>& rows) {
-  if (rows.empty()) return true;
+void RevisedSimplex::addCutRows(const std::vector<CutRow>& rows) {
+  if (rows.empty()) return;
   const int added = static_cast<int>(rows.size());
   const int old_m = m_;
 
@@ -891,9 +942,7 @@ bool RevisedSimplex::addCutRows(const std::vector<CutRow>& rows) {
     for (const auto& [v, c] : rows[static_cast<std::size_t>(k)].terms)
       if (v >= 0 && v < n_ && c != 0.0)
         extra[static_cast<std::size_t>(v)].emplace_back(old_m + k, c);
-  StandardForm::Csc next;
-  next.num_rows = old_m + added;
-  next.num_cols = n_;
+  Csc next;
   next.col_start.resize(static_cast<std::size_t>(n_) + 1);
   next.col_start[0] = 0;
   for (int j = 0; j < n_; ++j) {
@@ -948,7 +997,6 @@ bool RevisedSimplex::addCutRows(const std::vector<CutRow>& rows) {
     }
     if (ready_ && !refactor()) ready_ = false;
   }
-  return true;
 }
 
 std::vector<double> RevisedSimplex::extractValues() const {

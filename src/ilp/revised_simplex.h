@@ -1,11 +1,10 @@
-// Sparse revised simplex over a factorized basis (the "revised" LpBackend).
+// Sparse revised simplex over a factorized basis — the LP engine behind
+// every node LP, cut-loop LP and pure-LP solve (makeLpBackend).
 //
-// Where the dense SimplexEngine (dual_simplex.h) carries an explicit
-// (rows+2) x width tableau and pays O(rows x width) per pivot, this engine
-// keeps only the basis factorized (basis_lu.h) and reconstructs what a
-// pivot needs on demand — one FTRAN for the entering column, one BTRAN for
-// the pivot row — so per-iteration cost tracks the *nonzeros* of the model,
-// not its dimensions. Structural differences from the dense engine:
+// The engine keeps only the basis factorized (basis_lu.h) and reconstructs
+// what a pivot needs on demand — one FTRAN for the entering column, one
+// BTRAN for the pivot row — so per-iteration cost tracks the *nonzeros* of
+// the model, not its dimensions:
 //
 //  * Native bounded-variable columns. Every model variable is exactly one
 //    column with its node bounds attached; a nonbasic column sits AtLower /
@@ -23,12 +22,12 @@
 //    on eta fill / tiny pivots), and each refactorization recomputes the
 //    basic values and reduced costs from scratch, re-anchoring float drift.
 //
-// The warm-start contract is the SimplexEngine one, verbatim (DESIGN.md
-// §11/§12): bound deltas are validated before any mutation, aggregated into
-// a single FTRAN against the current basis, repaired to dual feasibility by
-// bound flips where possible, then re-optimized with the dual simplex; every
-// guard falls back to a cold solve deterministically, and every Nth
-// would-be-warm solve runs cold to bound drift.
+// The warm-start contract (DESIGN.md §11): bound deltas are validated
+// before any mutation, aggregated into a single FTRAN against the current
+// basis, repaired to dual feasibility by bound flips where possible, then
+// re-optimized with the dual simplex; every guard falls back to a cold
+// solve deterministically, and every Nth would-be-warm solve runs cold to
+// bound drift.
 #pragma once
 
 #include <cstdint>
@@ -38,7 +37,6 @@
 #include "ilp/basis_lu.h"
 #include "ilp/lp_backend.h"
 #include "ilp/model.h"
-#include "ilp/standard_form.h"
 #include "ilp/types.h"
 
 namespace pdw::ilp {
@@ -65,15 +63,24 @@ class RevisedSimplex final : public LpBackend {
   /// each new row's slack to the basis (keeping it valid and dual-feasible)
   /// and refactorizes. A failed refactorization just clears the warm state —
   /// the next solve() runs cold over the extended row set.
-  bool addCutRows(const std::vector<CutRow>& rows) override;
-  const char* name() const override { return "revised"; }
+  void addCutRows(const std::vector<CutRow>& rows) override;
   void setFlightRecorder(obs::FlightRecorder* recorder) override {
     flight_ = recorder;
   }
 
  private:
+  /// Compressed-sparse-column constraint matrix over the model variables
+  /// (slack columns are implicit unit columns). Duplicate (row, var) terms
+  /// are merged; rows ascend within each column.
+  struct Csc {
+    std::vector<int> col_start;  ///< size n + 1
+    std::vector<int> row_index;
+    std::vector<double> value;
+  };
+  static Csc buildCsc(const Model& model);
+
   static constexpr double kEps = 1e-9;
-  /// Forced cold refresh cadence, mirrored from SimplexEngine.
+  /// Forced cold refresh cadence: every Nth would-be-warm solve runs cold.
   static constexpr std::int64_t kColdRefreshInterval = 256;
   /// Refactorization cadence in product-form updates. Dense-mode bases get
   /// a longer leash: their O(m^3) factorization dwarfs the O(m) extra eta
@@ -132,7 +139,7 @@ class RevisedSimplex final : public LpBackend {
 
   const Model& model_;
   const SolveParams& params_;
-  StandardForm::Csc csc_;
+  Csc csc_;
 
   int n_ = 0;      ///< structural columns (model variables)
   int m_ = 0;      ///< rows (== slack columns); slack of row i is column n_+i

@@ -6,11 +6,10 @@
 
 namespace pdw::ilp {
 
-// Standalone entry point: one cold solve on the backend selected by
-// `params.engine`. Branch-and-bound does not go through here — it owns a
-// persistent LpBackend per lane so node LPs can warm-start (see
-// lp_backend.h); this wrapper serves pure-LP models and tests, where there
-// is no prior basis to reuse.
+// Standalone entry point: one cold solve. Branch-and-bound does not go
+// through here — it owns a persistent LpBackend per search so node LPs can
+// warm-start (see lp_backend.h); this wrapper serves pure-LP models and
+// tests, where there is no prior basis to reuse.
 LpResult solveLp(const Model& model, const SolveParams& params,
                  const std::vector<double>* lower_override,
                  const std::vector<double>* upper_override) {
@@ -26,7 +25,7 @@ LpResult solveLp(const Model& model, const SolveParams& params,
                         ? (*upper_override)[static_cast<std::size_t>(j)]
                         : model.var(j).upper);
   }
-  std::unique_ptr<LpBackend> engine = makeLpBackend(params.engine, model, params);
+  const std::unique_ptr<LpBackend> engine = makeLpBackend(model, params);
   LpResult result = engine->coldSolve(lower, upper);
   // Batched per call, not per pivot: three relaxed adds per LP.
   static obs::Counter& calls =

@@ -2,10 +2,9 @@
 //
 // This is the pure-LP front door of the solver stack (the reproduction's
 // substitute for Gurobi, see DESIGN.md §2). It routes one cold solve
-// through the engine-agnostic LpBackend seam (lp_backend.h, DESIGN.md §12),
-// so the same backends — the sparse revised simplex and the dense-tableau
-// oracle — serve pure LPs, node LPs and the lazy-cut callback alike, and no
-// solve bypasses the obs instrumentation.
+// through the LpBackend seam (lp_backend.h, DESIGN.md §12), so the same
+// sparse revised simplex serves pure LPs, node LPs and the lazy-cut
+// callback alike, and no solve bypasses the obs instrumentation.
 #pragma once
 
 #include <cstdint>
@@ -16,17 +15,13 @@
 
 namespace pdw::ilp {
 
-/// Solve the LP relaxation of `model` (variable types are ignored), through
-/// the LpBackend selected by `params.engine` (lp_backend.h). LpStatus and
-/// LpResult live in ilp/types.h, shared by every backend.
+/// Solve the LP relaxation of `model` (variable types are ignored) with one
+/// cold solve of makeLpBackend() (lp_backend.h). LpStatus and LpResult live
+/// in ilp/types.h.
 ///
 /// If `lower_override` / `upper_override` are non-null they replace the
 /// model's variable bounds — this is how branch-and-bound explores nodes
 /// without copying the model.
-///
-/// Preconditions (dense backend only): every variable either has a finite
-/// lower bound, or is fully free (-inf, +inf); fully-free variables are
-/// split internally. The revised backend handles bounds natively.
 LpResult solveLp(const Model& model, const SolveParams& params,
                  const std::vector<double>* lower_override = nullptr,
                  const std::vector<double>* upper_override = nullptr);

@@ -59,9 +59,32 @@ struct LpResult {
   /// One value per model variable (integrality ignored).
   std::vector<double> values;
   std::int64_t iterations = 0;
-  /// Basis (re)factorizations performed during this call (always 0 for the
-  /// dense tableau backend, which has no factorized basis).
+  /// Basis (re)factorizations performed during this call.
   std::int64_t factorizations = 0;
+};
+
+/// Outcome of the root cut separation loop (cuts.h): cuts materialized in
+/// total (== gomory + cover, before eviction), per family, survivors per
+/// family after activity-based eviction, evicted count and rounds run.
+struct CutStats {
+  int added = 0;
+  int gomory = 0;
+  int cover = 0;
+  int gomory_active = 0;
+  int cover_active = 0;
+  int evicted = 0;
+  int rounds = 0;
+
+  CutStats& operator+=(const CutStats& other) {
+    added += other.added;
+    gomory += other.gomory;
+    cover += other.cover;
+    gomory_active += other.gomory_active;
+    cover_active += other.cover_active;
+    evicted += other.evicted;
+    rounds += other.rounds;
+    return *this;
+  }
 };
 
 /// Search/solve statistics, filled by the solver.
@@ -70,17 +93,8 @@ struct SolveStats {
   std::int64_t nodes_explored = 0;
   double best_bound = -kInfinity;  ///< proven lower bound (minimization)
   double wall_seconds = 0.0;
-  /// Cutting planes materialized into the model by the root separation loop
-  /// (cuts.h): total, per family, survivors after activity-based eviction,
-  /// evicted count and separation rounds run. `cuts_added` counts every cut
-  /// the loop added (== gomory + cover added), before eviction.
-  int cuts_added = 0;
-  int cuts_gomory = 0;
-  int cuts_cover = 0;
-  int cuts_gomory_active = 0;
-  int cuts_cover_active = 0;
-  int cuts_evicted = 0;
-  int cut_rounds = 0;
+  /// Cutting planes the root separation loop materialized into the model.
+  CutStats cuts;
   /// Node LPs run by the in-tree simplex engine (root + children).
   std::int64_t lp_solves = 0;
   /// Non-root node LPs re-optimized by the warm dual-simplex path vs. those
@@ -92,8 +106,7 @@ struct SolveStats {
   std::int64_t dual_pivots = 0;
   /// Integer variables fixed by reduced-cost bound tightening.
   std::int64_t rc_fixed = 0;
-  /// Sparse-basis (re)factorizations across all node LPs (revised backend
-  /// only; the dense tableau backend reports 0).
+  /// Sparse-basis (re)factorizations across all node LPs.
   std::int64_t refactorizations = 0;
 
   /// Fold another solve's work in (e.g. phase B into phase A of one
@@ -103,13 +116,7 @@ struct SolveStats {
     simplex_iterations += other.simplex_iterations;
     nodes_explored += other.nodes_explored;
     wall_seconds += other.wall_seconds;
-    cuts_added += other.cuts_added;
-    cuts_gomory += other.cuts_gomory;
-    cuts_cover += other.cuts_cover;
-    cuts_gomory_active += other.cuts_gomory_active;
-    cuts_cover_active += other.cuts_cover_active;
-    cuts_evicted += other.cuts_evicted;
-    cut_rounds += other.cut_rounds;
+    cuts += other.cuts;
     lp_solves += other.lp_solves;
     warm_hits += other.warm_hits;
     warm_misses += other.warm_misses;
@@ -172,11 +179,6 @@ struct CutParams {
 
 /// Knobs for the solver; defaults suit the PDW models.
 struct SolveParams {
-  /// LP engine for every node-LP / pure-LP solve, resolved through the
-  /// LpBackend registry (lp_backend.h). "" picks the registry default
-  /// ("revised", the sparse revised simplex); "dense" selects the dense
-  /// tableau engine kept as the cross-check oracle.
-  std::string engine;
   double time_limit_seconds = 10.0;
   std::int64_t node_limit = 200000;
   std::int64_t simplex_iteration_limit = 400000;
@@ -196,7 +198,6 @@ struct SolveParams {
   CutParams cuts;
   /// Branch-variable selection; see BranchRule.
   BranchRule branch_rule = BranchRule::Pseudocost;
-  bool log_progress = false;
   /// Optional warm start (one value per model variable). If it is feasible
   /// it seeds the branch-and-bound incumbent, so the solver never returns
   /// anything worse than this point (the paper's "best-effort within the
@@ -211,15 +212,6 @@ struct SolveParams {
   /// feasibility check itself — a clamped-but-violating point is still
   /// rejected.
   bool warm_clamp = false;
-  /// Warm-start node LP relaxations with the dual simplex from the previous
-  /// node's optimal basis (the basis stays dual-feasible under bound
-  /// changes). Falls back to the cold two-phase primal deterministically, so
-  /// results are identical either way — this is a speed knob for ablation.
-  bool warm_lp = true;
-  /// Fix integer variables whose reduced cost proves they cannot move
-  /// without exceeding the incumbent (applied to both children at branch
-  /// time). Never cuts off an improving solution.
-  bool rc_fixing = true;
   /// Iteration count after which pricing switches to Bland's rule inside one
   /// LP solve (anti-cycling). 0 = automatic (scales with model size); tests
   /// set 1 to exercise the Bland path directly.
@@ -235,7 +227,7 @@ struct SolveParams {
 };
 
 /// Compact one-line description of the solver knobs that affect results or
-/// performance ("engine=revised tl=4 nodes=60000 ..."), stamped into
+/// performance ("tl=4 nodes=60000 ..."), stamped into
 /// `pdw-run-1` records so stored runs are only compared within one
 /// configuration. Defined in solver.cpp.
 std::string fingerprint(const SolveParams& params);

@@ -39,7 +39,7 @@ enum class FlightEventKind : std::uint8_t {
   Incumbent,       ///< value = objective, extra = nodes explored so far
   BoundDelta,      ///< value = bound changes applied moving to this node
   WarmMiss,        ///< non-root node LP fell back to a cold solve
-  Refactorization, ///< sparse basis (re)factorized (revised engine)
+  Refactorization, ///< sparse basis (re)factorized
   DualStall,       ///< degenerate dual-pivot stall aborted a warm re-solve
   CutAdded,        ///< root cut materialized; value = violation,
                    ///< extra = family (0 = Gomory, 1 = cover)

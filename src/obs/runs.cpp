@@ -84,8 +84,6 @@ std::string RunRecord::toJson() const {
   out += json::quote(git_sha);
   out += ",\"build\":";
   out += json::quote(build);
-  out += ",\"engine\":";
-  out += json::quote(engine);
   out += ",\"config\":";
   out += json::quote(config);
   out += ",\"quick\":";
@@ -128,7 +126,6 @@ std::optional<RunRecord> RunRecord::fromJson(const json::Value& doc) {
   record.timestamp = stringField(doc, "timestamp");
   record.git_sha = stringField(doc, "git_sha");
   record.build = stringField(doc, "build");
-  record.engine = stringField(doc, "engine");
   record.config = stringField(doc, "config");
   if (const json::Value* quick = doc.find("quick"))
     record.quick = quick->kind == json::Value::Kind::Bool && quick->boolean;
@@ -196,7 +193,6 @@ std::optional<RunRecord> runRecordFromBenchDoc(const json::Value& doc) {
   RunRecord record;
   record.label = stringField(doc, "label");
   record.bench = "pdw-bench-1";
-  record.engine = stringField(doc, "engine");
   for (const json::Value& b : benchmarks->array) {
     const json::Value* name = b.find("name");
     if (!name || !name->isString()) continue;

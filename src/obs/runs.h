@@ -2,9 +2,9 @@
 //
 // A durable, diffable record of every benchmark run, in the spirit of
 // TCPSPSuite's db/ result store: an append-only JSONL file where each line
-// is one complete run record — label, git SHA, build description, LP engine
-// name, SolverConfig fingerprint, a full metrics-registry snapshot, and one
-// row of named numeric values per benchmark. The bench binaries append via
+// is one complete run record — label, git SHA, build description,
+// SolverConfig fingerprint, a full metrics-registry snapshot, and one row
+// of named numeric values per benchmark. The bench binaries append via
 // `--run-store=FILE`; `tools/pdw_report` loads two labels (or a label vs a
 // frozen `pdw-bench-1` document) and prints a regression/improvement table
 // with a machine-readable exit code, superseding one-off `--json-out`
@@ -50,7 +50,6 @@ struct RunRecord {
   std::string timestamp;  ///< ISO-8601 UTC, informational only
   std::string git_sha;
   std::string build;      ///< build type + compiler ("RelWithDebInfo GNU 13")
-  std::string engine;     ///< LP backend name
   std::string config;     ///< SolverConfig / SolveParams fingerprint
   bool quick = false;
   std::vector<RunRow> rows;

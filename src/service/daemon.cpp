@@ -29,6 +29,24 @@ obs::Counter& counterOf(const char* name) {
   return obs::Registry::instance().counter(name);
 }
 
+/// The Pipeline options of both request paths: the shared pool, the
+/// daemon's node caps and flight recorder, the given budgets and cut
+/// policy (validated at the protocol boundary and by pdwd's flag parser).
+core::PdwOptions pipelineOptions(const DaemonOptions& daemon,
+                                 std::shared_ptr<util::ThreadPool> pool,
+                                 double budget_s, double path_budget_s,
+                                 const std::string& cuts) {
+  core::PdwOptions options;
+  options.withThreads(pool->size())
+      .withScheduleBudget(budget_s, daemon.default_budget_nodes)
+      .withPathBudget(path_budget_s, daemon.path_budget_nodes)
+      .withSharedPool(std::move(pool));
+  core::applyCutsMode(cuts, options.solver);
+  if (daemon.flight.enabled || !daemon.flight.path.empty())
+    options.withFlightRecording(daemon.flight);
+  return options;
+}
+
 }  // namespace
 
 /// Lazily-built synthesis context of one Table-II benchmark. The graph must
@@ -283,21 +301,9 @@ SolveReply Daemon::solveRequest(const Request& req, double remaining_s,
     }
   }
 
-  core::PdwOptions options;
-  options.withThreads(pool_->size())
-      .withScheduleBudget(budget_s, options_.default_budget_nodes)
-      .withPathBudget(path_budget_s, options_.path_budget_nodes)
-      .withSharedPool(pool_);
-  const std::string& engine =
-      !req.engine.empty() ? req.engine : options_.engine;
-  if (!engine.empty()) options.withEngine(engine);
-  const std::string& cuts = !req.cuts.empty() ? req.cuts : options_.cuts;
-  if (cuts == "on") options.withCuts(true);
-  else if (cuts == "off") options.withCuts(false);
-  else if (cuts == "gomory") options.withCuts(true, false);
-  else if (cuts == "cover") options.withCuts(false, true);
-  if (options_.flight.enabled || !options_.flight.path.empty())
-    options.withFlightRecording(options_.flight);
+  core::PdwOptions options =
+      pipelineOptions(options_, pool_, budget_s, path_budget_s,
+                      !req.cuts.empty() ? req.cuts : options_.cuts);
   if (req.use_cache) options.withSharedRouteCache(route_cache_);
 
   PlanKey key;
@@ -381,22 +387,12 @@ SolveReply Daemon::resolveRequest(const Request& req, std::string* error) {
   const bool warm = rc->pipeline && rc->pipeline->canResolve();
   if (!rc->pipeline) {
     // Resident pipelines run with the daemon defaults: per-request budget /
-    // engine / cuts overrides would fork the resident solved-base state the
-    // deltas compose on.
-    core::PdwOptions options;
-    options.withThreads(pool_->size())
-        .withScheduleBudget(options_.default_budget_s,
-                            options_.default_budget_nodes)
-        .withPathBudget(options_.path_budget_s, options_.path_budget_nodes)
-        .withSharedPool(pool_)
-        .withSharedRouteCache(route_cache_);
-    if (!options_.engine.empty()) options.withEngine(options_.engine);
-    if (options_.cuts == "on") options.withCuts(true);
-    else if (options_.cuts == "off") options.withCuts(false);
-    else if (options_.cuts == "gomory") options.withCuts(true, false);
-    else if (options_.cuts == "cover") options.withCuts(false, true);
-    if (options_.flight.enabled || !options_.flight.path.empty())
-      options.withFlightRecording(options_.flight);
+    // cuts overrides would fork the resident solved-base state the deltas
+    // compose on.
+    core::PdwOptions options =
+        pipelineOptions(options_, pool_, options_.default_budget_s,
+                        options_.path_budget_s, options_.cuts);
+    options.withSharedRouteCache(route_cache_);
     rc->pipeline = std::make_unique<Pipeline>(std::move(options));
   }
   // Cold prime on first use: the pipeline must have solved the benchmark's

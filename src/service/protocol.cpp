@@ -3,6 +3,7 @@
 #include <cmath>
 #include <sstream>
 
+#include "core/pathdriver_wash.h"
 #include "obs/json.h"
 #include "util/hash.h"
 
@@ -163,8 +164,6 @@ ParsedRequest parseRequest(std::string_view line) {
     return fail(err->message, err->code);
   if (auto err = readString(*doc, "cuts", &req.cuts))
     return fail(err->message, err->code);
-  if (auto err = readString(*doc, "engine", &req.engine))
-    return fail(err->message, err->code);
   if (auto err = readNumber(*doc, "sleep_ms", &req.sleep_ms))
     return fail(err->message, err->code);
   if (auto err = readIndex(*doc, "delay_op", &req.delay_op))
@@ -193,8 +192,8 @@ ParsedRequest parseRequest(std::string_view line) {
   if (req.budget_s < 0.0) return fail("budget_s must be >= 0", "value");
   if (req.deadline_ms < 0.0) return fail("deadline_ms must be >= 0", "value");
   if (req.sleep_ms < 0.0) return fail("sleep_ms must be >= 0", "value");
-  if (!req.cuts.empty() && req.cuts != "on" && req.cuts != "off" &&
-      req.cuts != "gomory" && req.cuts != "cover")
+  core::SolverConfig cuts_probe;
+  if (!core::applyCutsMode(req.cuts, cuts_probe))
     return fail("cuts must be on|off|gomory|cover", "value");
   if (req.type == RequestType::Solve && req.benchmark.empty() &&
       req.sleep_ms <= 0.0)

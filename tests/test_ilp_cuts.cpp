@@ -1,5 +1,5 @@
 // Cutting-plane and probing-presolve tests (ilp/cuts.h, ilp/presolve.h):
-//  * Gomory mixed-integer cuts derived from either engine's optimal tableau
+//  * Gomory mixed-integer cuts derived from the engine's optimal tableau
 //    cut off the fractional vertex they came from but never an
 //    integer-feasible point (brute-force checked),
 //  * knapsack-cover cuts separate violated minimal covers and stay valid,
@@ -12,7 +12,6 @@
 
 #include <cmath>
 #include <optional>
-#include <string>
 #include <vector>
 
 #include "ilp/cuts.h"
@@ -57,9 +56,7 @@ std::vector<double> upperBounds(const Model& model) {
   return out;
 }
 
-class CutsEngineTest : public ::testing::TestWithParam<const char*> {};
-
-TEST_P(CutsEngineTest, GmiCutsOffFractionalVertexKeepsIntegerPoints) {
+TEST(GmiCuts, CutsOffFractionalVertexKeepsIntegerPoints) {
   // min -2x - y  s.t. 2x + 2y <= 3, x,y binary. Unique LP optimum
   // (1, 0.5): x at its upper bound, y basic and fractional. The GMI cut
   // from y's tableau row must cut the vertex off while every feasible 0/1
@@ -71,16 +68,16 @@ TEST_P(CutsEngineTest, GmiCutsOffFractionalVertexKeepsIntegerPoints) {
   m.setObjective(-2.0 * LinExpr(x) - 1.0 * LinExpr(y));
 
   SolveParams params;
-  const auto backend = makeLpBackend(GetParam(), m, params);
+  const auto backend = makeLpBackend(m, params);
   const LpResult lp = backend->coldSolve(lowerBounds(m), upperBounds(m));
   ASSERT_EQ(lp.status, LpStatus::Optimal);
   EXPECT_NEAR(lp.values[static_cast<std::size_t>(x)], 1.0, 1e-7);
   EXPECT_NEAR(lp.values[static_cast<std::size_t>(y)], 0.5, 1e-7);
 
   LpBackend::TableauRowView view;
-  ASSERT_TRUE(backend->tableauRow(y, &view)) << GetParam();
+  ASSERT_TRUE(backend->tableauRow(y, &view));
   const std::optional<Cut> cut = gmiCut(view, y, m, 1e-6);
-  ASSERT_TRUE(cut.has_value()) << GetParam();
+  ASSERT_TRUE(cut.has_value());
 
   EXPECT_GT(evalCut(*cut, lp.values), cut->rhs + 1e-6)
       << "cut must cut off the fractional vertex";
@@ -89,7 +86,7 @@ TEST_P(CutsEngineTest, GmiCutsOffFractionalVertexKeepsIntegerPoints) {
         << "cut removed integer point (" << p[0] << ", " << p[1] << ")";
 }
 
-TEST_P(CutsEngineTest, GmiValidOnRandomKnapsacks) {
+TEST(GmiCuts, ValidOnRandomKnapsacks) {
   // Randomized sweep: on small random knapsacks, derive a GMI cut from
   // every fractional basic structural variable of the optimal tableau and
   // brute-force check it against all feasible 0/1 points.
@@ -111,7 +108,7 @@ TEST_P(CutsEngineTest, GmiValidOnRandomKnapsacks) {
     m.setObjective(-1.0 * value);
 
     SolveParams params;
-    const auto backend = makeLpBackend(GetParam(), m, params);
+    const auto backend = makeLpBackend(m, params);
     const LpResult lp = backend->coldSolve(lowerBounds(m), upperBounds(m));
     if (lp.status != LpStatus::Optimal) continue;
 
@@ -134,12 +131,6 @@ TEST_P(CutsEngineTest, GmiValidOnRandomKnapsacks) {
   }
   EXPECT_GT(cuts_checked, 5) << "sweep separated almost no cuts";
 }
-
-INSTANTIATE_TEST_SUITE_P(BothEngines, CutsEngineTest,
-                         ::testing::Values("revised", "dense"),
-                         [](const ::testing::TestParamInfo<const char*>& i) {
-                           return std::string(i.param);
-                         });
 
 TEST(CoverCuts, SeparatesViolatedMinimalCover) {
   // 3a + 4b + 2c <= 6. LP point (1, 0.75, 0) violates the cover {a, b}
@@ -250,9 +241,9 @@ TEST(CutsSolve, RootSeparationReportsStats) {
   const Solution s = solve(m, params);
   ASSERT_EQ(s.status, SolveStatus::Optimal);
   EXPECT_NEAR(s.objective, -2.0, 1e-6);
-  EXPECT_GE(s.stats.cuts_added, 1);
-  EXPECT_GE(s.stats.cut_rounds, 1);
-  EXPECT_EQ(s.stats.cuts_added, s.stats.cuts_gomory + s.stats.cuts_cover);
+  EXPECT_GE(s.stats.cuts.added, 1);
+  EXPECT_GE(s.stats.cuts.rounds, 1);
+  EXPECT_EQ(s.stats.cuts.added, s.stats.cuts.gomory + s.stats.cuts.cover);
 }
 
 TEST(Probing, FixesBinaryWhoseBranchPropagatesInfeasible) {

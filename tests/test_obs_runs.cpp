@@ -158,8 +158,7 @@ obs::RunRecord makeRecord(const std::string& label,
   record.timestamp = "2026-08-09T00:00:00Z";
   record.git_sha = git_sha;
   record.build = "Test GNU";
-  record.engine = "revised";
-  record.config = "engine=revised";
+  record.config = "tl=4 nodes=60000";
   obs::RunRow row;
   row.name = "knapsack_small";
   row.family = "synthetic";
@@ -180,7 +179,7 @@ TEST(RunStore, AppendReloadLatestLabelWins) {
   const std::vector<obs::RunRecord> all = store.loadAll();
   ASSERT_EQ(all.size(), 3u);
   EXPECT_EQ(all[0].git_sha, "aaaa111");
-  EXPECT_EQ(all[0].engine, "revised");
+  EXPECT_EQ(all[0].config, "tl=4 nodes=60000");
   EXPECT_EQ(all[0].rows.size(), 1u);
   EXPECT_DOUBLE_EQ(all[0].rows[0].value("wall_seconds"), 1.0);
 

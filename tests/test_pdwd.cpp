@@ -131,7 +131,7 @@ TEST(PdwdProtocol, ValidSolveRequestParses) {
   const auto parsed = parseRequest(
       "{\"schema\":\"pdw-req-1\",\"type\":\"solve\",\"id\":\"r1\","
       "\"benchmark\":\"PCR\",\"budget_s\":2.5,\"deadline_ms\":4000,"
-      "\"cache\":false,\"cuts\":\"gomory\",\"engine\":\"revised\","
+      "\"cache\":false,\"cuts\":\"gomory\","
       "\"cache_version\":3,\"sleep_ms\":0}");
   ASSERT_TRUE(parsed.ok()) << parsed.error;
   const service::Request& req = *parsed.request;
@@ -142,7 +142,6 @@ TEST(PdwdProtocol, ValidSolveRequestParses) {
   EXPECT_DOUBLE_EQ(req.deadline_ms, 4000.0);
   EXPECT_FALSE(req.use_cache);
   EXPECT_EQ(req.cuts, "gomory");
-  EXPECT_EQ(req.engine, "revised");
   EXPECT_EQ(req.cache_version, 3u);
 }
 
@@ -156,6 +155,21 @@ TEST(PdwdProtocol, DefaultsAndUnknownKeysIgnored) {
   EXPECT_EQ(parsed.request->type, service::RequestType::Solve);
   EXPECT_TRUE(parsed.request->use_cache);
   EXPECT_DOUBLE_EQ(parsed.request->budget_s, 0.0);
+}
+
+TEST(PdwdProtocol, EngineKeyIsAnIgnoredUnknownKey) {
+  // There is one LP engine; an "engine" key left over from older clients
+  // parses like any other unknown key, whatever its value or type.
+  const std::string with_key =
+      solveLine("e1", "PCR", ",\"engine\":\"dense\",\"budget_s\":2");
+  const auto parsed = parseRequest(with_key);
+  ASSERT_TRUE(parsed.ok()) << parsed.error;
+  const auto plain = parseRequest(solveLine("e1", "PCR", ",\"budget_s\":2"));
+  ASSERT_TRUE(plain.ok()) << plain.error;
+  EXPECT_EQ(parsed.request->benchmark, plain.request->benchmark);
+  EXPECT_DOUBLE_EQ(parsed.request->budget_s, plain.request->budget_s);
+  EXPECT_EQ(parsed.request->cuts, plain.request->cuts);
+  EXPECT_TRUE(parseRequest(solveLine("e2", "PCR", ",\"engine\":7")).ok());
 }
 
 TEST(PdwdProtocol, RejectsMalformedAndSchemaErrors) {
@@ -524,6 +538,27 @@ TEST(PdwdDaemon, SolveWarmsAndInvalidates) {
                 delta.counter(obs::names::kPdwdDeadlineExpired) +
                 delta.counter(obs::names::kPdwdRejectedQueueFull),
             delta.counter(obs::names::kPdwdRequests));
+}
+
+TEST(PdwdDaemon, EngineKeyDoesNotChangeThePlan) {
+  // The dropped "engine" key is ignored end to end: the request solves
+  // cold (cache off, so nothing is replayed) to the same canonical plan as
+  // the same request without the key.
+  DaemonOptions options;
+  options.lanes = 1;
+  options.threads = 1;
+  Daemon daemon(options);
+  const std::string extra = ",\"budget_s\":60,\"cache\":false";
+  const obs::json::Value plain =
+      parseResponse(daemon.handleLine(solveLine("p1", "Kinase act-1", extra)));
+  const obs::json::Value keyed = parseResponse(daemon.handleLine(solveLine(
+      "p2", "Kinase act-1", extra + ",\"engine\":\"dense\"")));
+  daemon.shutdown();
+  EXPECT_EQ(str(plain, "status"), "ok");
+  EXPECT_EQ(str(keyed, "status"), "ok");
+  EXPECT_FALSE(boolean(keyed, "warm"));
+  ASSERT_FALSE(str(plain, "plan").empty());
+  EXPECT_EQ(str(keyed, "plan"), str(plain, "plan"));
 }
 
 /// The cache_version bump is an admission-gated side effect: a rejected

@@ -1,7 +1,7 @@
 // obs_check — validates pdw_cli's observability exports (scripts/tier1.sh).
 //
 //   obs_check --trace t.json --metrics m.json [--expect-workers N]
-//   obs_check --bench b.json [--expect-warm-hits] [--expect-engine NAME]
+//   obs_check --bench b.json [--expect-warm-hits]
 //   obs_check --flight f.jsonl [--metrics m.json]
 //   obs_check --pdwd scrape.json [--expect-solves N] [--expect-warm-solves]
 //   obs_check --resolve m.json
@@ -40,7 +40,6 @@
 // document from `bench_ilp_solver --json-out` — schema tag, per-benchmark
 // records with non-negative solver readings, totals consistent with the
 // records, and (with --expect-warm-hits) a strictly positive warm-hit rate.
-// --expect-engine requires the document's top-level `engine` label to match.
 // Baseline comparisons live in tools/pdw_report (per-row diffs against the
 // run-record store or a frozen pdw-bench-1 document). Exits non-zero with
 // one line per failure.
@@ -565,8 +564,7 @@ void checkResolve(const std::string& path) {
                recomputed, targets_reused);
 }
 
-void checkBench(const std::string& path, bool expect_warm_hits,
-                const std::string& expect_engine) {
+void checkBench(const std::string& path, bool expect_warm_hits) {
   const std::string text = slurp(path);
   if (text.empty()) return fail("bench file empty or unreadable: " + path);
   const auto doc = pdw::obs::json::parse(text);
@@ -574,15 +572,6 @@ void checkBench(const std::string& path, bool expect_warm_hits,
   const Value* schema = doc->find("schema");
   if (!schema || !schema->isString() || schema->string != "pdw-bench-1")
     fail("bench schema tag is not 'pdw-bench-1'");
-  if (!expect_engine.empty()) {
-    const Value* engine = doc->find("engine");
-    if (!engine || !engine->isString())
-      fail("bench has no string 'engine' label (expected '" + expect_engine +
-           "')");
-    else if (engine->string != expect_engine)
-      fail("bench engine is '" + engine->string + "', expected '" +
-           expect_engine + "'");
-  }
   const Value* benchmarks = doc->find("benchmarks");
   if (!benchmarks || !benchmarks->isArray() || benchmarks->array.empty())
     return fail("bench has no non-empty 'benchmarks' array");
@@ -637,7 +626,6 @@ void checkBench(const std::string& path, bool expect_warm_hits,
 int main(int argc, char** argv) {
   std::string trace_path, metrics_path, bench_path, flight_path, pdwd_path;
   std::string resolve_path;
-  std::string expect_engine;
   bool expect_warm_hits = false;
   bool expect_warm_solves = false;
   long long expect_solves = -1;
@@ -675,16 +663,12 @@ int main(int argc, char** argv) {
       if (v) expect_solves = std::atoll(v);
     } else if (arg == "--expect-warm-solves") {
       expect_warm_solves = true;
-    } else if (arg == "--expect-engine") {
-      const char* v = next();
-      if (v) expect_engine = v;
     } else {
       std::fprintf(stderr,
                    "usage: obs_check [--trace FILE] [--metrics FILE] "
                    "[--expect-workers N] [--bench FILE] "
                    "[--flight FILE.jsonl] [--expect-warm-hits] "
-                   "[--expect-engine NAME] [--pdwd FILE] "
-                   "[--resolve FILE] [--expect-solves N] "
+                   "[--pdwd FILE] [--resolve FILE] [--expect-solves N] "
                    "[--expect-warm-solves]\n");
       return 2;
     }
@@ -696,8 +680,7 @@ int main(int argc, char** argv) {
   }
   if (!trace_path.empty()) checkTrace(trace_path, expect_workers);
   if (!metrics_path.empty()) checkMetrics(metrics_path, expect_workers > 0);
-  if (!bench_path.empty())
-    checkBench(bench_path, expect_warm_hits, expect_engine);
+  if (!bench_path.empty()) checkBench(bench_path, expect_warm_hits);
   if (!flight_path.empty()) {
     const FlightTotals totals = checkFlight(flight_path);
     if (!metrics_path.empty()) reconcileFlight(totals, metrics_path);

@@ -90,12 +90,12 @@ std::vector<std::string> splitCommas(const std::string& text) {
 
 void listStore(const RunStore& store) {
   const std::vector<RunRecord> records = store.loadAll();
-  std::printf("%-20s %-18s %-20s %-10s %-6s %s\n", "label", "bench",
-              "timestamp", "git", "rows", "engine");
+  std::printf("%-20s %-18s %-20s %-10s %s\n", "label", "bench",
+              "timestamp", "git", "rows");
   for (const RunRecord& r : records)
-    std::printf("%-20s %-18s %-20s %-10s %-6zu %s\n", r.label.c_str(),
+    std::printf("%-20s %-18s %-20s %-10s %zu\n", r.label.c_str(),
                 r.bench.c_str(), r.timestamp.c_str(), r.git_sha.c_str(),
-                r.rows.size(), r.engine.c_str());
+                r.rows.size());
   std::printf("%zu record(s) in %s\n", records.size(), store.path().c_str());
 }
 
