@@ -8,9 +8,11 @@
 //  * --json-out=<path>: one timed solve per instance plus the Table-II
 //    pipeline benchmarks, emitting a `pdw-bench-1` JSON document with
 //    per-benchmark wall time, node counts, simplex iterations and the
-//    warm-dual hit rate. scripts/tier1.sh validates the document with
-//    tools/obs_check; BENCH_ilp.json at the repo root holds the committed
-//    perf baseline this series is measured against.
+//    warm-dual hit rate. Every row is work-capped (node and iteration
+//    caps, a wall limit no run reaches), so node and iteration counts do
+//    not depend on how fast the machine is. scripts/tier1.sh validates the
+//    document with tools/obs_check; BENCH_ilp.json at the repo root holds
+//    the committed perf baseline this series is measured against.
 //
 //      bench_ilp_solver --json-out=out.json [--quick] [--label=NAME]
 //                       [--no-cuts]   # pre-cuts solver config (baselines)
@@ -58,9 +60,14 @@ void applyPreCuts(ilp::SolveParams* p) {
   p->branch_rule = ilp::BranchRule::MostFractional;
 }
 
+/// Wall-clock limit of every measured solve. No run comes near it, so each
+/// row is work-capped: node and iteration caps decide where a solve stops,
+/// and `nodes` and `simplex_iterations` count the same work on any machine.
+constexpr double kNoWallLimit = 3600.0;
+
 ilp::SolveParams benchParams() {
   ilp::SolveParams p;
-  p.time_limit_seconds = 5.0;  // best-effort cap per solve
+  p.time_limit_seconds = kNoWallLimit;
   p.flight = g_flight;
   if (g_no_cuts) applyPreCuts(&p);
   return p;
@@ -209,6 +216,13 @@ BenchRecord runSynthetic(const std::string& name, const ilp::Model& model) {
   return rec;
 }
 
+/// Node caps of the Table-II rows' scheduling and wash-path ILPs. With the
+/// wall limit out of reach, `wall_seconds` measures how fast a fixed amount
+/// of work runs. On wall-clock budgets a faster solver would explore more
+/// nodes in the same time and read as a `nodes` regression.
+constexpr std::int64_t kScheduleNodeCap = 200;
+constexpr std::int64_t kPathNodeCap = 20;
+
 /// Run one Table-II benchmark through the full single-threaded pipeline and
 /// charge the per-run `ilp.*` registry delta to the record — this covers
 /// every MIP the stage solvers issue (schedule phases A/B + path ILPs).
@@ -219,7 +233,9 @@ BenchRecord runPipelineBenchmark(assay::BenchmarkId id) {
   assay::Benchmark b = assay::makeBenchmark(id);
   synth::SynthResult base =
       synth::synthesizeOnChip(*b.graph, synth::placeChip(b.library));
-  core::PdwOptions options = bench::defaultBenchOptions();
+  core::PdwOptions options;
+  options.withScheduleBudget(kNoWallLimit, kScheduleNodeCap)
+      .withPathBudget(kNoWallLimit, kPathNodeCap);
   options.solver.schedule.flight = g_flight;
   options.solver.path.flight = g_flight;
   if (g_no_cuts) {
@@ -270,8 +286,8 @@ int runJsonMode(const std::string& path, const bench::ObsArgs& obs_args,
     suite.emplace_back("knapsack_20", makeKnapsack(20));
     if (!quick) {
       suite.emplace_back("lp_dense_100", makeLpDense(100));
-      // The lp_dense_1000 family is the revised backend's headline: the
-      // dense tableau cannot finish these within the per-solve budget.
+      // lp_dense_1000's 1000-row basis of full columns runs the LU's
+      // dense mode.
       suite.emplace_back("lp_dense_300", makeLpDense(300));
       suite.emplace_back("lp_dense_1000", makeLpDense(1000));
       suite.emplace_back("knapsack_30", makeKnapsack(30));

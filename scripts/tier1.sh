@@ -17,8 +17,9 @@
 # N_wash identity between incremental resolve and cold re-solve, gates a
 # >= 5x speedup, pdw.resolve.* partition invariants reconciled by obs_check
 # --resolve, run record diffed against the frozen rewash-quick-baseline
-# label), the ILP numerics + JSON decoder tests under ASan+UBSan, then the
-# parallel-runtime + obs + daemon-concurrency tests (determinism, route
+# label), the ILP numerics (LU bit-identity differential and the engine's
+# wall-clock stops included) + JSON decoder tests under ASan+UBSan, then
+# the parallel-runtime + obs + daemon-concurrency tests (determinism, route
 # cache + epochs, tracing/metrics/logging, byte-identical concurrent pdwd
 # plans, rescheduler thread-count determinism, invalidate coherence) under
 # ThreadSanitizer.
@@ -54,8 +55,10 @@ echo "== tier-1: flight recorder smoke (pdw_cli --flight-out) =="
 echo "== tier-1: ILP perf smoke (bench_ilp_solver --quick + pdw_report) =="
 # One quick run produces both the pdw-bench-1 document (schema-validated,
 # warm dual path must have fired) and a pdw-run-1 run-store record;
-# pdw_report gates wall time + simplex iterations on the rows shared with
-# the committed perf baseline (exit 1 = regression).
+# pdw_report gates wall time, simplex iterations and nodes on the rows
+# shared with the committed perf baseline (exit 1 = regression). The rows
+# are work-capped, so iterations and nodes match the baseline exactly
+# unless the search itself changed.
 ./build/bench/bench_ilp_solver --json-out="$obs_dir/bench.json" \
   --run-store="$obs_dir/runs.jsonl" --label tier1-smoke --quick \
   --flight-out "$obs_dir/bench_flight.jsonl" \
@@ -145,7 +148,7 @@ else
   cmake --build build-asan -j --target pdw_tests
   ASAN_OPTIONS="halt_on_error=1" UBSAN_OPTIONS="print_stacktrace=1" \
     ./build-asan/tests/pdw_tests \
-    --gtest_filter='BasisLu.*:BackendDifferential.*:ReferenceLp.*:WarmPath.*:GmiCuts.*:Simplex.*:Mip.*:WarmStart.*:Model.*:Presolve.*:LinExpr.*:ObsJson.*'
+    --gtest_filter='BasisLu.*:LuDifferential.*:BackendDifferential.*:ReferenceLp.*:WarmPath.*:EngineDeadline.*:GmiCuts.*:Simplex.*:Mip.*:WarmStart.*:Model.*:Presolve.*:LinExpr.*:ObsJson.*'
 fi
 
 if [[ "${PDW_SKIP_TSAN:-0}" == "1" ]]; then

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <limits>
 
 namespace pdw::ilp {
 
@@ -30,7 +31,6 @@ void BasisLu::clearFactors() {
   eta_pivot_.clear();
   eta_start_.assign(1, 0);
   eta_entries_.clear();
-  eta_nnz_ = 0;
   factor_nnz_ = 0;
   dense_mode_ = false;
   valid_ = false;
@@ -64,97 +64,99 @@ bool BasisLu::factor(int m, const std::vector<SparseColumn>& cols) {
 
 bool BasisLu::factorSparse(const std::vector<SparseColumn>& cols) {
   const int m = m_;
-  // Row-major working copy: rows[i] = (position, value) entries.
-  std::vector<std::vector<std::pair<int, double>>> rows(m);
-  std::vector<int> col_count(m, 0);
+  // Row-major working copy: rows_[i] = (position, value) entries.
+  if (static_cast<int>(rows_.size()) < m) rows_.resize(m);
+  for (int i = 0; i < m; ++i) rows_[i].clear();
+  col_count_.assign(m, 0);
   std::size_t nnz = 0;
   for (int pos = 0; pos < m; ++pos) {
     for (const auto& [row, val] : cols[pos]) {
       assert(row >= 0 && row < m);
       if (val == 0.0) continue;
-      rows[row].emplace_back(pos, val);
-      ++col_count[pos];
+      rows_[row].emplace_back(pos, val);
+      ++col_count_[pos];
       ++nnz;
     }
   }
-  // col_rows: candidate rows per position, appended lazily (may hold stale
+  // col_rows_: candidate rows per position, appended lazily (may hold stale
   // rows whose entry got cancelled; verified against row contents on use).
-  std::vector<std::vector<int>> col_rows(m);
+  if (static_cast<int>(col_rows_.size()) < m) col_rows_.resize(m);
+  for (int i = 0; i < m; ++i) col_rows_[i].clear();
   for (int i = 0; i < m; ++i)
-    for (const auto& [pos, val] : rows[i]) col_rows[pos].push_back(i);
+    for (const auto& [pos, val] : rows_[i]) col_rows_[pos].push_back(i);
 
-  std::vector<char> row_active(m, 1), col_active(m, 1);
+  row_active_.assign(m, 1);
+  row_version_.assign(m, 0);
+  col_touched_.assign(m, -1);
   prow_.reserve(m);
   pcol_.reserve(m);
   diag_.reserve(m);
   l_start_.reserve(m + 1);
   u_start_.reserve(m + 1);
 
-  // Dense accumulator for row combination.
-  std::vector<double> acc(m, 0.0);
-  std::vector<int> acc_stamp(m, -1);
+  // Dense accumulator for row combination; acc_ is only read where
+  // acc_stamp_ carries the current stamp.
+  acc_.resize(m);
+  acc_stamp_.assign(m, -1);
   int stamp = 0;
+
+  queue_.clear();
+  for (int i = 0; i < m; ++i) pushRowSingletons(i);
 
   const std::size_t fill_cap = static_cast<std::size_t>(
       std::max(4096.0, kFillAbortDensity * static_cast<double>(m) * m));
 
   for (int k = 0; k < m; ++k) {
-    // ---- Markowitz pivot search over all active entries -----------------
+    // ---- Markowitz pivot: best queued singleton, else a nucleus scan ----
     int piv_row = -1, piv_pos = -1;
     double piv_val = 0.0;
-    long best_cost = -1;
-    double best_mag = 0.0;
-    for (int i = 0; i < m; ++i) {
-      if (!row_active[i]) continue;
-      const auto& row = rows[i];
-      if (row.empty()) continue;
-      double row_max = 0.0;
-      for (const auto& [pos, val] : row) row_max = std::max(row_max, std::abs(val));
-      if (row_max < kAbsPivotTol) continue;
-      const double mag_floor = std::max(kAbsPivotTol, kRelPivotTol * row_max);
-      const long rc = static_cast<long>(row.size()) - 1;
-      for (const auto& [pos, val] : row) {
-        const double mag = std::abs(val);
-        if (mag < mag_floor) continue;
-        const long cost = rc * (static_cast<long>(col_count[pos]) - 1);
-        const bool better =
-            best_cost < 0 || cost < best_cost ||
-            (cost == best_cost &&
-             (mag > best_mag ||
-              (mag == best_mag &&
-               (i < piv_row || (i == piv_row && pos < piv_pos)))));
-        if (better) {
-          best_cost = cost;
-          best_mag = mag;
-          piv_row = i;
-          piv_pos = pos;
-          piv_val = val;
-        }
-      }
+    while (!queue_.empty()) {
+      std::pop_heap(queue_.begin(), queue_.end());
+      const Singleton top = queue_.back();
+      queue_.pop_back();
+      // Rows change only by elimination, which bumps their version, so an
+      // entry whose row is active at the version it was queued with still
+      // has its value and admissibility. It is still a singleton, too: its
+      // row is unchanged, and a column count never rises from one, because
+      // fill-in reaches a column only from a pivot row holding it.
+      if (!row_active_[top.row] || row_version_[top.row] != top.version)
+        continue;
+      piv_row = top.row;
+      piv_pos = top.pos;
+      piv_val = top.val;
+      break;
     }
-    if (piv_row < 0) return false;  // singular: no admissible pivot left
+    if (piv_row < 0 && !nucleusPivot(&piv_row, &piv_pos, &piv_val))
+      return false;  // singular: no admissible pivot left
 
     prow_.push_back(piv_row);
     pcol_.push_back(piv_pos);
     diag_.push_back(piv_val);
-    row_active[piv_row] = 0;
-    col_active[piv_pos] = 0;
+    row_active_[piv_row] = 0;
+    changed_rows_.clear();
+    touched_cols_.clear();
+    const auto touch = [&](int pos) {
+      if (col_touched_[pos] == k) return;
+      col_touched_[pos] = k;
+      touched_cols_.push_back(pos);
+    };
 
     // Freeze the pivot row as U row k (entries over still-active positions).
-    std::vector<std::pair<int, double>>& prow_entries = rows[piv_row];
+    std::vector<std::pair<int, double>>& prow_entries = rows_[piv_row];
     u_start_.push_back(static_cast<int>(u_entries_.size()));
     for (const auto& [pos, val] : prow_entries) {
-      --col_count[pos];
+      --col_count_[pos];
       if (pos == piv_pos) continue;
       u_entries_.emplace_back(pos, val);
+      touch(pos);
     }
 
     // ---- eliminate the pivot position from the remaining active rows ----
     l_start_.push_back(static_cast<int>(l_entries_.size()));
-    std::vector<int>& cand = col_rows[piv_pos];
+    std::vector<int>& cand = col_rows_[piv_pos];
     for (int i : cand) {
-      if (!row_active[i]) continue;
-      std::vector<std::pair<int, double>>& row = rows[i];
+      if (!row_active_[i]) continue;
+      std::vector<std::pair<int, double>>& row = rows_[i];
       double v = 0.0;
       bool found = false;
       for (const auto& [pos, val] : row) {
@@ -172,40 +174,46 @@ bool BasisLu::factorSparse(const std::vector<SparseColumn>& cols) {
       ++stamp;
       for (const auto& [pos, val] : row) {
         if (pos == piv_pos) continue;
-        acc[pos] = val;
-        acc_stamp[pos] = stamp;
+        acc_[pos] = val;
+        acc_stamp_[pos] = stamp;
       }
       for (const auto& [pos, val] : prow_entries) {
         if (pos == piv_pos) continue;
-        if (acc_stamp[pos] == stamp) {
-          acc[pos] -= mult * val;
+        if (acc_stamp_[pos] == stamp) {
+          acc_[pos] -= mult * val;
         } else {
-          acc[pos] = -mult * val;
-          acc_stamp[pos] = stamp;
+          acc_[pos] = -mult * val;
+          acc_stamp_[pos] = stamp;
         }
       }
-      for (const auto& [pos, val] : row) --col_count[pos];
+      for (const auto& [pos, val] : row) --col_count_[pos];
       nnz -= row.size();
-      std::vector<std::pair<int, double>> next;
+      std::vector<std::pair<int, double>>& next = next_row_;
+      next.clear();
       next.reserve(row.size() + prow_entries.size());
       // Keep original-order positions first, then pivot-row fill-in, so the
       // rebuild is deterministic without a sort.
       for (const auto& [pos, val] : row) {
-        if (pos == piv_pos || acc_stamp[pos] != stamp) continue;
-        if (std::abs(acc[pos]) > kDropTol) next.emplace_back(pos, acc[pos]);
-        acc_stamp[pos] = -1;
+        if (pos == piv_pos || acc_stamp_[pos] != stamp) continue;
+        if (std::abs(acc_[pos]) > kDropTol)
+          next.emplace_back(pos, acc_[pos]);
+        else
+          touch(pos);  // cancelled
+        acc_stamp_[pos] = -1;
       }
       for (const auto& [pos, val] : prow_entries) {
-        if (pos == piv_pos || acc_stamp[pos] != stamp) continue;
-        if (std::abs(acc[pos]) > kDropTol) {
-          next.emplace_back(pos, acc[pos]);
-          col_rows[pos].push_back(i);  // fill-in
+        if (pos == piv_pos || acc_stamp_[pos] != stamp) continue;
+        if (std::abs(acc_[pos]) > kDropTol) {
+          next.emplace_back(pos, acc_[pos]);
+          col_rows_[pos].push_back(i);  // fill-in
         }
-        acc_stamp[pos] = -1;
+        acc_stamp_[pos] = -1;
       }
       row.swap(next);
-      for (const auto& [pos, val] : row) ++col_count[pos];
+      for (const auto& [pos, val] : row) ++col_count_[pos];
       nnz += row.size();
+      ++row_version_[i];
+      changed_rows_.push_back(i);
     }
     cand.clear();
 
@@ -215,6 +223,14 @@ bool BasisLu::factorSparse(const std::vector<SparseColumn>& cols) {
       dense_lu_.assign(1, 0.0);
       return false;
     }
+
+    // ---- queue the singletons this step created -------------------------
+    // A changed row may have become a row singleton and its entries may sit
+    // in count-1 columns; an unchanged row gains a singleton only through a
+    // column whose count fell to one.
+    for (int i : changed_rows_) pushRowSingletons(i);
+    for (int pos : touched_cols_)
+      if (col_count_[pos] == 1) pushColumnSingleton(pos);
   }
   l_start_.push_back(static_cast<int>(l_entries_.size()));
   u_start_.push_back(static_cast<int>(u_entries_.size()));
@@ -223,6 +239,74 @@ bool BasisLu::factorSparse(const std::vector<SparseColumn>& cols) {
   work_.assign(m, 0.0);
   work2_.assign(m, 0.0);
   return true;
+}
+
+double BasisLu::pivotFloor(const std::vector<std::pair<int, double>>& row) {
+  double row_max = 0.0;
+  for (const auto& [pos, val] : row) row_max = std::max(row_max, std::abs(val));
+  if (row_max < kAbsPivotTol) return std::numeric_limits<double>::infinity();
+  return std::max(kAbsPivotTol, kRelPivotTol * row_max);
+}
+
+bool BasisLu::nucleusPivot(int* piv_row, int* piv_pos,
+                           double* piv_val) const {
+  long best_cost = -1;
+  double best_mag = 0.0;
+  for (int i = 0; i < m_; ++i) {
+    if (!row_active_[i]) continue;
+    const auto& row = rows_[i];
+    const double mag_floor = pivotFloor(row);
+    const long rc = static_cast<long>(row.size()) - 1;
+    for (const auto& [pos, val] : row) {
+      const double mag = std::abs(val);
+      if (mag < mag_floor) continue;
+      const long cost = rc * (static_cast<long>(col_count_[pos]) - 1);
+      const bool better =
+          best_cost < 0 || cost < best_cost ||
+          (cost == best_cost &&
+           (mag > best_mag ||
+            (mag == best_mag &&
+             (i < *piv_row || (i == *piv_row && pos < *piv_pos)))));
+      if (better) {
+        best_cost = cost;
+        best_mag = mag;
+        *piv_row = i;
+        *piv_pos = pos;
+        *piv_val = val;
+      }
+    }
+  }
+  return best_cost >= 0;
+}
+
+void BasisLu::pushRowSingletons(int row) {
+  const std::vector<std::pair<int, double>>& entries = rows_[row];
+  const double mag_floor = pivotFloor(entries);
+  const bool row_singleton = entries.size() == 1;
+  for (const auto& [pos, val] : entries) {
+    const double mag = std::abs(val);
+    if (mag < mag_floor) continue;
+    if (!row_singleton && col_count_[pos] != 1) continue;
+    queue_.push_back(Singleton{mag, row, pos, val, row_version_[row]});
+    std::push_heap(queue_.begin(), queue_.end());
+  }
+}
+
+void BasisLu::pushColumnSingleton(int pos) {
+  for (int i : col_rows_[pos]) {
+    if (!row_active_[i]) continue;
+    const std::vector<std::pair<int, double>>& entries = rows_[i];
+    const auto it = std::find_if(entries.begin(), entries.end(),
+                                 [pos](const std::pair<int, double>& e) {
+                                   return e.first == pos;
+                                 });
+    if (it == entries.end()) continue;  // stale candidate
+    const double mag = std::abs(it->second);
+    if (mag < pivotFloor(entries)) return;
+    queue_.push_back(Singleton{mag, i, pos, it->second, row_version_[i]});
+    std::push_heap(queue_.begin(), queue_.end());
+    return;
+  }
 }
 
 bool BasisLu::factorDense(const std::vector<SparseColumn>& cols) {
@@ -367,17 +451,12 @@ bool BasisLu::update(int pos, const std::vector<double>& alpha) {
   if (std::abs(piv) < kUpdatePivotTol) return false;
   eta_pos_.push_back(pos);
   eta_pivot_.push_back(piv);
-  std::int64_t nnz = 1;
   for (int i = 0; i < m_; ++i) {
     if (i == pos) continue;
     const double v = alpha[i];
-    if (std::abs(v) > kDropTol) {
-      eta_entries_.emplace_back(i, v);
-      ++nnz;
-    }
+    if (std::abs(v) > kDropTol) eta_entries_.emplace_back(i, v);
   }
   eta_start_.push_back(static_cast<int>(eta_entries_.size()));
-  eta_nnz_ += nnz;
   return true;
 }
 

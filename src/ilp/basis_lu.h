@@ -8,6 +8,13 @@
 //    threshold, trading a little numerical greed for fill-in control — the
 //    classic sparse-LU compromise. Ties break toward larger magnitude, then
 //    smaller indices, so factorization is deterministic.
+//  * Singleton queue: a row- or column-singleton entry costs 0 and every
+//    other entry at least 1, so while admissible singletons remain the
+//    pivot is the best of them, taken from a queue ordered by (-|value|,
+//    row, position) that elimination keeps up to date. Only steps with no
+//    singleton left (the "nucleus") scan every active entry. The queue
+//    returns exactly the pivot a full scan would, so the factors are bit
+//    for bit those of the full-scan search (DESIGN.md §12.2).
 //  * Dense fallback: a basis whose nonzero density exceeds a threshold (or
 //    whose sparse elimination fills in beyond it) is factorized with plain
 //    dense partial pivoting instead — Markowitz bookkeeping on a dense
@@ -16,8 +23,9 @@
 //    FTRAN image is alpha appends an eta transform (B' = B·E with E = I
 //    except column r = alpha); FTRAN applies the LU solve then the etas in
 //    order, BTRAN applies eta transposes in reverse then the LU transpose
-//    solve. The engine refactorizes periodically (update count / eta fill /
-//    pivot quality), which also re-anchors numerical drift.
+//    solve. The engine refactorizes on a fixed update cadence, when
+//    update() refuses a tiny pivot, and when FTRAN disagrees with a priced
+//    pivot row; refactorizing also re-anchors numerical drift.
 //
 // Row/position vocabulary: a basis column lives at a *position* (0..m-1 in
 // the basis heading); FTRAN maps row-indexed right-hand sides to
@@ -59,8 +67,6 @@ class BasisLu {
   bool valid() const { return valid_; }
   int size() const { return m_; }
   int updates() const { return static_cast<int>(eta_start_.size()) - 1; }
-  /// Total nonzeros across the appended eta transforms (refactor trigger).
-  std::int64_t etaNonzeros() const { return eta_nnz_; }
   /// Nonzeros of the LU factors proper (fill-in diagnostics).
   std::int64_t factorNonzeros() const { return factor_nnz_; }
   bool usedDenseMode() const { return dense_mode_; }
@@ -72,6 +78,18 @@ class BasisLu {
   static constexpr double kUpdatePivotTol = 1e-9;
 
   bool factorSparse(const std::vector<SparseColumn>& cols);
+  /// Smallest admissible pivot magnitude in an active row: the relative
+  /// threshold against its largest entry, at least kAbsPivotTol; +inf when
+  /// the row is empty or all tiny.
+  static double pivotFloor(const std::vector<std::pair<int, double>>& row);
+  /// Full Markowitz scan over every active entry: the search for steps
+  /// where the singleton queue is empty. Returns false when no entry is
+  /// admissible (singular).
+  bool nucleusPivot(int* piv_row, int* piv_pos, double* piv_val) const;
+  /// Queue the admissible singleton entries of active row `row`.
+  void pushRowSingletons(int row);
+  /// Queue the last entry of column `pos` (count 1), when admissible.
+  void pushColumnSingleton(int pos);
   bool factorDense(const std::vector<SparseColumn>& cols);
   void clearFactors();
   void applyEtasFtran(std::vector<double>& x) const;
@@ -104,8 +122,37 @@ class BasisLu {
   std::vector<double> eta_pivot_;
   std::vector<int> eta_start_{0};
   std::vector<std::pair<int, double>> eta_entries_;
-  std::int64_t eta_nnz_ = 0;
   std::int64_t factor_nnz_ = 0;
+
+  // ---- factorSparse working storage, reused across calls -----------------
+  /// A queued singleton pivot candidate. It is stale once its row has been
+  /// eliminated into (version mismatch) or pivoted (inactive); stale
+  /// entries are dropped when popped.
+  struct Singleton {
+    double mag;
+    int row;
+    int pos;
+    double val;
+    int version;
+    /// Heap order: the top has the largest magnitude, then the smallest
+    /// row, then the smallest position (the full scan's cost-0 tie-breaks).
+    bool operator<(const Singleton& other) const {
+      if (mag != other.mag) return mag < other.mag;
+      if (row != other.row) return row > other.row;
+      return pos > other.pos;
+    }
+  };
+  std::vector<std::vector<std::pair<int, double>>> rows_;  // active rows
+  std::vector<std::vector<int>> col_rows_;  // candidate rows per position
+  std::vector<std::pair<int, double>> next_row_;  // elimination buffer
+  std::vector<int> col_count_;
+  std::vector<char> row_active_;
+  std::vector<int> row_version_;
+  std::vector<int> col_touched_;  // last step that lowered a column count
+  std::vector<int> changed_rows_, touched_cols_;  // this step's lists
+  std::vector<double> acc_;
+  std::vector<int> acc_stamp_;
+  std::vector<Singleton> queue_;  // binary heap, best candidate on top
 
   // scratch (mutable so const solves avoid per-call allocation)
   mutable std::vector<double> work_;

@@ -44,6 +44,9 @@ void recordMipSolve(const Solution& result, double wall_seconds) {
   static obs::Counter& cuts_cover = reg.counter(names::kCutsCover);
   static obs::Counter& cuts_active = reg.counter(names::kCutsActive);
   static obs::Counter& cuts_evicted = reg.counter(names::kCutsEvicted);
+  static obs::Counter& cuts_iters = reg.counter(names::kCutsSimplexIterations);
+  static obs::Counter& cuts_refactorizations =
+      reg.counter(names::kCutsRefactorizations);
   static obs::Histogram& seconds = reg.histogram(names::kSolveSeconds);
   solves.increment();
   const CutStats& cuts = result.stats.cuts;
@@ -52,6 +55,8 @@ void recordMipSolve(const Solution& result, double wall_seconds) {
   cuts_cover.add(cuts.cover);
   cuts_active.add(cuts.gomory_active + cuts.cover_active);
   cuts_evicted.add(cuts.evicted);
+  cuts_iters.add(cuts.simplex_iterations);
+  cuts_refactorizations.add(cuts.refactorizations);
   nodes.add(result.stats.nodes_explored);
   rc_fixed.add(result.stats.rc_fixed);
   if (result.stats.lp_solves > 0) {
@@ -112,8 +117,8 @@ class BranchAndBound {
       : model_(model),
         params_(params),
         flight_(flight),
-        engine_(makeLpBackend(model, params)),
-        start_(Clock::now()) {
+        start_(Clock::now()),
+        engine_(makeLpBackend(model, params)) {
     for (VarId v = 0; v < model.numVars(); ++v)
       if (model.var(v).type != VarType::Continuous) integer_vars_.push_back(v);
     if (flight_) engine_->setFlightRecorder(flight_);
@@ -559,8 +564,11 @@ class BranchAndBound {
   const Model& model_;
   const SolveParams& params_;
   obs::FlightRecorder* flight_ = nullptr;
-  std::unique_ptr<LpBackend> engine_;
+  /// Taken before the engine is built: the engine counts its wall-clock
+  /// budget from its construction, so its deadline never precedes the
+  /// search's time limit, and a node LP it stops ends the search.
   Clock::time_point start_;
+  std::unique_ptr<LpBackend> engine_;
 
   std::vector<VarId> integer_vars_;
   std::vector<Node> nodes_;

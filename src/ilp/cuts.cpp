@@ -263,6 +263,11 @@ CutStats separateRootCuts(Model& model, const SolveParams& params,
 
   const std::unique_ptr<LpBackend> engine = makeLpBackend(model, params);
   LpResult lp = engine->coldSolve(lower, upper);
+  const auto countLpWork = [&stats](const LpResult& r) {
+    stats.simplex_iterations += r.iterations;
+    stats.refactorizations += r.factorizations;
+  };
+  countLpWork(lp);
   if (lp.status != LpStatus::Optimal) return stats;
 
   CutPool pool;
@@ -381,6 +386,7 @@ CutStats separateRootCuts(Model& model, const SolveParams& params,
     const double prev_obj = lp.objective;
     engine->addCutRows(engine_rows);
     lp = engine->solve(lower, upper, /*allow_warm=*/true);
+    countLpWork(lp);
     if (lp.status != LpStatus::Optimal) break;
     // Tailing off: two consecutive rounds that barely move the root bound
     // mean further rounds only bloat the row set the search inherits (a

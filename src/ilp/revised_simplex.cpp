@@ -63,6 +63,12 @@ RevisedSimplex::Csc RevisedSimplex::buildCsc(const Model& model) {
 
 RevisedSimplex::RevisedSimplex(const Model& model, const SolveParams& params)
     : model_(model), params_(params), csc_(buildCsc(model)) {
+  using Clock = std::chrono::steady_clock;
+  deadline_ = params.time_limit_seconds < 1e9
+                  ? Clock::now() + std::chrono::duration_cast<Clock::duration>(
+                                       std::chrono::duration<double>(
+                                           params.time_limit_seconds))
+                  : Clock::time_point::max();
   n_ = model.numVars();
   m_ = model.numConstraints();
   total_ = n_ + m_;
@@ -160,11 +166,11 @@ void RevisedSimplex::pivotRow(int pos, std::vector<double>* rho,
 }
 
 bool RevisedSimplex::refactor() {
-  std::vector<BasisLu::SparseColumn> cols(static_cast<std::size_t>(m_));
+  basis_cols_.resize(static_cast<std::size_t>(m_));
   for (int i = 0; i < m_; ++i)
     columnEntries(basis_[static_cast<std::size_t>(i)],
-                  &cols[static_cast<std::size_t>(i)]);
-  if (!lu_.factor(m_, cols)) return false;
+                  &basis_cols_[static_cast<std::size_t>(i)]);
+  if (!lu_.factor(m_, basis_cols_)) return false;
   ++call_factorizations_;
   if (flight_) flight_->record(obs::FlightEventKind::Refactorization);
   // Re-anchor drift: both the basic values and the reduced costs are
@@ -280,6 +286,14 @@ bool RevisedSimplex::hasPrimalViolation() const {
   return false;
 }
 
+LpResult RevisedSimplex::outOfTime() const {
+  LpResult result;
+  result.status = LpStatus::IterLimit;
+  result.iterations = call_iterations_;
+  result.factorizations = call_factorizations_;
+  return result;
+}
+
 LpResult RevisedSimplex::runCold(const std::vector<double>& lower,
                                  const std::vector<double>& upper) {
   ready_ = false;
@@ -296,6 +310,7 @@ LpResult RevisedSimplex::runCold(const std::vector<double>& lower,
     }
   }
 
+  if (pastDeadline()) return outOfTime();  // skip the reload and refactor
   loadCold(lower, upper);
   if (!refactor()) {  // all-slack basis: cannot fail, defensive only
     result.status = LpStatus::IterLimit;
@@ -313,7 +328,7 @@ LpResult RevisedSimplex::runCold(const std::vector<double>& lower,
     const DualStatus phase1 = dualIterate(/*zero_cost=*/true, perRunCap());
     result.iterations = call_iterations_;
     result.factorizations = call_factorizations_;
-    if (phase1 == DualStatus::Stalled) {
+    if (phase1 == DualStatus::Stalled || phase1 == DualStatus::OutOfTime) {
       result.status = LpStatus::IterLimit;
       return result;
     }
@@ -343,8 +358,9 @@ LpResult RevisedSimplex::coldSolve(const std::vector<double>& lower,
                                    const std::vector<double>& upper) {
   call_iterations_ = 0;
   call_dual_pivots_ = 0;
+  LpResult result = runCold(lower, upper);
   call_factorizations_ = 0;
-  return runCold(lower, upper);
+  return result;
 }
 
 LpResult RevisedSimplex::solve(const std::vector<double>& lower,
@@ -353,7 +369,6 @@ LpResult RevisedSimplex::solve(const std::vector<double>& lower,
                                std::int64_t* dual_pivots) {
   call_iterations_ = 0;
   call_dual_pivots_ = 0;
-  call_factorizations_ = 0;
   bool warm = false;
   LpResult result;
   if (allow_warm && ready_ && warm_since_cold_ < kColdRefreshInterval) {
@@ -364,6 +379,7 @@ LpResult RevisedSimplex::solve(const std::vector<double>& lower,
     }
   }
   if (!warm) result = runCold(lower, upper);
+  call_factorizations_ = 0;
   if (used_warm) *used_warm = warm;
   if (dual_pivots) *dual_pivots = call_dual_pivots_;
   return result;
@@ -496,6 +512,11 @@ std::optional<LpResult> RevisedSimplex::warmSolve(
   // so the cap scales with the model.
   const std::int64_t cap = 1000 + 4LL * (m_ + total_);
   const DualStatus status = dualIterate(/*zero_cost=*/false, cap);
+  if (status == DualStatus::OutOfTime) {
+    // The basis stays dual-feasible, so a later solve could resume from it;
+    // there is no cold fallback, because it would be out of time too.
+    return outOfTime();
+  }
   if (status == DualStatus::Stalled) {
     // Degenerate-pivot stall aborts the warm re-solve; the caller falls
     // back to a cold solve (surfacing as a WarmMiss in the lane's stats).
@@ -552,6 +573,7 @@ RevisedSimplex::DualStatus RevisedSimplex::dualIterate(bool zero_cost,
 
   while (true) {
     if (local >= cap) return DualStatus::Stalled;
+    if (pastDeadline()) return DualStatus::OutOfTime;
     const bool bland = local > bland_threshold;
 
     // Leaving row: the basic variable most out of bounds (Bland mode takes
@@ -690,7 +712,8 @@ LpStatus RevisedSimplex::primalIterate() {
   int retries = 0;
 
   while (true) {
-    if (call_iterations_ >= per_run_cap) return LpStatus::IterLimit;
+    if (call_iterations_ >= per_run_cap || pastDeadline())
+      return LpStatus::IterLimit;
     const bool bland = local > bland_threshold;
 
     // Devex pricing: entering column maximizing d^2 / weight among columns

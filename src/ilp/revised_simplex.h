@@ -18,9 +18,21 @@
 //    whose slack start is already feasible — b >= 0, the common case for
 //    the PDW scheduling rows — skip Phase 1 entirely.
 //  * Periodic refactorization. Product-form eta updates accumulate per
-//    pivot; the basis is refactorized on a fixed update cadence (or early
-//    on eta fill / tiny pivots), and each refactorization recomputes the
-//    basic values and reduced costs from scratch, re-anchoring float drift.
+//    pivot; the basis is refactorized every 64 updates (256 in dense mode),
+//    when update() refuses a tiny pivot, and when FTRAN disagrees with the
+//    priced pivot row. Each refactorization recomputes the basic values and
+//    reduced costs from scratch, re-anchoring float drift.
+//  * Wall-clock budget. An LP still iterating once params.time_limit_seconds
+//    have passed since the engine was built stops with IterLimit, so one
+//    runaway node LP cannot overrun its solve's budget. Every engine has
+//    one: branch-and-bound's (every node LP, root included), the root cut
+//    loop's and solveLp's, each built as its budget starts. The budget is
+//    per engine, not per MIP: the cut loop and the search each get the
+//    full limit. A stop is not a stall: a warm re-solve checks the budget
+//    before each dual pivot and returns IterLimit from the warm path (no
+//    DualStall event, no cold fallback, so no warm miss), and a cold solve
+//    checks it before reloading and refactorizing. A work-capped solve
+//    (time limit far beyond its run) never reaches it.
 //
 // The warm-start contract (DESIGN.md §11): bound deltas are validated
 // before any mutation, aggregated into a single FTRAN against the current
@@ -30,6 +42,7 @@
 // bound drift.
 #pragma once
 
+#include <chrono>
 #include <cstdint>
 #include <optional>
 #include <vector>
@@ -61,7 +74,8 @@ class RevisedSimplex final : public LpBackend {
   bool tableauRow(VarId var, TableauRowView* out) const override;
   /// Incremental cut rows: extends the CSC, rhs and slack-bound arrays, adds
   /// each new row's slack to the basis (keeping it valid and dual-feasible)
-  /// and refactorizes. A failed refactorization just clears the warm state —
+  /// and refactorizes; the next solve()'s `factorizations` counts that
+  /// refactorization. A failed refactorization just clears the warm state —
   /// the next solve() runs cold over the extended row set.
   void addCutRows(const std::vector<CutRow>& rows) override;
   void setFlightRecorder(obs::FlightRecorder* recorder) override {
@@ -92,10 +106,17 @@ class RevisedSimplex final : public LpBackend {
   /// Where a column currently sits. A `Free` nonbasic column rests at its
   /// stored value (0 after a cold load) rather than at a bound.
   enum class VStat : std::uint8_t { Basic, Lower, Upper, Free };
-  enum class DualStatus { Optimal, Infeasible, Stalled };
+  /// Stalled: the iteration cap was hit or a refactorization failed.
+  /// OutOfTime: the wall-clock budget ran out (pastDeadline()).
+  enum class DualStatus { Optimal, Infeasible, Stalled, OutOfTime };
 
   std::int64_t blandThreshold() const;
   std::int64_t perRunCap() const;
+  bool pastDeadline() const {
+    return std::chrono::steady_clock::now() > deadline_;
+  }
+  /// The IterLimit result of a solve the wall-clock budget stopped.
+  LpResult outOfTime() const;
   double cost(int col) const {
     return col < n_ ? cost_[static_cast<std::size_t>(col)] : 0.0;
   }
@@ -140,6 +161,8 @@ class RevisedSimplex final : public LpBackend {
   const Model& model_;
   const SolveParams& params_;
   Csc csc_;
+  /// Construction time + params.time_limit_seconds (max() when unbounded).
+  std::chrono::steady_clock::time_point deadline_;
 
   int n_ = 0;      ///< structural columns (model variables)
   int m_ = 0;      ///< rows (== slack columns); slack of row i is column n_+i
@@ -165,13 +188,15 @@ class RevisedSimplex final : public LpBackend {
   bool ready_ = false;
   std::int64_t call_iterations_ = 0;
   std::int64_t call_dual_pivots_ = 0;
+  /// Factorizations since the last solve()/coldSolve() returned, so an
+  /// addCutRows() refactorization is reported by the re-solve after it.
   std::int64_t call_factorizations_ = 0;
   std::int64_t warm_since_cold_ = 0;
   obs::FlightRecorder* flight_ = nullptr;  ///< not owned; may be null
 
   // scratch
   mutable std::vector<double> alpha_, rho_, row_;
-  mutable BasisLu::SparseColumn col_scratch_;
+  std::vector<BasisLu::SparseColumn> basis_cols_;  ///< refactor()'s gather
 };
 
 }  // namespace pdw::ilp

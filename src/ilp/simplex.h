@@ -16,8 +16,10 @@
 namespace pdw::ilp {
 
 /// Solve the LP relaxation of `model` (variable types are ignored) with one
-/// cold solve of makeLpBackend() (lp_backend.h). LpStatus and LpResult live
-/// in ilp/types.h.
+/// cold solve of makeLpBackend() (lp_backend.h). The solve stops with
+/// IterLimit once params.time_limit_seconds have passed (the engine's
+/// wall-clock budget, revised_simplex.h). LpStatus and LpResult live in
+/// ilp/types.h.
 ///
 /// If `lower_override` / `upper_override` are non-null they replace the
 /// model's variable bounds — this is how branch-and-bound explores nodes

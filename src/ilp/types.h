@@ -59,13 +59,16 @@ struct LpResult {
   /// One value per model variable (integrality ignored).
   std::vector<double> values;
   std::int64_t iterations = 0;
-  /// Basis (re)factorizations performed during this call.
+  /// Basis (re)factorizations performed during this call, plus the one an
+  /// addCutRows() since the previous call performed.
   std::int64_t factorizations = 0;
 };
 
 /// Outcome of the root cut separation loop (cuts.h): cuts materialized in
 /// total (== gomory + cover, before eviction), per family, survivors per
-/// family after activity-based eviction, evicted count and rounds run.
+/// family after activity-based eviction, evicted count and rounds run, and
+/// the loop's own LP work (its cold solve plus every warm re-solve, cut-row
+/// refactorizations included), which SolveStats' node-LP counters omit.
 struct CutStats {
   int added = 0;
   int gomory = 0;
@@ -74,6 +77,8 @@ struct CutStats {
   int cover_active = 0;
   int evicted = 0;
   int rounds = 0;
+  std::int64_t simplex_iterations = 0;
+  std::int64_t refactorizations = 0;
 
   CutStats& operator+=(const CutStats& other) {
     added += other.added;
@@ -83,6 +88,8 @@ struct CutStats {
     cover_active += other.cover_active;
     evicted += other.evicted;
     rounds += other.rounds;
+    simplex_iterations += other.simplex_iterations;
+    refactorizations += other.refactorizations;
     return *this;
   }
 };
@@ -179,6 +186,10 @@ struct CutParams {
 
 /// Knobs for the solver; defaults suit the PDW models.
 struct SolveParams {
+  /// Wall-clock budget. Branch-and-bound stops at it, and every LP engine
+  /// stops an LP with IterLimit once it has passed since the engine was
+  /// built (revised_simplex.h). The root cut loop and the search each count
+  /// it from their own start, so it does not cap a whole MIP solve.
   double time_limit_seconds = 10.0;
   std::int64_t node_limit = 200000;
   std::int64_t simplex_iteration_limit = 400000;

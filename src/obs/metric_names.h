@@ -95,6 +95,12 @@ inline constexpr const char* kCutsGomory = "ilp.cuts.gomory";
 inline constexpr const char* kCutsCover = "ilp.cuts.cover";
 inline constexpr const char* kCutsActive = "ilp.cuts.active";
 inline constexpr const char* kCutsEvicted = "ilp.cuts.evicted";
+/// LP work of the root cut loop (its cold solve and warm re-solves), kept
+/// apart from the node-LP ilp.simplex.* counters.
+inline constexpr const char* kCutsSimplexIterations =
+    "ilp.cuts.simplex_iterations";
+inline constexpr const char* kCutsRefactorizations =
+    "ilp.cuts.refactorizations";
 inline constexpr const char* kSolveSeconds = "ilp.solve_seconds";
 
 // ---- wash-optimization service (pdwd.*) ---------------------------------

@@ -11,6 +11,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <memory>
 #include <optional>
 #include <vector>
 
@@ -18,7 +20,10 @@
 #include "ilp/lp_backend.h"
 #include "ilp/model.h"
 #include "ilp/presolve.h"
+#include "ilp/revised_simplex.h"
 #include "ilp/solver.h"
+#include "obs/metric_names.h"
+#include "obs/metrics.h"
 #include "util/rng.h"
 
 namespace pdw::ilp {
@@ -244,6 +249,125 @@ TEST(CutsSolve, RootSeparationReportsStats) {
   EXPECT_GE(s.stats.cuts.added, 1);
   EXPECT_GE(s.stats.cuts.rounds, 1);
   EXPECT_EQ(s.stats.cuts.added, s.stats.cuts.gomory + s.stats.cuts.cover);
+}
+
+/// What the engine of the root cut loop reported, call by call.
+struct CutLoopLpLog {
+  int add_cut_calls = 0;
+  std::int64_t iterations = 0;
+  std::int64_t factorizations = 0;
+};
+CutLoopLpLog g_cut_loop_log;
+
+/// The production engine, logging the work each call reports.
+class LoggingBackend final : public LpBackend {
+ public:
+  LoggingBackend(const Model& model, const SolveParams& params)
+      : inner_(model, params) {}
+  LpResult solve(const std::vector<double>& lower,
+                 const std::vector<double>& upper, bool allow_warm,
+                 bool* used_warm = nullptr,
+                 std::int64_t* dual_pivots = nullptr) override {
+    return log(inner_.solve(lower, upper, allow_warm, used_warm, dual_pivots));
+  }
+  LpResult coldSolve(const std::vector<double>& lower,
+                     const std::vector<double>& upper) override {
+    return log(inner_.coldSolve(lower, upper));
+  }
+  bool warmReady() const override { return inner_.warmReady(); }
+  void collectReducedCostFixes(double gap, double integrality_tol,
+                               std::vector<Fix>* out) const override {
+    inner_.collectReducedCostFixes(gap, integrality_tol, out);
+  }
+  bool tableauRow(VarId var, TableauRowView* out) const override {
+    return inner_.tableauRow(var, out);
+  }
+  void addCutRows(const std::vector<CutRow>& rows) override {
+    ++g_cut_loop_log.add_cut_calls;
+    inner_.addCutRows(rows);
+  }
+  void setFlightRecorder(obs::FlightRecorder* recorder) override {
+    inner_.setFlightRecorder(recorder);
+  }
+
+ private:
+  static LpResult log(LpResult r) {
+    g_cut_loop_log.iterations += r.iterations;
+    g_cut_loop_log.factorizations += r.factorizations;
+    return r;
+  }
+  RevisedSimplex inner_;
+};
+
+Model multiKnapsack(util::Rng& rng, int n, int rows) {
+  Model m;
+  std::vector<VarId> xs;
+  LinExpr value;
+  for (int j = 0; j < n; ++j) {
+    xs.push_back(m.addBinary());
+    value += static_cast<double>(rng.intIn(5, 40)) * LinExpr(xs.back());
+  }
+  for (int i = 0; i < rows; ++i) {
+    LinExpr weight;
+    double total = 0.0;
+    for (const VarId x : xs) {
+      const double w = static_cast<double>(rng.intIn(3, 25));
+      weight += w * LinExpr(x);
+      total += w;
+    }
+    m.addLessEqual(weight, std::floor(0.45 * total));
+  }
+  m.setObjective(-1.0 * value);
+  return m;
+}
+
+TEST(CutsSolve, RootLoopLpWorkIsCounted) {
+  // The cut loop's cold solve and warm re-solves, including the
+  // refactorization each addCutRows() performs, land in CutStats and the
+  // ilp.cuts.* counters, not in the node-LP ilp.simplex.* ones.
+  util::Rng rng(21);
+  SolveParams params;
+  int looped = 0;
+  for (int trial = 0; trial < 4; ++trial) {
+    Model model = multiKnapsack(rng, 14, 3);
+    g_cut_loop_log = {};
+    const LpBackendFactory previous = substituteLpBackendForTesting(
+        [](const Model& m,
+           const SolveParams& p) -> std::unique_ptr<LpBackend> {
+          return std::make_unique<LoggingBackend>(m, p);
+        });
+    const CutStats stats = separateRootCuts(model, params, {}, nullptr);
+    substituteLpBackendForTesting(previous);
+    if (stats.added == 0) continue;
+    ++looped;
+    EXPECT_GE(g_cut_loop_log.add_cut_calls, 1);
+    EXPECT_GT(stats.simplex_iterations, 0);
+    EXPECT_EQ(stats.simplex_iterations, g_cut_loop_log.iterations);
+    EXPECT_EQ(stats.refactorizations, g_cut_loop_log.factorizations);
+    // One for the cold solve, one per round that added cut rows.
+    EXPECT_GE(stats.refactorizations, 1 + g_cut_loop_log.add_cut_calls);
+  }
+  EXPECT_GE(looped, 2);
+
+  // Through solve(): the registry's ilp.cuts.* counters carry the loop's
+  // work, and ilp.simplex.* stays the node LPs' own.
+  obs::Registry& reg = obs::Registry::instance();
+  obs::Counter& cut_iters = reg.counter(obs::names::kCutsSimplexIterations);
+  obs::Counter& cut_refactors = reg.counter(obs::names::kCutsRefactorizations);
+  obs::Counter& node_refactors =
+      reg.counter(obs::names::kSimplexRefactorizations);
+  const Model model = multiKnapsack(rng, 14, 3);
+  const std::int64_t iters_before = cut_iters.value();
+  const std::int64_t refactors_before = cut_refactors.value();
+  const std::int64_t node_before = node_refactors.value();
+  const Solution s = solve(model, params);
+  ASSERT_TRUE(s.hasSolution());
+  EXPECT_GT(s.stats.cuts.simplex_iterations, 0);
+  EXPECT_GE(s.stats.cuts.refactorizations, 1);
+  EXPECT_EQ(cut_iters.value() - iters_before, s.stats.cuts.simplex_iterations);
+  EXPECT_EQ(cut_refactors.value() - refactors_before,
+            s.stats.cuts.refactorizations);
+  EXPECT_EQ(node_refactors.value() - node_before, s.stats.refactorizations);
 }
 
 TEST(Probing, FixesBinaryWhoseBranchPropagatesInfeasible) {

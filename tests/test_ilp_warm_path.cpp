@@ -2,16 +2,23 @@
 // — same status and objective as a cold solve — across randomly perturbed
 // bound vectors, and branch-and-bound, which always warm-starts node LPs
 // and fixes variables by reduced cost, must still find the integer optimum
-// that brute-force enumeration finds.
+// that brute-force enumeration finds. The engine's wall-clock budget is
+// tested here too: it stops an LP with IterLimit without taking the
+// degenerate-stall path, and a budget that never binds changes nothing.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdint>
+#include <cstring>
 #include <memory>
 #include <optional>
+#include <thread>
 #include <vector>
 
+#include "ilp/branch_bound.h"
 #include "ilp/lp_backend.h"
 #include "ilp/solver.h"
+#include "obs/flight.h"
 #include "reference_lp.h"
 #include "util/rng.h"
 
@@ -159,6 +166,158 @@ TEST(WarmPath, MipStatsAccountWarmHits) {
   EXPECT_GT(s.stats.warm_hits, 0);
   EXPECT_GE(s.stats.warm_hits,
             4 * (s.stats.warm_hits + s.stats.warm_misses) / 5);
+}
+
+// ---- wall-clock budget ------------------------------------------------
+
+std::vector<double> modelLower(const Model& m) {
+  std::vector<double> out;
+  for (int j = 0; j < m.numVars(); ++j) out.push_back(m.var(j).lower);
+  return out;
+}
+
+std::vector<double> modelUpper(const Model& m) {
+  std::vector<double> out;
+  for (int j = 0; j < m.numVars(); ++j) out.push_back(m.var(j).upper);
+  return out;
+}
+
+/// max 3x + 2y s.t. x + y <= 4, x + 3y <= 6, x, y in [0, 3]; optimum x = 3,
+/// y = 1. The >= row starts violated, so a cold solve runs Phase 1.
+Model makeSmallLp() {
+  Model m;
+  const VarId x = m.addContinuous(0, 3);
+  const VarId y = m.addContinuous(0, 3);
+  m.addLessEqual(LinExpr(x) + LinExpr(y), 4);
+  m.addLessEqual(LinExpr(x) + 3.0 * LinExpr(y), 6);
+  m.addGreaterEqual(LinExpr(x) + LinExpr(y), 1);
+  m.setObjective(-3.0 * LinExpr(x) - 2.0 * LinExpr(y));
+  return m;
+}
+
+TEST(EngineDeadline, ExpiredBudgetStopsBeforeAnyWork) {
+  const Model m = makeSmallLp();
+  SolveParams params;
+  params.time_limit_seconds = 0.0;
+  obs::FlightConfig config;
+  config.enabled = true;
+  obs::FlightRecorder flight(config, "canonical");
+  const std::unique_ptr<LpBackend> engine = makeLpBackend(m, params);
+  engine->setFlightRecorder(&flight);
+  std::this_thread::sleep_for(std::chrono::milliseconds(2));
+
+  const LpResult cold = engine->coldSolve(modelLower(m), modelUpper(m));
+  EXPECT_EQ(cold.status, LpStatus::IterLimit);
+  EXPECT_EQ(cold.iterations, 0);
+  EXPECT_EQ(cold.factorizations, 0);
+
+  bool used_warm = true;
+  const LpResult again = engine->solve(modelLower(m), modelUpper(m),
+                                       /*allow_warm=*/true, &used_warm);
+  EXPECT_EQ(again.status, LpStatus::IterLimit);
+  EXPECT_FALSE(used_warm);  // nothing was warm to start from
+  EXPECT_EQ(again.factorizations, 0);
+  // No reload, no refactorization, no stall: the stop costs nothing.
+  EXPECT_EQ(flight.count(obs::FlightEventKind::Refactorization), 0);
+  EXPECT_EQ(flight.count(obs::FlightEventKind::DualStall), 0);
+}
+
+TEST(EngineDeadline, BudgetRunningOutMidSearchIsNotAWarmMiss) {
+  const Model m = makeSmallLp();
+  SolveParams params;
+  params.time_limit_seconds = 0.2;
+  obs::FlightConfig config;
+  config.enabled = true;
+  obs::FlightRecorder flight(config, "canonical");
+  const std::unique_ptr<LpBackend> engine = makeLpBackend(m, params);
+  engine->setFlightRecorder(&flight);
+
+  const LpResult cold = engine->coldSolve(modelLower(m), modelUpper(m));
+  ASSERT_EQ(cold.status, LpStatus::Optimal);
+  ASSERT_TRUE(engine->warmReady());
+  const std::int64_t refactorizations =
+      flight.count(obs::FlightEventKind::Refactorization);
+  std::this_thread::sleep_for(std::chrono::milliseconds(300));
+
+  // A branch-and-bound child: the warm path takes it, and the budget stops
+  // it there. It is neither a degenerate stall nor a cold fallback.
+  std::vector<double> upper = modelUpper(m);
+  upper[0] = 2.0;
+  bool used_warm = false;
+  const LpResult child =
+      engine->solve(modelLower(m), upper, /*allow_warm=*/true, &used_warm);
+  EXPECT_EQ(child.status, LpStatus::IterLimit);
+  EXPECT_TRUE(used_warm);
+  EXPECT_EQ(child.factorizations, 0);
+  EXPECT_EQ(flight.count(obs::FlightEventKind::DualStall), 0);
+  EXPECT_EQ(flight.count(obs::FlightEventKind::Refactorization),
+            refactorizations);
+}
+
+TEST(EngineDeadline, TinyTimeLimitStopsLpAndMip) {
+  SolveParams params;
+  params.time_limit_seconds = 0.0;
+
+  // Pure LP: solveMip hands it to one cold solve, which is out of time.
+  const Solution lp = solveMip(makeSmallLp(), params);
+  EXPECT_EQ(lp.status, SolveStatus::IterLimit);
+  EXPECT_EQ(lp.stats.simplex_iterations, 0);
+
+  // MIP: the root cut loop's LP and the search both stop on the budget.
+  util::Rng rng(17);
+  const Solution mip = solveMip(makeBranchyMip(rng, 10), params);
+  EXPECT_TRUE(mip.status == SolveStatus::TimeLimit ||
+              mip.status == SolveStatus::IterLimit)
+      << toString(mip.status);
+  EXPECT_FALSE(mip.hasSolution());
+  EXPECT_EQ(mip.stats.cuts.added, 0);
+}
+
+void expectSameBits(const std::vector<double>& a,
+                    const std::vector<double>& b) {
+  ASSERT_EQ(a.size(), b.size());
+  EXPECT_EQ(std::memcmp(a.data(), b.data(), a.size() * sizeof(double)), 0);
+}
+
+TEST(EngineDeadline, NeverBindingLimitIsBitIdentical) {
+  // 3600 s gives every engine a finite deadline it never reaches; 1e12 s
+  // gives none at all. The two runs must do exactly the same work.
+  SolveParams finite;
+  finite.time_limit_seconds = 3600.0;
+  SolveParams unbounded;
+  unbounded.time_limit_seconds = 1e12;
+
+  util::Rng rng(23);
+  std::int64_t nodes = 0, cuts = 0;
+  for (int inst = 0; inst < 5; ++inst) {
+    const Model m = makeBranchyMip(rng, 12);
+    const Solution a = solveMip(m, finite);
+    const Solution b = solveMip(m, unbounded);
+    ASSERT_EQ(a.status, b.status) << "instance " << inst;
+    EXPECT_EQ(std::memcmp(&a.objective, &b.objective, sizeof(double)), 0);
+    expectSameBits(a.values, b.values);
+    EXPECT_EQ(a.stats.nodes_explored, b.stats.nodes_explored);
+    EXPECT_EQ(a.stats.simplex_iterations, b.stats.simplex_iterations);
+    EXPECT_EQ(a.stats.refactorizations, b.stats.refactorizations);
+    EXPECT_EQ(a.stats.warm_hits, b.stats.warm_hits);
+    EXPECT_EQ(a.stats.cuts.added, b.stats.cuts.added);
+    EXPECT_EQ(a.stats.cuts.simplex_iterations,
+              b.stats.cuts.simplex_iterations);
+    nodes += a.stats.nodes_explored;
+    cuts += a.stats.cuts.added;
+  }
+  // The search branched and the cut loop cut, so both ran under the check.
+  EXPECT_GT(nodes, 5);
+  EXPECT_GT(cuts, 0);
+
+  const Model lp = makeRandomLp(rng, 30, 20);
+  const std::unique_ptr<LpBackend> a = makeLpBackend(lp, finite);
+  const std::unique_ptr<LpBackend> b = makeLpBackend(lp, unbounded);
+  const LpResult ra = a->coldSolve(modelLower(lp), modelUpper(lp));
+  const LpResult rb = b->coldSolve(modelLower(lp), modelUpper(lp));
+  ASSERT_EQ(ra.status, rb.status);
+  EXPECT_EQ(ra.iterations, rb.iterations);
+  expectSameBits(ra.values, rb.values);
 }
 
 }  // namespace
