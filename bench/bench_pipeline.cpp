@@ -1,6 +1,7 @@
 // Substrate bench: wall-clock cost of each PDW pipeline stage
 // (google-benchmark): synthesis, contamination analysis, wash-path routing
-// (ILP vs BFS) and the full PDW / DAWO runs on a mid-size benchmark.
+// (ILP vs BFS; the BFS heuristic also on Synthetic3's largest wash
+// operation) and the full PDW / DAWO runs on a mid-size benchmark.
 //
 // Also accepts the shared observability flags (bench_common.h). With
 // --run-store=FILE the google-benchmark suite is skipped; instead one
@@ -9,6 +10,7 @@
 // deltas of that run.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 
@@ -21,6 +23,7 @@
 #include "synth/placer.h"
 #include "synth/synthesizer.h"
 #include "wash/contamination.h"
+#include "wash/wash_op.h"
 
 namespace {
 
@@ -82,6 +85,47 @@ void BM_WashPathHeuristic(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_WashPathHeuristic);
+
+const assay::Benchmark& synthetic3() {
+  static assay::Benchmark b =
+      assay::makeBenchmark(assay::BenchmarkId::Synthetic3);
+  return b;
+}
+
+const synth::SynthResult& synthetic3Base() {
+  static synth::SynthResult base = synth::synthesizeOnChip(
+      *synthetic3().graph, synth::placeChip(synthetic3().library));
+  return base;
+}
+
+/// Targets of the wash operation with the most targets among those the
+/// pipeline routes for Synthetic3 (default necessity and clustering).
+std::vector<arch::Cell> largestSynthetic3Targets() {
+  const core::PdwOptions options;
+  wash::ContaminationTracker tracker(synthetic3Base().schedule);
+  wash::NecessityResult r = analyzeWashNecessity(tracker, options.necessity);
+  const std::vector<wash::WashOperation> operations =
+      wash::clusterTargets(std::move(r.targets), options.cluster);
+  const auto largest = std::max_element(
+      operations.begin(), operations.end(),
+      [](const wash::WashOperation& a, const wash::WashOperation& b) {
+        return a.targets.size() < b.targets.size();
+      });
+  return largest->targetCells();
+}
+
+/// The heuristic on Synthetic3's largest wash operation: the routing
+/// problem where the per-pair waypoint chains cost the most.
+void BM_WashPathHeuristicSynthetic3(benchmark::State& state) {
+  const auto targets = largestSynthetic3Targets();
+  state.counters["targets"] = static_cast<double>(targets.size());
+  for (auto _ : state) {
+    auto path = core::routeWashPathHeuristic(synthetic3Base().schedule.chip(),
+                                             targets);
+    benchmark::DoNotOptimize(path.has_value());
+  }
+}
+BENCHMARK(BM_WashPathHeuristicSynthetic3);
 
 /// Per-stage breakdown straight from the pipeline's own StageTimings (no
 /// hand-derived timing around the call), reported as per-iteration averages.

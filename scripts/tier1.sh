@@ -18,7 +18,8 @@
 # >= 5x speedup, pdw.resolve.* partition invariants reconciled by obs_check
 # --resolve, run record diffed against the frozen rewash-quick-baseline
 # label), the ILP numerics (LU bit-identity differential and the engine's
-# wall-clock stops included) + JSON decoder tests under ASan+UBSan, then
+# wall-clock stops included), JSON decoder and grid-router tests (the
+# router's path-identity differential included) under ASan+UBSan, then
 # the parallel-runtime + obs + daemon-concurrency tests (determinism, route
 # cache + epochs, tracing/metrics/logging, byte-identical concurrent pdwd
 # plans, rescheduler thread-count determinism, invalidate coherence) under
@@ -143,12 +144,14 @@ cat "$obs_dir/rewash_runs.jsonl" >> "$obs_dir/rewash_store.jsonl"
 if [[ "${PDW_SKIP_ASAN:-0}" == "1" ]]; then
   echo "== tier-1: ASan/UBSan stage skipped (PDW_SKIP_ASAN=1) =="
 else
-  echo "== tier-1: ASan/UBSan build + ILP numerics / JSON decoder tests =="
+  echo "== tier-1: ASan/UBSan build + ILP numerics / JSON decoder / grid router tests =="
+  # The router's flat arrays index y * width + x: out-of-grid cells must be
+  # filtered before any access, which the router differential suite probes.
   cmake -B build-asan -S . -DPDW_ASAN=ON >/dev/null
   cmake --build build-asan -j --target pdw_tests
   ASAN_OPTIONS="halt_on_error=1" UBSAN_OPTIONS="print_stacktrace=1" \
     ./build-asan/tests/pdw_tests \
-    --gtest_filter='BasisLu.*:LuDifferential.*:BackendDifferential.*:ReferenceLp.*:WarmPath.*:EngineDeadline.*:GmiCuts.*:Simplex.*:Mip.*:WarmStart.*:Model.*:Presolve.*:LinExpr.*:ObsJson.*'
+    --gtest_filter='BasisLu.*:LuDifferential.*:BackendDifferential.*:ReferenceLp.*:WarmPath.*:EngineDeadline.*:GmiCuts.*:Simplex.*:Mip.*:WarmStart.*:Model.*:Presolve.*:LinExpr.*:ObsJson.*:RouterDifferential.*:RouterFixture.*:WashPathFixture.*:ChipLayout.*:CellSet.*'
 fi
 
 if [[ "${PDW_SKIP_TSAN:-0}" == "1" ]]; then

@@ -24,7 +24,11 @@ int totalDevices(const DeviceLibrary& library) {
 }
 
 ChipLayout::ChipLayout(int width, int height, double pitch_mm)
-    : width_(width), height_(height), pitch_mm_(pitch_mm) {
+    : width_(width),
+      height_(height),
+      pitch_mm_(pitch_mm),
+      port_at_(static_cast<std::size_t>(width * height), -1),
+      device_at_(port_at_.size(), -1) {
   assert(width > 0 && height > 0 && pitch_mm > 0);
 }
 
@@ -48,14 +52,15 @@ DeviceId ChipLayout::addDevice(DeviceKind kind, Cell cell, std::string name) {
   d.name = name.empty()
                ? util::format("%s%d", toString(kind), d.id)
                : std::move(name);
+  DeviceId& slot = device_at_[cellIndex(cell)];
+  if (slot < 0) slot = d.id;
   devices_.push_back(std::move(d));
   return devices_.back().id;
 }
 
 std::optional<DeviceId> ChipLayout::deviceAt(Cell c) const {
-  for (const Device& d : devices_)
-    if (d.cell == c) return d.id;
-  return std::nullopt;
+  if (!isDeviceCell(c)) return std::nullopt;
+  return device_at_[cellIndex(c)];
 }
 
 std::vector<DeviceId> ChipLayout::devicesOfKind(DeviceKind kind) const {
@@ -73,8 +78,7 @@ PortId ChipLayout::addFlowPort(Cell cell, std::string name) {
   p.cell = cell;
   p.is_waste = false;
   p.name = name.empty() ? util::format("in%d", p.id) : std::move(name);
-  ports_.push_back(std::move(p));
-  return ports_.back().id;
+  return pushPort(std::move(p));
 }
 
 PortId ChipLayout::addWastePort(Cell cell, std::string name) {
@@ -85,6 +89,12 @@ PortId ChipLayout::addWastePort(Cell cell, std::string name) {
   p.cell = cell;
   p.is_waste = true;
   p.name = name.empty() ? util::format("out%d", p.id) : std::move(name);
+  return pushPort(std::move(p));
+}
+
+PortId ChipLayout::pushPort(Port p) {
+  PortId& slot = port_at_[cellIndex(p.cell)];
+  if (slot < 0) slot = p.id;
   ports_.push_back(std::move(p));
   return ports_.back().id;
 }
@@ -104,9 +114,8 @@ std::vector<PortId> ChipLayout::wastePorts() const {
 }
 
 std::optional<PortId> ChipLayout::portAt(Cell c) const {
-  for (const Port& p : ports_)
-    if (p.cell == c) return p.id;
-  return std::nullopt;
+  if (!isPortCell(c)) return std::nullopt;
+  return port_at_[cellIndex(c)];
 }
 
 std::string ChipLayout::render() const {

@@ -39,6 +39,8 @@ class ChipLayout {
   bool contains(Cell c) const {
     return c.x >= 0 && c.y >= 0 && c.x < width_ && c.y < height_;
   }
+  /// Row-major index y * width + x of an in-grid cell.
+  int cellIndex(Cell c) const { return c.y * width_ + c.x; }
 
   /// 4-neighbourhood of `c`, clipped to the grid.
   std::vector<Cell> neighbors(Cell c) const;
@@ -49,7 +51,7 @@ class ChipLayout {
     return devices_[static_cast<std::size_t>(id)];
   }
   const std::vector<Device>& devices() const { return devices_; }
-  /// Device occupying `c`, if any.
+  /// Device occupying `c`, if any (O(1): a per-cell index).
   std::optional<DeviceId> deviceAt(Cell c) const;
   /// All devices of a kind.
   std::vector<DeviceId> devicesOfKind(DeviceKind kind) const;
@@ -63,12 +65,17 @@ class ChipLayout {
   const std::vector<Port>& ports() const { return ports_; }
   std::vector<PortId> flowPorts() const;
   std::vector<PortId> wastePorts() const;
+  /// Port on `c`, if any (O(1): a per-cell index).
   std::optional<PortId> portAt(Cell c) const;
 
   /// Cells occupied by devices or ports (not routable "through" freely —
   /// ports terminate paths, devices are traversable; see Router).
-  bool isPortCell(Cell c) const { return portAt(c).has_value(); }
-  bool isDeviceCell(Cell c) const { return deviceAt(c).has_value(); }
+  bool isPortCell(Cell c) const {
+    return contains(c) && port_at_[cellIndex(c)] >= 0;
+  }
+  bool isDeviceCell(Cell c) const {
+    return contains(c) && device_at_[cellIndex(c)] >= 0;
+  }
 
   /// An empty CellSet dimensioned for this grid.
   CellSet makeCellSet() const { return CellSet(width_, height_); }
@@ -78,11 +85,17 @@ class ChipLayout {
   std::string render() const;
 
  private:
+  PortId pushPort(Port p);
+
   int width_;
   int height_;
   double pitch_mm_;
   std::vector<Device> devices_;
   std::vector<Port> ports_;
+  /// Per-cell lookups, row-major (cellIndex): the lowest-id port / device
+  /// on each cell, or -1. Kept by the add* calls.
+  std::vector<PortId> port_at_;
+  std::vector<DeviceId> device_at_;
 };
 
 }  // namespace pdw::arch

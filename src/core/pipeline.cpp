@@ -61,10 +61,13 @@ RouteOutcome routeOperation(const arch::ChipLayout& chip,
     out.path = core::routeWashPathHeuristic(chip, targets,
                                             options.path.avoid_cells);
   }
-  if (!out.path) {
-    // Last resort: the heuristic on the whole grid (minus avoided cells —
-    // those are hard constraints). Target cells are on used flow paths, so
-    // ports can always reach them.
+  // Last resort, when the first attempt did not already include it: the
+  // heuristic on the whole grid (minus avoided cells — those are hard
+  // constraints). Target cells are on used flow paths, so ports can always
+  // reach them. A repeat of a heuristic that failed would fail again.
+  const bool tried_heuristic =
+      !options.use_ilp_paths || options.path.fallback_heuristic;
+  if (!out.path && !tried_heuristic) {
     out.path = core::routeWashPathHeuristic(chip, targets,
                                             options.path.avoid_cells);
   }

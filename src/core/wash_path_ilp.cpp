@@ -366,17 +366,24 @@ std::optional<FlowPath> routeWashPathHeuristic(
   for (const Cell& t : targets)
     if (avoid_set.count(t)) return std::nullopt;
 
+  std::vector<Cell> sinks;
+  for (arch::PortId wp : chip.wastePorts()) {
+    const Cell cell = chip.port(wp).cell;
+    if (!avoid_set.count(cell)) sinks.push_back(cell);
+  }
+
+  // Every (flow port, waste port) pair is a routeVia; the pairs of one flow
+  // port share its greedy target chain (Router::routeViaEach). The shortest
+  // path wins, the first pair in port order on ties.
   const arch::CellSet* blockages[2] = {&foreign_devices, &no_blockage};
   for (const arch::CellSet* blocked : blockages) {
     std::optional<FlowPath> best;
     for (arch::PortId fp : chip.flowPorts()) {
       if (avoid_set.count(chip.port(fp).cell)) continue;
-      for (arch::PortId wp : chip.wastePorts()) {
-        if (avoid_set.count(chip.port(wp).cell)) continue;
-        const auto path = router.routeVia(
-            chip.port(fp).cell, targets, chip.port(wp).cell, blocked);
+      for (std::optional<FlowPath>& path :
+           router.routeViaEach(chip.port(fp).cell, targets, sinks, blocked)) {
         if (!path) continue;
-        if (!best || path->size() < best->size()) best = path;
+        if (!best || path->size() < best->size()) best = std::move(path);
       }
     }
     if (best) return best;

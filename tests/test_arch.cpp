@@ -78,6 +78,32 @@ TEST(ChipLayout, DevicesAndPorts) {
   EXPECT_FALSE(chip.isPortCell({1, 2}));
 }
 
+TEST(ChipLayout, CellIndexAgreesWithLinearScan) {
+  // Mixed adds, including a port added after devices that surround it.
+  ChipLayout chip(7, 5, 3.0);
+  chip.addDevice(DeviceKind::Mixer, {3, 2});
+  chip.addFlowPort({0, 1});
+  chip.addDevice(DeviceKind::Heater, {1, 1});
+  chip.addWastePort({6, 3});
+  chip.addDevice(DeviceKind::Storage, {5, 3});
+  chip.addFlowPort({2, 0});
+  chip.addWastePort({4, 4});
+  for (int y = -1; y <= chip.height(); ++y)
+    for (int x = -1; x <= chip.width(); ++x) {
+      const Cell c{x, y};
+      std::optional<PortId> port;
+      for (const Port& p : chip.ports())
+        if (!port && p.cell == c) port = p.id;
+      std::optional<DeviceId> device;
+      for (const Device& d : chip.devices())
+        if (!device && d.cell == c) device = d.id;
+      EXPECT_EQ(chip.portAt(c), port) << toString(c);
+      EXPECT_EQ(chip.deviceAt(c), device) << toString(c);
+      EXPECT_EQ(chip.isPortCell(c), port.has_value()) << toString(c);
+      EXPECT_EQ(chip.isDeviceCell(c), device.has_value()) << toString(c);
+    }
+}
+
 TEST(ChipLayout, NeighborsClippedAtBorders) {
   ChipLayout chip(4, 4);
   EXPECT_EQ(chip.neighbors({0, 0}).size(), 2u);
@@ -191,6 +217,43 @@ TEST_F(RouterFixture, RouteViaCollinearWaypointsIsShortest) {
   ASSERT_TRUE(path.has_value());
   EXPECT_EQ(path->size(), 9u);  // straight line, no detours
   EXPECT_TRUE(path->isSimpleConnected());
+}
+
+// routeViaEach with no waypoints is one multi-target search.
+TEST_F(RouterFixture, MultiTargetSearchReachesPortEndpointWithoutPassingIt) {
+  // A port in the middle of the only corridor: reached as an endpoint, but
+  // the endpoint beyond it stays unreachable.
+  ChipLayout chip(5, 1, 3.0);
+  chip.addFlowPort({2, 0}, "mid");
+  Router router(chip);
+  const auto paths = router.routeViaEach({0, 0}, {}, {{2, 0}, {4, 0}});
+  ASSERT_EQ(paths.size(), 2u);
+  ASSERT_TRUE(paths[0].has_value());
+  EXPECT_EQ(paths[0]->cells(), (std::vector<Cell>{{0, 0}, {1, 0}, {2, 0}}));
+  EXPECT_FALSE(paths[1].has_value());
+}
+
+TEST_F(RouterFixture, MultiTargetSearchLeavesUnreachableEndpointEmpty) {
+  CellSet blocked(9, 9);
+  for (int y = 0; y < 9; ++y) blocked.insert({2, y});
+  const auto paths =
+      router_.routeViaEach({0, 0}, {}, {{1, 4}, {4, 0}, {9, 0}}, &blocked);
+  ASSERT_EQ(paths.size(), 3u);
+  ASSERT_TRUE(paths[0].has_value());
+  EXPECT_EQ(paths[0]->size(), 6u);
+  EXPECT_FALSE(paths[1].has_value());  // behind the wall
+  EXPECT_FALSE(paths[2].has_value());  // off the grid
+}
+
+TEST_F(RouterFixture, MultiTargetSearchHandlesDuplicateEndpoints) {
+  const auto paths = router_.routeViaEach({3, 3}, {}, {{5, 3}, {3, 3}, {5, 3}});
+  ASSERT_EQ(paths.size(), 3u);
+  ASSERT_TRUE(paths[0].has_value());
+  ASSERT_TRUE(paths[2].has_value());
+  EXPECT_EQ(paths[0]->cells(), paths[2]->cells());
+  EXPECT_EQ(paths[0]->cells(), router_.route({3, 3}, {5, 3})->cells());
+  ASSERT_TRUE(paths[1].has_value());
+  EXPECT_EQ(paths[1]->cells(), (std::vector<Cell>{{3, 3}}));  // the source
 }
 
 TEST_F(RouterFixture, TrivialRoute) {

@@ -6,11 +6,14 @@
 //    (the dominance the paper's Table II shows on every row).
 #include <gtest/gtest.h>
 
+#include <set>
 #include <utility>
+#include <vector>
 
 #include "assay/benchmarks.h"
 #include "baseline/dawo.h"
 #include "core/pipeline.h"
+#include "obs/metric_names.h"
 #include "sim/metrics.h"
 #include "sim/validator.h"
 #include "synth/placer.h"
@@ -170,6 +173,45 @@ TEST(EndToEnd, MotivatingExampleSmallDelay) {
   EXPECT_LE(mp.t_delay, base.schedule.completionTime() * 0.5)
       << "PDW delay should stay a small fraction of the assay time";
   EXPECT_EQ(remainingTargets(pdw.schedule), 0);
+}
+
+TEST(EndToEnd, WalledInTargetRunsHeuristicOnce) {
+  // Avoid the non-target cells around one 4-connected group of wash
+  // targets: the operations covering that group are unroutable, and no
+  // target is itself avoided. Each routed operation runs the BFS heuristic
+  // exactly once in both routing modes (alone, or as the path ILP's
+  // fallback); a failed heuristic is not repeated as a last resort.
+  const EndToEnd e = makeBase(BenchmarkId::Pcr);
+  const assay::AssaySchedule& base = e.synth.schedule;
+  const arch::ChipLayout& chip = base.chip();
+  const wash::ContaminationTracker tracker(base);
+  std::set<arch::Cell> targets;
+  for (const wash::WashTarget& t : analyzeWashNecessity(tracker).targets)
+    targets.insert(t.cell);
+  ASSERT_FALSE(targets.empty());
+  std::vector<arch::Cell> group{*targets.begin()};
+  std::set<arch::Cell> in_group(group.begin(), group.end());
+  std::set<arch::Cell> wall;
+  for (std::size_t i = 0; i < group.size(); ++i)
+    for (const arch::Cell& n : chip.neighbors(group[i])) {
+      if (!targets.count(n)) {
+        wall.insert(n);
+      } else if (in_group.insert(n).second) {
+        group.push_back(n);
+      }
+    }
+
+  for (const bool ilp_paths : {false, true}) {
+    core::PdwOptions options =
+        core::PdwOptions{}.withThreads(1).withoutIlpSchedule();
+    options.use_ilp_paths = ilp_paths;
+    options.path.avoid_cells.assign(wall.begin(), wall.end());
+    const PdwResult r = Pipeline(options).run(base);
+    EXPECT_GT(r.unroutable_operations, 0) << "ilp_paths " << ilp_paths;
+    EXPECT_EQ(r.metrics.counter(obs::names::kPathBfsRoutes),
+              r.metrics.counter(obs::names::kRouteCacheMisses))
+        << "ilp_paths " << ilp_paths;
+  }
 }
 
 TEST(EndToEnd, NoContaminationMeansNoWash) {
