@@ -15,7 +15,7 @@
 //    the committed perf baseline this series is measured against.
 //
 //      bench_ilp_solver --json-out=out.json [--quick] [--label=NAME]
-//                       [--no-cuts]   # pre-cuts solver config (baselines)
+//                       [--no-cuts]   # cuts, probing, coef tightening off
 //
 // Both modes additionally accept the shared observability flags
 // (bench_common.h): --run-store=FILE appends a `pdw-run-1` record for
@@ -47,17 +47,16 @@ using namespace pdw;
 /// --flight-out was given).
 obs::FlightConfig g_flight;
 
-/// --no-cuts: run every solve with the pre-cuts solver configuration (root
-/// cutting planes, probing presolve, coefficient tightening and pseudocost
-/// branching all off). Used to record the frozen "pre-cuts" baseline label
-/// the cut series is measured against.
+/// --no-cuts: run every solve with root cutting planes, probing presolve
+/// and coefficient tightening off. The frozen "pre-cuts" label in
+/// BENCH_runs.jsonl came from an older solver and is no longer reproducible;
+/// the flag still measures what the three presolve/cut stages buy.
 bool g_no_cuts = false;
 
 void applyPreCuts(ilp::SolveParams* p) {
   p->cuts.enabled = false;
   p->probing = false;
   p->coef_tightening = false;
-  p->branch_rule = ilp::BranchRule::MostFractional;
 }
 
 /// Wall-clock limit of every measured solve. No run comes near it, so each

@@ -122,13 +122,11 @@ class BranchAndBound {
     for (VarId v = 0; v < model.numVars(); ++v)
       if (model.var(v).type != VarType::Continuous) integer_vars_.push_back(v);
     if (flight_) engine_->setFlightRecorder(flight_);
-    if (params.branch_rule == BranchRule::Pseudocost) {
-      const std::size_t n = static_cast<std::size_t>(model.numVars());
-      pc_sum_[0].assign(n, 0.0);
-      pc_sum_[1].assign(n, 0.0);
-      pc_count_[0].assign(n, 0);
-      pc_count_[1].assign(n, 0);
-    }
+    const std::size_t n = static_cast<std::size_t>(model.numVars());
+    pc_sum_[0].assign(n, 0.0);
+    pc_sum_[1].assign(n, 0.0);
+    pc_count_[0].assign(n, 0);
+    pc_count_[1].assign(n, 0);
   }
 
   Solution run() {
@@ -264,7 +262,7 @@ class BranchAndBound {
       // Pseudocost learning: this node's LP bound degradation relative to
       // its parent, normalized by the fractional distance its branch
       // imposed. Updated before any pruning so pruned nodes teach too.
-      if (params_.branch_rule == BranchRule::Pseudocost && entry.node != 0) {
+      if (entry.node != 0) {
         const Node& node = nodes_[static_cast<std::size_t>(entry.node)];
         if (node.var >= 0 && node.branch_dist > 1e-9 &&
             std::isfinite(node.bound)) {
@@ -455,18 +453,17 @@ class BranchAndBound {
     stats_.rc_fixed += static_cast<std::int64_t>(fix_buffer_.size());
   }
 
-  /// Branch-variable selection per params_.branch_rule. Returns -1 when the
-  /// LP point is integral within tolerance. Pseudocost mode falls back to
+  /// Branch-variable selection: pseudocost branching, falling back to
   /// most-fractional until at least one degradation has been observed.
+  /// Returns -1 when the LP point is integral within tolerance.
   VarId pickBranchVariable(const std::vector<double>& values) const {
-    if (params_.branch_rule == BranchRule::Pseudocost &&
-        (pc_observations_[0] > 0 || pc_observations_[1] > 0))
+    if (pc_observations_[0] > 0 || pc_observations_[1] > 0)
       return pickPseudocost(values);
     return pickMostFractional(values);
   }
 
   /// Most-fractional branching: the integer variable whose LP value is
-  /// farthest from the nearest integer (the pre-PR-6 rule).
+  /// farthest from the nearest integer.
   VarId pickMostFractional(const std::vector<double>& values) const {
     VarId best = -1;
     double best_frac = params_.integrality_tol;
@@ -590,7 +587,7 @@ class BranchAndBound {
 
   /// Per-variable pseudocosts, indexed [direction][var] with direction
   /// 0 = down, 1 = up: running sum of per-unit LP-bound degradations and
-  /// the number of observations. Empty unless BranchRule::Pseudocost.
+  /// the number of observations.
   std::vector<double> pc_sum_[2];
   std::vector<std::int64_t> pc_count_[2];
   std::int64_t pc_observations_[2] = {0, 0};

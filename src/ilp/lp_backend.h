@@ -4,7 +4,8 @@
 // path all talk to this interface rather than to the concrete engine, the
 // sparse revised simplex (revised_simplex.h): CSC storage, Markowitz LU
 // with product-form updates and periodic refactorization, native
-// bounded-variable columns, devex pricing. Every solve builds it through
+// bounded-variable columns, and one dual simplex with devex pricing for
+// cold solves and warm re-solves alike. Every solve builds it through
 // makeLpBackend(); the interface exists so tests can wrap the production
 // engine (substituteLpBackendForTesting) and check its node LPs against an
 // independent reference.

@@ -230,11 +230,7 @@ void RevisedSimplex::computeDuals() {
   }
 }
 
-void RevisedSimplex::resetDevex() {
-  devex_.assign(static_cast<std::size_t>(total_), 1.0);
-}
-
-// ---- cold path: dual Phase 1 + devex primal Phase 2 ----------------------
+// ---- cold path: dual-feasible slack start + dual simplex ----------------
 
 void RevisedSimplex::loadCold(const std::vector<double>& lower,
                               const std::vector<double>& upper) {
@@ -246,21 +242,33 @@ void RevisedSimplex::loadCold(const std::vector<double>& lower,
   basis_.resize(static_cast<std::size_t>(m_));
   pos_of_.assign(static_cast<std::size_t>(total_), -1);
 
+  // The all-slack basis has y = 0, so d_j = c_j: resting each column on
+  // the bound its cost pulls toward makes the start dual-feasible. A cost
+  // pulling toward an infinite bound gets an artificial bound there, at
+  // +-kArtificialBound and at least that far from the column's other bound.
   for (int j = 0; j < n_; ++j) {
     const double lb = lower[static_cast<std::size_t>(j)];
     const double ub = upper[static_cast<std::size_t>(j)];
+    const double c = cost_[static_cast<std::size_t>(j)];
     lb_[static_cast<std::size_t>(j)] = lb;
     ub_[static_cast<std::size_t>(j)] = ub;
-    if (std::isfinite(lb)) {
-      vstat_[static_cast<std::size_t>(j)] = VStat::Lower;
-      x_[static_cast<std::size_t>(j)] = lb;
-    } else if (std::isfinite(ub)) {
-      vstat_[static_cast<std::size_t>(j)] = VStat::Upper;
-      x_[static_cast<std::size_t>(j)] = ub;
-    } else {
-      vstat_[static_cast<std::size_t>(j)] = VStat::Free;
-      x_[static_cast<std::size_t>(j)] = 0.0;
+    VStat at = VStat::Free;
+    if (c > 0.0 || (c == 0.0 && std::isfinite(lb))) {
+      at = VStat::Lower;
+      if (!std::isfinite(lb))
+        lb_[static_cast<std::size_t>(j)] =
+            std::min(-kArtificialBound, ub - kArtificialBound);
+    } else if (c < 0.0 || std::isfinite(ub)) {
+      at = VStat::Upper;
+      if (!std::isfinite(ub))
+        ub_[static_cast<std::size_t>(j)] =
+            std::max(kArtificialBound, lb + kArtificialBound);
     }
+    vstat_[static_cast<std::size_t>(j)] = at;
+    x_[static_cast<std::size_t>(j)] =
+        at == VStat::Lower   ? lb_[static_cast<std::size_t>(j)]
+        : at == VStat::Upper ? ub_[static_cast<std::size_t>(j)]
+                             : 0.0;
   }
   for (int i = 0; i < m_; ++i) {
     const int s = n_ + i;
@@ -270,27 +278,25 @@ void RevisedSimplex::loadCold(const std::vector<double>& lower,
     pos_of_[static_cast<std::size_t>(s)] = i;
     vstat_[static_cast<std::size_t>(s)] = VStat::Basic;
   }
+  weight_.assign(static_cast<std::size_t>(m_), 1.0);
+  widened_ = false;
   cur_lower_ = lower;
   cur_upper_ = upper;
 }
 
-bool RevisedSimplex::hasPrimalViolation() const {
-  const double tol = params_.feasibility_tol;
-  for (int i = 0; i < m_; ++i) {
-    const int p = basis_[static_cast<std::size_t>(i)];
-    const double v = x_[static_cast<std::size_t>(p)];
-    if (v < lb_[static_cast<std::size_t>(p)] - tol ||
-        v > ub_[static_cast<std::size_t>(p)] + tol)
-      return true;
-  }
-  return false;
-}
-
-LpResult RevisedSimplex::outOfTime() const {
+LpResult RevisedSimplex::outcome(LpStatus status) const {
   LpResult result;
-  result.status = LpStatus::IterLimit;
+  result.status = status;
   result.iterations = call_iterations_;
   result.factorizations = call_factorizations_;
+  return result;
+}
+
+LpResult RevisedSimplex::optimalResult() {
+  LpResult result = outcome(LpStatus::Optimal);
+  result.values = extractValues();
+  result.objective = model_.objective().evaluate(result.values);
+  ready_ = true;
   return result;
 }
 
@@ -299,65 +305,32 @@ LpResult RevisedSimplex::runCold(const std::vector<double>& lower,
   ready_ = false;
   warm_since_cold_ = 0;
 
-  LpResult result;
-  for (int j = 0; j < n_; ++j) {
+  for (int j = 0; j < n_; ++j)
     if (lower[static_cast<std::size_t>(j)] >
-        upper[static_cast<std::size_t>(j)] + kEps) {
-      result.status = LpStatus::Infeasible;
-      result.iterations = call_iterations_;
-      result.factorizations = call_factorizations_;
-      return result;
-    }
-  }
+        upper[static_cast<std::size_t>(j)] + kEps)
+      return outcome(LpStatus::Infeasible);
 
-  if (pastDeadline()) return outOfTime();  // skip the reload and refactor
+  // Out of time: skip the reload and refactor.
+  if (pastDeadline()) return outcome(LpStatus::IterLimit);
   loadCold(lower, upper);
-  if (!refactor()) {  // all-slack basis: cannot fail, defensive only
-    result.status = LpStatus::IterLimit;
-    result.iterations = call_iterations_;
-    result.factorizations = call_factorizations_;
-    return result;
-  }
-  resetDevex();
+  // The all-slack basis cannot fail to factor; defensive only.
+  if (!refactor()) return outcome(LpStatus::IterLimit);
 
-  // Phase 1: zero-cost dual simplex from the all-slack basis (every basis
-  // is dual-feasible for the zero objective, so dual pivots just chase out
-  // the bound violations). Skipped entirely when the slack start is already
-  // primal feasible.
-  if (hasPrimalViolation()) {
-    const DualStatus phase1 = dualIterate(/*zero_cost=*/true, perRunCap());
-    result.iterations = call_iterations_;
-    result.factorizations = call_factorizations_;
-    if (phase1 == DualStatus::Stalled || phase1 == DualStatus::OutOfTime) {
-      result.status = LpStatus::IterLimit;
-      return result;
-    }
-    if (phase1 == DualStatus::Infeasible) {
-      result.status = LpStatus::Infeasible;
-      return result;
-    }
-    computeDuals();  // restore real-cost reduced costs for Phase 2
+  switch (dualIterate(perRunCap())) {
+    case DualStatus::Optimal:
+      return optimalResult();
+    case DualStatus::Infeasible:
+      return outcome(LpStatus::Infeasible);
+    case DualStatus::Unbounded:
+      return outcome(LpStatus::Unbounded);
+    default:  // stalled or out of time
+      return outcome(LpStatus::IterLimit);
   }
-
-  const LpStatus phase2 = primalIterate();
-  result.iterations = call_iterations_;
-  result.factorizations = call_factorizations_;
-  if (phase2 != LpStatus::Optimal) {
-    result.status = phase2;
-    return result;
-  }
-
-  result.status = LpStatus::Optimal;
-  result.values = extractValues();
-  result.objective = model_.objective().evaluate(result.values);
-  ready_ = true;
-  return result;
 }
 
 LpResult RevisedSimplex::coldSolve(const std::vector<double>& lower,
                                    const std::vector<double>& upper) {
   call_iterations_ = 0;
-  call_dual_pivots_ = 0;
   LpResult result = runCold(lower, upper);
   call_factorizations_ = 0;
   return result;
@@ -368,11 +341,15 @@ LpResult RevisedSimplex::solve(const std::vector<double>& lower,
                                bool allow_warm, bool* used_warm,
                                std::int64_t* dual_pivots) {
   call_iterations_ = 0;
-  call_dual_pivots_ = 0;
   bool warm = false;
+  // Pivots of the warm attempt, also when it stalls and falls back cold:
+  // a cold solve's pivots count only as iterations.
+  std::int64_t warm_pivots = 0;
   LpResult result;
   if (allow_warm && ready_ && warm_since_cold_ < kColdRefreshInterval) {
-    if (std::optional<LpResult> r = warmSolve(lower, upper)) {
+    std::optional<LpResult> r = warmSolve(lower, upper);
+    warm_pivots = call_iterations_;
+    if (r) {
       warm = true;
       ++warm_since_cold_;
       result = std::move(*r);
@@ -381,7 +358,7 @@ LpResult RevisedSimplex::solve(const std::vector<double>& lower,
   if (!warm) result = runCold(lower, upper);
   call_factorizations_ = 0;
   if (used_warm) *used_warm = warm;
-  if (dual_pivots) *dual_pivots = call_dual_pivots_;
+  if (dual_pivots) *dual_pivots = warm_pivots;
   return result;
 }
 
@@ -397,11 +374,7 @@ std::optional<LpResult> RevisedSimplex::warmSolve(
     if (lb > ub + kEps) {
       // Trivially empty box: report without touching the engine, so it can
       // keep warm-starting from its current state.
-      LpResult result;
-      result.status = LpStatus::Infeasible;
-      result.iterations = call_iterations_;
-      result.factorizations = call_factorizations_;
-      return result;
+      return outcome(LpStatus::Infeasible);
     }
     if (lb == cur_lower_[static_cast<std::size_t>(j)] &&
         ub == cur_upper_[static_cast<std::size_t>(j)])
@@ -426,7 +399,7 @@ std::optional<LpResult> RevisedSimplex::warmSolve(
   // Apply: move every changed nonbasic column to its new bound and fold all
   // the deltas into ONE aggregated right-hand-side correction — a single
   // FTRAN re-prices the whole basic solution regardless of how many bounds
-  // changed.
+  // changed. A changed column's real bounds replace any artificial one.
   std::vector<double> agg(static_cast<std::size_t>(m_), 0.0);
   bool any_delta = false;
   const auto addColumnTimes = [&](int j, double delta) {
@@ -477,7 +450,7 @@ std::optional<LpResult> RevisedSimplex::warmSolve(
   for (int j = 0; j < total_; ++j) {
     if (pos_of_[static_cast<std::size_t>(j)] >= 0 || fixedCol(j)) continue;
     const double dj = d_[static_cast<std::size_t>(j)];
-    if (vstat_[static_cast<std::size_t>(j)] == VStat::Lower && dj < -1e-7) {
+    if (vstat_[static_cast<std::size_t>(j)] == VStat::Lower && dj < -kDualTol) {
       if (!std::isfinite(ub_[static_cast<std::size_t>(j)]))
         return std::nullopt;
       const double delta =
@@ -486,7 +459,7 @@ std::optional<LpResult> RevisedSimplex::warmSolve(
       vstat_[static_cast<std::size_t>(j)] = VStat::Upper;
       if (delta != 0.0) addColumnTimes(j, delta);
     } else if (vstat_[static_cast<std::size_t>(j)] == VStat::Upper &&
-               dj > 1e-7) {
+               dj > kDualTol) {
       if (!std::isfinite(lb_[static_cast<std::size_t>(j)]))
         return std::nullopt;
       const double delta =
@@ -495,7 +468,7 @@ std::optional<LpResult> RevisedSimplex::warmSolve(
       vstat_[static_cast<std::size_t>(j)] = VStat::Lower;
       if (delta != 0.0) addColumnTimes(j, delta);
     } else if (vstat_[static_cast<std::size_t>(j)] == VStat::Free &&
-               std::abs(dj) > 1e-7) {
+               std::abs(dj) > kDualTol) {
       return std::nullopt;
     }
   }
@@ -511,28 +484,27 @@ std::optional<LpResult> RevisedSimplex::warmSolve(
   // handful of pivots, and large best-first jumps legitimately need more,
   // so the cap scales with the model.
   const std::int64_t cap = 1000 + 4LL * (m_ + total_);
-  const DualStatus status = dualIterate(/*zero_cost=*/false, cap);
+  const DualStatus status = dualIterate(cap);
   if (status == DualStatus::OutOfTime) {
     // The basis stays dual-feasible, so a later solve could resume from it;
     // there is no cold fallback, because it would be out of time too.
-    return outOfTime();
+    return outcome(LpStatus::IterLimit);
   }
   if (status == DualStatus::Stalled) {
     // Degenerate-pivot stall aborts the warm re-solve; the caller falls
     // back to a cold solve (surfacing as a WarmMiss in the lane's stats).
     if (flight_)
       flight_->record(obs::FlightEventKind::DualStall, -1,
-                      static_cast<double>(call_dual_pivots_));
+                      static_cast<double>(call_iterations_));
     return std::nullopt;
   }
-
-  LpResult result;
-  result.iterations = call_iterations_;
-  result.factorizations = call_factorizations_;
   if (status == DualStatus::Infeasible) {
     // The basis stays dual-feasible, so the engine remains warm-startable.
-    result.status = LpStatus::Infeasible;
-    return result;
+    return outcome(LpStatus::Infeasible);
+  }
+  if (status == DualStatus::Unbounded) {
+    ready_ = false;
+    return outcome(LpStatus::Unbounded);
   }
 
   // Post-solve drift scan (cheap O(n)): dual pivots should have preserved
@@ -554,18 +526,69 @@ std::optional<LpResult> RevisedSimplex::warmSolve(
         break;
     }
   }
-
-  result.status = LpStatus::Optimal;
-  result.values = extractValues();
-  result.objective = model_.objective().evaluate(result.values);
-  ready_ = true;
-  return result;
+  return optimalResult();
 }
 
 // ---- iteration cores -----------------------------------------------------
 
-RevisedSimplex::DualStatus RevisedSimplex::dualIterate(bool zero_cost,
-                                                       std::int64_t cap) {
+void RevisedSimplex::collectArtificial() {
+  widen_.clear();
+  for (int j = 0; j < n_; ++j)
+    if (restsOnArtificialBound(j)) widen_.push_back(j);
+}
+
+bool RevisedSimplex::planWidening() {
+  // Every listed column moves outward by the same step, (growth - 1) times
+  // the largest magnitude among them; alpha_ gets B^{-1} times the sum of
+  // their outward unit moves.
+  double reach = 0.0;
+  for (const int j : widen_)
+    reach = std::max(reach, std::abs(x_[static_cast<std::size_t>(j)]));
+  widen_step_ = reach * (kArtificialGrowth - 1.0);
+  alpha_.assign(static_cast<std::size_t>(m_), 0.0);
+  for (const int j : widen_) {
+    const double dir =
+        vstat_[static_cast<std::size_t>(j)] == VStat::Upper ? 1.0 : -1.0;
+    for (int k = csc_.col_start[static_cast<std::size_t>(j)];
+         k < csc_.col_start[static_cast<std::size_t>(j) + 1]; ++k)
+      alpha_[static_cast<std::size_t>(
+          csc_.row_index[static_cast<std::size_t>(k)])] +=
+          csc_.value[static_cast<std::size_t>(k)] * dir;
+  }
+  lu_.ftran(alpha_);
+  return reach + widen_step_ <= kArtificialCap;
+}
+
+bool RevisedSimplex::rayBlocked() const {
+  for (int i = 0; i < m_; ++i) {
+    const double move = -alpha_[static_cast<std::size_t>(i)];
+    if (std::abs(move) <= kEps) continue;
+    const int p = basis_[static_cast<std::size_t>(i)];
+    const double bound = move > 0.0 ? ub_[static_cast<std::size_t>(p)]
+                                    : lb_[static_cast<std::size_t>(p)];
+    if (std::isfinite(bound)) return true;
+  }
+  return false;
+}
+
+void RevisedSimplex::applyWidening() {
+  widened_ = true;
+  for (const int j : widen_) {
+    const auto col = static_cast<std::size_t>(j);
+    if (vstat_[col] == VStat::Upper) {
+      x_[col] += widen_step_;
+      ub_[col] = x_[col];
+    } else {
+      x_[col] -= widen_step_;
+      lb_[col] = x_[col];
+    }
+  }
+  for (int i = 0; i < m_; ++i)
+    x_[static_cast<std::size_t>(basis_[static_cast<std::size_t>(i)])] -=
+        alpha_[static_cast<std::size_t>(i)] * widen_step_;
+}
+
+RevisedSimplex::DualStatus RevisedSimplex::dualIterate(std::int64_t cap) {
   const std::int64_t bland_threshold = blandThreshold();
   const double tol = params_.feasibility_tol;
   std::int64_t local = 0;
@@ -576,11 +599,12 @@ RevisedSimplex::DualStatus RevisedSimplex::dualIterate(bool zero_cost,
     if (pastDeadline()) return DualStatus::OutOfTime;
     const bool bland = local > bland_threshold;
 
-    // Leaving row: the basic variable most out of bounds (Bland mode takes
-    // the smallest row index instead, for termination under degeneracy).
+    // Leaving row by dual devex pricing: the basic variable whose bound
+    // violation maximizes viol^2 / weight (Bland mode takes the smallest
+    // violated row instead, for termination under degeneracy).
     int r = -1;
     bool above = false;
-    double worst = tol;
+    double best_score = 0.0;
     for (int i = 0; i < m_; ++i) {
       const int p = basis_[static_cast<std::size_t>(i)];
       const double v = x_[static_cast<std::size_t>(p)];
@@ -591,14 +615,33 @@ RevisedSimplex::DualStatus RevisedSimplex::dualIterate(bool zero_cost,
         viol = over;
         up = true;
       }
-      if (viol > worst) {
+      if (viol <= tol) continue;
+      const double score = viol * viol / weight_[static_cast<std::size_t>(i)];
+      if (score > best_score) {
         r = i;
         above = up;
         if (bland) break;
-        worst = viol;
+        best_score = score;
       }
     }
-    if (r < 0) return DualStatus::Optimal;
+    if (r < 0) {
+      // Optimal under the engine's bounds. Columns resting on artificial
+      // bounds with nonzero reduced costs still pull outward. If moving
+      // every column off its artificial bound, all at one rate, drives no
+      // basic column toward a finite bound, that ray lowers the objective
+      // forever: Unbounded. Otherwise the bounds move out and the dual
+      // simplex goes on.
+      collectArtificial();
+      bool pulled = false;
+      for (const int j : widen_)
+        if (std::abs(d_[static_cast<std::size_t>(j)]) > kDualTol) pulled = true;
+      if (!pulled) return DualStatus::Optimal;
+      const bool room = planWidening();
+      if (!rayBlocked()) return DualStatus::Unbounded;
+      if (!room) return DualStatus::Stalled;
+      applyWidening();
+      continue;
+    }
     const int p = basis_[static_cast<std::size_t>(r)];
 
     pivotRow(r, &rho_, &row_);
@@ -609,9 +652,7 @@ RevisedSimplex::DualStatus RevisedSimplex::dualIterate(bool zero_cost,
     // entry to help, an at-upper column a negative one, and dual
     // feasibility survives exactly for the minimum-ratio column (ties:
     // larger |entry|, or smaller index under Bland). No candidate means the
-    // row proves primal infeasibility. Phase 1 (zero_cost) treats every
-    // reduced cost as 0, so all eligible ratios tie at 0 and the
-    // largest-entry tie-break picks the numerically safest pivot.
+    // row proves primal infeasibility.
     const double sgn = above ? 1.0 : -1.0;
     int q = -1;
     double best_ratio = kInfinity;
@@ -634,8 +675,7 @@ RevisedSimplex::DualStatus RevisedSimplex::dualIterate(bool zero_cost,
           break;
       }
       if (!eligible) continue;
-      double ratio =
-          zero_cost ? 0.0 : d_[static_cast<std::size_t>(j)] / ahat;
+      double ratio = d_[static_cast<std::size_t>(j)] / ahat;
       if (ratio < 0.0) ratio = 0.0;  // dual-feasibility noise
       const bool strictly_better = ratio < best_ratio - kEps;
       const bool tie = !strictly_better && ratio <= best_ratio + kEps &&
@@ -647,7 +687,29 @@ RevisedSimplex::DualStatus RevisedSimplex::dualIterate(bool zero_cost,
         best_mag = std::abs(ahat);
       }
     }
-    if (q < 0) return DualStatus::Infeasible;
+    if (q < 0) {
+      // The row proves infeasibility only if every column that would help
+      // is stopped by a real bound. If one resting on an artificial bound
+      // would help by crossing it, the artificial bounds move out instead.
+      collectArtificial();
+      bool helped = false;
+      for (const int j : widen_) {
+        const double ahat = sgn * row_[static_cast<std::size_t>(j)];
+        if (vstat_[static_cast<std::size_t>(j)] == VStat::Upper ? ahat > kEps
+                                                                : ahat < -kEps)
+          helped = true;
+      }
+      if (!helped) {
+        // A widening puts large magnitudes into the updated basic values;
+        // after one, a verdict stands only on fresh factors.
+        if (!widened_ || lu_.updates() == 0) return DualStatus::Infeasible;
+        if (!refactor()) return DualStatus::Stalled;
+        continue;
+      }
+      if (!planWidening()) return DualStatus::Stalled;
+      applyWidening();
+      continue;
+    }
 
     ftranColumn(q, &alpha_);
     const double piv = alpha_[static_cast<std::size_t>(r)];
@@ -659,19 +721,31 @@ RevisedSimplex::DualStatus RevisedSimplex::dualIterate(bool zero_cost,
     retries = 0;
 
     // Primal step: drive the leaving variable exactly onto its violated
-    // bound; the entering variable absorbs the move.
+    // bound; the entering variable absorbs the move. The devex weights ride
+    // the same pass over the entering column: row i's reference weight
+    // grows to (alpha_i / alpha_r)^2 w_r when that is larger.
     const double target = above ? ub_[static_cast<std::size_t>(p)]
                                 : lb_[static_cast<std::size_t>(p)];
     const double tq = (x_[static_cast<std::size_t>(p)] - target) / piv;
+    const double wr = weight_[static_cast<std::size_t>(r)];
+    bool blown = false;
     for (int i = 0; i < m_; ++i) {
       if (i == r) continue;
       const double a = alpha_[static_cast<std::size_t>(i)];
-      if (a != 0.0)
-        x_[static_cast<std::size_t>(basis_[static_cast<std::size_t>(i)])] -=
-            tq * a;
+      if (a == 0.0) continue;
+      x_[static_cast<std::size_t>(basis_[static_cast<std::size_t>(i)])] -=
+          tq * a;
+      const double ref = (a / piv) * (a / piv) * wr;
+      if (ref > weight_[static_cast<std::size_t>(i)]) {
+        weight_[static_cast<std::size_t>(i)] = ref;
+        if (ref > kWeightReset) blown = true;
+      }
     }
+    weight_[static_cast<std::size_t>(r)] = std::max(wr / (piv * piv), 1.0);
+    if (blown || weight_[static_cast<std::size_t>(r)] > kWeightReset)
+      weight_.assign(static_cast<std::size_t>(m_), 1.0);
     const double xq_new = x_[static_cast<std::size_t>(q)] + tq;
-    const double theta = zero_cost ? 0.0 : d_[static_cast<std::size_t>(q)] / piv;
+    const double theta = d_[static_cast<std::size_t>(q)] / piv;
 
     x_[static_cast<std::size_t>(p)] = target;
     x_[static_cast<std::size_t>(q)] = xq_new;
@@ -680,9 +754,15 @@ RevisedSimplex::DualStatus RevisedSimplex::dualIterate(bool zero_cost,
     pos_of_[static_cast<std::size_t>(p)] = -1;
     vstat_[static_cast<std::size_t>(q)] = VStat::Basic;
     vstat_[static_cast<std::size_t>(p)] = above ? VStat::Upper : VStat::Lower;
+    if (q < n_) {
+      // A basic column carries only real bounds, so every bound a leaving
+      // column lands on is real.
+      const auto col = static_cast<std::size_t>(q);
+      lb_[col] = cur_lower_[col];
+      ub_[col] = cur_upper_[col];
+    }
     ++call_iterations_;
     ++local;
-    if (!zero_cost) ++call_dual_pivots_;
 
     const int interval =
         lu_.usedDenseMode() ? kRefactorDense : kRefactorSparse;
@@ -691,7 +771,7 @@ RevisedSimplex::DualStatus RevisedSimplex::dualIterate(bool zero_cost,
       if (!refactor()) return DualStatus::Stalled;
       refreshed = true;
     }
-    if (!refreshed && !zero_cost) {
+    if (!refreshed) {
       // Incremental reduced-cost update from the priced pivot row.
       for (int j = 0; j < total_; ++j) {
         if (pos_of_[static_cast<std::size_t>(j)] >= 0 || j == p) continue;
@@ -704,198 +784,14 @@ RevisedSimplex::DualStatus RevisedSimplex::dualIterate(bool zero_cost,
   }
 }
 
-LpStatus RevisedSimplex::primalIterate() {
-  const std::int64_t bland_threshold = blandThreshold();
-  const std::int64_t per_run_cap = perRunCap();
-  const double tol = params_.feasibility_tol;
-  std::int64_t local = 0;
-  int retries = 0;
-
-  while (true) {
-    if (call_iterations_ >= per_run_cap || pastDeadline())
-      return LpStatus::IterLimit;
-    const bool bland = local > bland_threshold;
-
-    // Devex pricing: entering column maximizing d^2 / weight among columns
-    // whose reduced cost violates its sign condition (Bland: smallest such
-    // index).
-    int q = -1;
-    double best_score = 0.0;
-    for (int j = 0; j < total_; ++j) {
-      if (pos_of_[static_cast<std::size_t>(j)] >= 0 || fixedCol(j)) continue;
-      const double dj = d_[static_cast<std::size_t>(j)];
-      bool viol = false;
-      switch (vstat_[static_cast<std::size_t>(j)]) {
-        case VStat::Lower:
-          viol = dj < -tol;
-          break;
-        case VStat::Upper:
-          viol = dj > tol;
-          break;
-        case VStat::Free:
-          viol = std::abs(dj) > tol;
-          break;
-        case VStat::Basic:
-          break;
-      }
-      if (!viol) continue;
-      if (bland) {
-        q = j;
-        break;
-      }
-      const double score = dj * dj / devex_[static_cast<std::size_t>(j)];
-      if (score > best_score) {
-        best_score = score;
-        q = j;
-      }
-    }
-    if (q < 0) return LpStatus::Optimal;
-
-    const double dq = d_[static_cast<std::size_t>(q)];
-    const double sigma = (vstat_[static_cast<std::size_t>(q)] == VStat::Upper)
-                             ? -1.0
-                         : (vstat_[static_cast<std::size_t>(q)] == VStat::Lower)
-                             ? 1.0
-                             : (dq < 0.0 ? 1.0 : -1.0);
-    ftranColumn(q, &alpha_);
-
-    // Ratio test: step t >= 0 along sigma until a basic variable hits a
-    // bound (ties: larger |entry|, smaller leaving index under Bland) or
-    // the entering column reaches its own opposite bound (a bound flip —
-    // no basis change).
-    double t_best = kInfinity;
-    int r = -1;
-    bool leave_at_upper = false;
-    double best_mag = 0.0;
-    for (int i = 0; i < m_; ++i) {
-      const double delta = sigma * alpha_[static_cast<std::size_t>(i)];
-      if (std::abs(delta) <= kEps) continue;
-      const int p = basis_[static_cast<std::size_t>(i)];
-      double t;
-      bool up;
-      if (delta > 0.0) {  // basic value decreases with t
-        if (!std::isfinite(lb_[static_cast<std::size_t>(p)])) continue;
-        t = (x_[static_cast<std::size_t>(p)] -
-             lb_[static_cast<std::size_t>(p)]) /
-            delta;
-        up = false;
-      } else {  // basic value increases with t
-        if (!std::isfinite(ub_[static_cast<std::size_t>(p)])) continue;
-        t = (ub_[static_cast<std::size_t>(p)] -
-             x_[static_cast<std::size_t>(p)]) /
-            (-delta);
-        up = true;
-      }
-      if (t < 0.0) t = 0.0;  // degeneracy noise
-      const bool strictly_better = t < t_best - kEps;
-      const bool tie =
-          !strictly_better && t <= t_best + kEps && r >= 0 &&
-          (bland ? p < basis_[static_cast<std::size_t>(r)]
-                 : std::abs(delta) > best_mag);
-      if (strictly_better || r < 0 || tie) {
-        t_best = std::min(t, t_best);
-        r = i;
-        leave_at_upper = up;
-        best_mag = std::abs(delta);
-      }
-    }
-    double t_bound = kInfinity;
-    if (std::isfinite(lb_[static_cast<std::size_t>(q)]) &&
-        std::isfinite(ub_[static_cast<std::size_t>(q)]))
-      t_bound = ub_[static_cast<std::size_t>(q)] -
-                lb_[static_cast<std::size_t>(q)];
-
-    if (t_bound <= t_best) {
-      if (!std::isfinite(t_bound)) return LpStatus::Unbounded;
-      for (int i = 0; i < m_; ++i) {
-        const double delta = sigma * alpha_[static_cast<std::size_t>(i)];
-        if (delta != 0.0)
-          x_[static_cast<std::size_t>(basis_[static_cast<std::size_t>(i)])] -=
-              t_bound * delta;
-      }
-      vstat_[static_cast<std::size_t>(q)] =
-          (vstat_[static_cast<std::size_t>(q)] == VStat::Lower) ? VStat::Upper
-                                                                : VStat::Lower;
-      x_[static_cast<std::size_t>(q)] =
-          (vstat_[static_cast<std::size_t>(q)] == VStat::Upper)
-              ? ub_[static_cast<std::size_t>(q)]
-              : lb_[static_cast<std::size_t>(q)];
-      ++call_iterations_;
-      ++local;
-      continue;
-    }
-    if (r < 0) return LpStatus::Unbounded;
-
-    const double piv = alpha_[static_cast<std::size_t>(r)];
-    if (std::abs(piv) < kEps) {
-      if (++retries > 3 || !refactor()) return LpStatus::IterLimit;
-      continue;
-    }
-    retries = 0;
-    const int p = basis_[static_cast<std::size_t>(r)];
-
-    const int interval =
-        lu_.usedDenseMode() ? kRefactorDense : kRefactorSparse;
-    const bool want_refresh = lu_.updates() + 1 >= interval;
-    // The priced pivot row (for the reduced-cost/devex updates) must be
-    // computed against the pre-pivot factors.
-    if (!want_refresh) pivotRow(r, &rho_, &row_);
-
-    const double t = t_best;
-    for (int i = 0; i < m_; ++i) {
-      if (i == r) continue;
-      const double delta = sigma * alpha_[static_cast<std::size_t>(i)];
-      if (delta != 0.0)
-        x_[static_cast<std::size_t>(basis_[static_cast<std::size_t>(i)])] -=
-            t * delta;
-    }
-    x_[static_cast<std::size_t>(q)] += sigma * t;
-    x_[static_cast<std::size_t>(p)] = leave_at_upper
-                                          ? ub_[static_cast<std::size_t>(p)]
-                                          : lb_[static_cast<std::size_t>(p)];
-    basis_[static_cast<std::size_t>(r)] = q;
-    pos_of_[static_cast<std::size_t>(q)] = r;
-    pos_of_[static_cast<std::size_t>(p)] = -1;
-    vstat_[static_cast<std::size_t>(q)] = VStat::Basic;
-    vstat_[static_cast<std::size_t>(p)] =
-        leave_at_upper ? VStat::Upper : VStat::Lower;
-    ++call_iterations_;
-    ++local;
-
-    bool refreshed = true;
-    if (!want_refresh && lu_.update(r, alpha_)) {
-      refreshed = false;
-    } else if (!refactor()) {
-      return LpStatus::IterLimit;
-    }
-    if (!refreshed) {
-      const double theta = dq / piv;
-      const double wq = devex_[static_cast<std::size_t>(q)];
-      bool blown = false;
-      for (int j = 0; j < total_; ++j) {
-        if (pos_of_[static_cast<std::size_t>(j)] >= 0 || j == p) continue;
-        const double arj = row_[static_cast<std::size_t>(j)];
-        if (arj == 0.0) continue;
-        d_[static_cast<std::size_t>(j)] -= theta * arj;
-        const double ref = (arj / piv) * (arj / piv) * wq;
-        if (ref > devex_[static_cast<std::size_t>(j)]) {
-          devex_[static_cast<std::size_t>(j)] = ref;
-          if (ref > 1e8) blown = true;
-        }
-      }
-      d_[static_cast<std::size_t>(p)] = -theta;
-      d_[static_cast<std::size_t>(q)] = 0.0;
-      devex_[static_cast<std::size_t>(p)] = std::max(wq / (piv * piv), 1.0);
-      if (devex_[static_cast<std::size_t>(p)] > 1e8) blown = true;
-      if (blown) resetDevex();
-    }
-  }
-}
-
 bool RevisedSimplex::tableauRow(VarId var, TableauRowView* out) const {
   if (!ready_ || var < 0 || var >= n_) return false;
   const int pos = pos_of_[static_cast<std::size_t>(var)];
   if (pos < 0) return false;
+  // The row reports every column's bounds, and an artificial one must not
+  // pass for real: no rows while any column carries one.
+  for (int j = 0; j < n_; ++j)
+    if (artificialLower(j) || artificialUpper(j)) return false;
 
   pivotRow(pos, &rho_, &row_);
   out->coeff.assign(static_cast<std::size_t>(total_), 0.0);
@@ -1016,7 +912,7 @@ void RevisedSimplex::addCutRows(const std::vector<CutRow>& rows) {
       d_.push_back(0.0);
       basis_.push_back(s);
       pos_of_.push_back(row);
-      if (!devex_.empty()) devex_.push_back(1.0);
+      weight_.push_back(1.0);
     }
     if (ready_ && !refactor()) ready_ = false;
   }
@@ -1036,7 +932,7 @@ void RevisedSimplex::collectReducedCostFixes(double gap,
   for (int j = 0; j < n_; ++j) {
     if (pos_of_[static_cast<std::size_t>(j)] >= 0) continue;
     if (model_.var(j).type == VarType::Continuous) continue;
-    if (fixedCol(j)) continue;
+    if (fixedCol(j) || restsOnArtificialBound(j)) continue;
     // Nonbasic at a bound: moving the variable by one integer step costs at
     // least |reduced cost|, so a margin above the incumbent gap proves no
     // improving solution moves it.

@@ -10,13 +10,35 @@
 //    column with its node bounds attached; a nonbasic column sits AtLower /
 //    AtUpper / at-value (free). No free-variable splits, no complement
 //    flips, no artificial columns reserved per row.
-//  * Artificial-free cold start. The all-slack basis is always factorizable
-//    and dual-feasible for the zero objective, so Phase 1 runs the *dual*
-//    simplex with zero costs from it (every basis is trivially
-//    dual-feasible; pivots drive out primal bound violations). Phase 2 is a
-//    primal simplex with devex pricing from the feasible basis. Models
-//    whose slack start is already feasible — b >= 0, the common case for
-//    the PDW scheduling rows — skip Phase 1 entirely.
+//  * One simplex method. Cold and warm solves run the same dual simplex
+//    (dualIterate) with the real costs. A cold solve loads the all-slack
+//    basis, where y = 0 and so d_j = c_j, and rests each structural column
+//    on the bound that makes its cost dual-feasible: c_j > 0 at its lower
+//    bound, c_j < 0 at its upper, c_j = 0 at a finite bound (the lower one
+//    first) or free at 0 when it has none. A start that is also primal
+//    feasible is optimal as loaded.
+//  * Artificial bounds (Koberstein's thesis on the dual simplex, 2005). A
+//    cost that pulls a column toward an infinite bound rests it on a finite
+//    artificial one (kArtificialBound) instead; a column entering the basis
+//    drops it, so only nonbasic columns carry one. An artificial bound never
+//    passes for a real one. A dual optimum that rests a column on one with
+//    a nonzero reduced cost is Unbounded only when moving every column on
+//    an artificial bound outward, at one rate, drives no basic column
+//    toward a finite bound; otherwise all artificial bounds move out
+//    (about x kArtificialGrowth) and the dual simplex goes on. A row with
+//    no entering column proves infeasibility only when no column resting
+//    on an artificial bound would help by moving past it; otherwise the
+//    bounds move out likewise. A bound that would pass kArtificialCap
+//    stops the solve with IterLimit rather than a verdict. tableauRow()
+//    refuses every row while any column carries one; reduced-cost fixing
+//    never fixes a column to one. A warm solve that moves a column's bounds
+//    replaces its artificial bound with the real ones.
+//  * Dual devex pricing. The leaving row maximizes infeasibility^2 / w_i
+//    over per-row reference weights, which every pivot updates from the
+//    entering column it FTRANs anyway. The weights start at 1 on each cold
+//    load and on each cut row, and all reset to 1 once one passes
+//    kWeightReset. Past blandThreshold() pivots Bland's rule takes over:
+//    the smallest violated row leaves, the smallest-index tie enters.
 //  * Periodic refactorization. Product-form eta updates accumulate per
 //    pivot; the basis is refactorized every 64 updates (256 in dense mode),
 //    when update() refuses a tiny pivot, and when FTRAN disagrees with the
@@ -28,11 +50,11 @@
 //    one: branch-and-bound's (every node LP, root included), the root cut
 //    loop's and solveLp's, each built as its budget starts. The budget is
 //    per engine, not per MIP: the cut loop and the search each get the
-//    full limit. A stop is not a stall: a warm re-solve checks the budget
-//    before each dual pivot and returns IterLimit from the warm path (no
-//    DualStall event, no cold fallback, so no warm miss), and a cold solve
-//    checks it before reloading and refactorizing. A work-capped solve
-//    (time limit far beyond its run) never reaches it.
+//    full limit. Every solve checks the budget before each pivot, and a
+//    cold solve also checks it before reloading and refactorizing. A stop
+//    is not a stall: a warm re-solve it stops returns IterLimit from the
+//    warm path (no DualStall event, no cold fallback, so no warm miss). A
+//    work-capped solve (time limit far beyond its run) never reaches it.
 //
 // The warm-start contract (DESIGN.md §11): bound deltas are validated
 // before any mutation, aggregated into a single FTRAN against the current
@@ -94,6 +116,17 @@ class RevisedSimplex final : public LpBackend {
   static Csc buildCsc(const Model& model);
 
   static constexpr double kEps = 1e-9;
+  /// Dual feasibility tolerance on reduced costs.
+  static constexpr double kDualTol = 1e-7;
+  /// Magnitude of the artificial bound a cold load gives a column whose
+  /// cost pulls it toward an infinite bound.
+  static constexpr double kArtificialBound = 1e7;
+  /// Artificial bounds that turn out to bind move out together, by about
+  /// this factor, but never past kArtificialCap in magnitude.
+  static constexpr double kArtificialGrowth = 1e3;
+  static constexpr double kArtificialCap = 1e15;
+  /// A devex weight above this resets every weight to 1.
+  static constexpr double kWeightReset = 1e8;
   /// Forced cold refresh cadence: every Nth would-be-warm solve runs cold.
   static constexpr std::int64_t kColdRefreshInterval = 256;
   /// Refactorization cadence in product-form updates. Dense-mode bases get
@@ -106,17 +139,18 @@ class RevisedSimplex final : public LpBackend {
   /// Where a column currently sits. A `Free` nonbasic column rests at its
   /// stored value (0 after a cold load) rather than at a bound.
   enum class VStat : std::uint8_t { Basic, Lower, Upper, Free };
-  /// Stalled: the iteration cap was hit or a refactorization failed.
+  /// Stalled: the iteration cap was hit, a refactorization failed or an
+  /// artificial bound reached kArtificialCap.
   /// OutOfTime: the wall-clock budget ran out (pastDeadline()).
-  enum class DualStatus { Optimal, Infeasible, Stalled, OutOfTime };
+  enum class DualStatus { Optimal, Infeasible, Unbounded, Stalled, OutOfTime };
 
   std::int64_t blandThreshold() const;
   std::int64_t perRunCap() const;
   bool pastDeadline() const {
     return std::chrono::steady_clock::now() > deadline_;
   }
-  /// The IterLimit result of a solve the wall-clock budget stopped.
-  LpResult outOfTime() const;
+  /// A valueless result of this call: `status` with its work counters.
+  LpResult outcome(LpStatus status) const;
   double cost(int col) const {
     return col < n_ ? cost_[static_cast<std::size_t>(col)] : 0.0;
   }
@@ -124,6 +158,22 @@ class RevisedSimplex final : public LpBackend {
     return ub_[static_cast<std::size_t>(col)] -
                lb_[static_cast<std::size_t>(col)] <
            kEps;
+  }
+  /// Artificial bounds are the only engine bounds that differ from the
+  /// loaded model-space ones (cur_lower_, cur_upper_), and only structural
+  /// columns get them.
+  bool artificialLower(int col) const {
+    return col < n_ && lb_[static_cast<std::size_t>(col)] !=
+                           cur_lower_[static_cast<std::size_t>(col)];
+  }
+  bool artificialUpper(int col) const {
+    return col < n_ && ub_[static_cast<std::size_t>(col)] !=
+                           cur_upper_[static_cast<std::size_t>(col)];
+  }
+  bool restsOnArtificialBound(int col) const {
+    const VStat s = vstat_[static_cast<std::size_t>(col)];
+    return (s == VStat::Lower && artificialLower(col)) ||
+           (s == VStat::Upper && artificialUpper(col));
   }
 
   /// Sparse entries of column `col` (structural via CSC, slack = unit).
@@ -140,7 +190,6 @@ class RevisedSimplex final : public LpBackend {
   bool refactor();
   void computeBasicValues();
   void computeDuals();
-  void resetDevex();
 
   void loadCold(const std::vector<double>& lower,
                 const std::vector<double>& upper);
@@ -149,12 +198,23 @@ class RevisedSimplex final : public LpBackend {
   std::optional<LpResult> warmSolve(const std::vector<double>& lower,
                                     const std::vector<double>& upper);
 
-  bool hasPrimalViolation() const;
-  LpStatus primalIterate();
-  /// Dual simplex to primal feasibility. `zero_cost` is the Phase-1 mode:
-  /// reduced costs are treated as identically zero (every basis is
-  /// dual-feasible), so pivots only chase bound violations.
-  DualStatus dualIterate(bool zero_cost, std::int64_t cap);
+  /// Dual simplex from a dual-feasible basis to primal feasibility, at
+  /// most `cap` pivots.
+  DualStatus dualIterate(std::int64_t cap);
+  /// widen_ = every column resting on an artificial bound.
+  void collectArtificial();
+  /// Plans moving every column of widen_, with its bound, outward by
+  /// widen_step_: kArtificialGrowth - 1 times the largest magnitude among
+  /// them. alpha_ gets B^{-1} times the sum of the columns' outward unit
+  /// moves. False when a bound would pass kArtificialCap.
+  bool planWidening();
+  /// True when the planned move, or any positive multiple of it, drives
+  /// some basic column toward a finite bound.
+  bool rayBlocked() const;
+  /// Carries out the planned move, basic values included.
+  void applyWidening();
+  /// The Optimal result of a dual run; the engine becomes warm-ready.
+  LpResult optimalResult();
 
   std::vector<double> extractValues() const;
 
@@ -179,7 +239,7 @@ class RevisedSimplex final : public LpBackend {
   std::vector<double> d_;  ///< reduced costs (0 on basic columns)
   std::vector<int> basis_;   ///< position -> column
   std::vector<int> pos_of_;  ///< column -> position, -1 when nonbasic
-  std::vector<double> devex_;
+  std::vector<double> weight_;  ///< dual devex weights, by basis position
   /// Model-space bounds of the last load; warm solves diff against these.
   std::vector<double> cur_lower_, cur_upper_;
 
@@ -187,7 +247,6 @@ class RevisedSimplex final : public LpBackend {
 
   bool ready_ = false;
   std::int64_t call_iterations_ = 0;
-  std::int64_t call_dual_pivots_ = 0;
   /// Factorizations since the last solve()/coldSolve() returned, so an
   /// addCutRows() refactorization is reported by the re-solve after it.
   std::int64_t call_factorizations_ = 0;
@@ -197,6 +256,9 @@ class RevisedSimplex final : public LpBackend {
   // scratch
   mutable std::vector<double> alpha_, rho_, row_;
   std::vector<BasisLu::SparseColumn> basis_cols_;  ///< refactor()'s gather
+  std::vector<int> widen_;  ///< columns resting on artificial bounds
+  double widen_step_ = 0.0;  ///< planWidening()'s outward step
+  bool widened_ = false;  ///< an artificial bound moved since the cold load
 };
 
 }  // namespace pdw::ilp

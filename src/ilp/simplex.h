@@ -3,8 +3,10 @@
 // This is the pure-LP front door of the solver stack (the reproduction's
 // substitute for Gurobi, see DESIGN.md §2). It routes one cold solve
 // through the LpBackend seam (lp_backend.h, DESIGN.md §12), so the same
-// sparse revised simplex serves pure LPs, node LPs and the lazy-cut
-// callback alike, and no solve bypasses the obs instrumentation.
+// sparse revised simplex serves pure LPs, node LPs and the root cut loop
+// alike, and no solve bypasses the obs instrumentation. (There is no
+// lazy-cut callback: the wash-path ILP adds each connectivity cut as a
+// row and solves again.)
 #pragma once
 
 #include <cstdint>

@@ -12,15 +12,14 @@ std::string fingerprint(const SolveParams& params) {
   std::snprintf(
       buf, sizeof(buf),
       "tl=%.3g nodes=%lld iters=%lld gap=%.3g presolve=%d "
-      "probing=%d coeftight=%d cuts=%d%s%s cutrounds=%d branch=%s",
+      "probing=%d coeftight=%d cuts=%d%s%s cutrounds=%d",
       params.time_limit_seconds, static_cast<long long>(params.node_limit),
       static_cast<long long>(params.simplex_iteration_limit), params.mip_gap,
       params.enable_presolve ? 1 : 0, params.probing ? 1 : 0,
       params.coef_tightening ? 1 : 0, params.cuts.enabled ? 1 : 0,
       params.cuts.enabled && !params.cuts.gomory ? " -gomory" : "",
       params.cuts.enabled && !params.cuts.cover ? " -cover" : "",
-      params.cuts.max_rounds,
-      params.branch_rule == BranchRule::Pseudocost ? "pseudocost" : "mostfrac");
+      params.cuts.max_rounds);
   return buf;
 }
 

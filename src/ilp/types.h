@@ -104,12 +104,12 @@ struct SolveStats {
   CutStats cuts;
   /// Node LPs run by the in-tree simplex engine (root + children).
   std::int64_t lp_solves = 0;
-  /// Non-root node LPs re-optimized by the warm dual-simplex path vs. those
-  /// that fell back to a cold two-phase primal solve.
+  /// Non-root node LPs re-optimized warm from the engine's current basis
+  /// vs. those that fell back to a cold solve from the slack basis.
   std::int64_t warm_hits = 0;
   std::int64_t warm_misses = 0;
-  /// Dual-simplex pivots performed across all warm re-solves (subset of
-  /// `simplex_iterations`, which also counts cold primal pivots).
+  /// Pivots of warm re-solves (a subset of `simplex_iterations`, which also
+  /// counts the pivots of cold solves).
   std::int64_t dual_pivots = 0;
   /// Integer variables fixed by reduced-cost bound tightening.
   std::int64_t rc_fixed = 0;
@@ -148,17 +148,6 @@ struct Solution {
   double value(VarId v) const { return values[static_cast<std::size_t>(v)]; }
   /// Convenience for 0-1 variables: value rounded to bool.
   bool boolValue(VarId v) const { return value(v) > 0.5; }
-};
-
-/// Branch-variable selection rule (branch_bound.cpp).
-enum class BranchRule {
-  /// Product-rule pseudocost scores learned from observed LP-bound
-  /// degradations, falling back to most-fractional while a variable has no
-  /// history in either direction. The default.
-  Pseudocost,
-  /// The pre-PR-6 rule: branch on the integer variable whose LP value is
-  /// farthest from integral. Kept selectable for A/B runs.
-  MostFractional,
 };
 
 /// Root cutting-plane knobs (cuts.h). Cuts are generated once at the root
@@ -207,8 +196,6 @@ struct SolveParams {
   bool coef_tightening = true;
   /// Root cutting planes; see CutParams.
   CutParams cuts;
-  /// Branch-variable selection; see BranchRule.
-  BranchRule branch_rule = BranchRule::Pseudocost;
   /// Optional warm start (one value per model variable). If it is feasible
   /// it seeds the branch-and-bound incumbent, so the solver never returns
   /// anything worse than this point (the paper's "best-effort within the

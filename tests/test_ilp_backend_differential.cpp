@@ -5,6 +5,7 @@
 // brute-force integer enumeration on random MIPs (DESIGN.md §12).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -149,9 +150,11 @@ int g_node_lps = 0;
 int g_compared = 0;
 int g_mismatches = 0;
 
-class DifferentialBackend final : public LpBackend {
+/// Forwards every call to a real RevisedSimplex and shows each LP result,
+/// with the bounds it was solved under, to observe().
+class ForwardingBackend : public LpBackend {
  public:
-  DifferentialBackend(const Model& model, const SolveParams& params)
+  ForwardingBackend(const Model& model, const SolveParams& params)
       : model_(model), revised_(model, params) {}
 
   LpResult solve(const std::vector<double>& lower,
@@ -160,14 +163,14 @@ class DifferentialBackend final : public LpBackend {
                  std::int64_t* dual_pivots = nullptr) override {
     LpResult r =
         revised_.solve(lower, upper, allow_warm, used_warm, dual_pivots);
-    compare(r, lower, upper);
+    observe(r, lower, upper);
     return r;
   }
 
   LpResult coldSolve(const std::vector<double>& lower,
                      const std::vector<double>& upper) override {
     LpResult r = revised_.coldSolve(lower, upper);
-    compare(r, lower, upper);
+    observe(r, lower, upper);
     return r;
   }
 
@@ -190,9 +193,23 @@ class DifferentialBackend final : public LpBackend {
     revised_.setFlightRecorder(recorder);
   }
 
+ protected:
+  virtual void observe(const LpResult& r, const std::vector<double>& lower,
+                       const std::vector<double>& upper) = 0;
+
+  const Model& model_;
+
  private:
-  void compare(const LpResult& r, const std::vector<double>& lower,
-               const std::vector<double>& upper) {
+  RevisedSimplex revised_;
+};
+
+class DifferentialBackend final : public ForwardingBackend {
+ public:
+  using ForwardingBackend::ForwardingBackend;
+
+ private:
+  void observe(const LpResult& r, const std::vector<double>& lower,
+               const std::vector<double>& upper) override {
     if (g_node_lps++ % kSampleStride != 0) return;
     const reference::LpOutcome ref =
         reference::referenceLp(model_, lower, upper);
@@ -210,21 +227,19 @@ class DifferentialBackend final : public LpBackend {
                     << ref.objective << " revised=" << r.objective;
     }
   }
-
-  const Model& model_;
-  RevisedSimplex revised_;
 };
 
-/// Routes makeLpBackend() to DifferentialBackend for the test's lifetime.
-class SubstituteDifferentialBackend {
+/// Routes makeLpBackend() to a `Backend` for the object's lifetime.
+template <typename Backend>
+class SubstituteBackend {
  public:
-  SubstituteDifferentialBackend()
+  SubstituteBackend()
       : previous_(substituteLpBackendForTesting(
             [](const Model& m,
                const SolveParams& p) -> std::unique_ptr<LpBackend> {
-              return std::make_unique<DifferentialBackend>(m, p);
+              return std::make_unique<Backend>(m, p);
             })) {}
-  ~SubstituteDifferentialBackend() { substituteLpBackendForTesting(previous_); }
+  ~SubstituteBackend() { substituteLpBackendForTesting(previous_); }
 
  private:
   LpBackendFactory previous_;
@@ -248,7 +263,7 @@ TEST_P(TableIIBackendDifferential, NodeLpsAgreeAcrossBackends) {
                                  .withPathBudget(1e6, 400);
   options.solver.schedule.simplex_iteration_limit = 4000;
   options.solver.path.simplex_iteration_limit = 10000;
-  const SubstituteDifferentialBackend substitute;
+  const SubstituteBackend<DifferentialBackend> substitute;
   const PdwResult result = Pipeline(std::move(options)).run(base.schedule);
 
   const std::int64_t gomory = result.metrics.counter(obs::names::kCutsGomory);
@@ -275,6 +290,50 @@ INSTANTIATE_TEST_SUITE_P(
         if (c == ' ' || c == '-') c = '_';
       return name;
     });
+
+// ---- runaway cold LP -----------------------------------------------------
+//
+// Kinase act-2's work-capped pipeline run (bench_ilp_solver's Table-II row)
+// is where cold solves ran away while they began with a zero-cost dual
+// Phase 1, whose ratios all tie at 0: one LP call took 1,372 pivots. Every
+// LP call the run issues must stay under 1,000 pivots.
+
+std::int64_t g_lp_calls = 0;
+std::int64_t g_max_pivots = 0;
+
+class PivotCountingBackend final : public ForwardingBackend {
+ public:
+  using ForwardingBackend::ForwardingBackend;
+
+ private:
+  void observe(const LpResult& r, const std::vector<double>&,
+               const std::vector<double>&) override {
+    ++g_lp_calls;
+    g_max_pivots = std::max(g_max_pivots, r.iterations);
+  }
+};
+
+TEST(RunawayLp, KinaseAct2EveryLpUnder1000Pivots) {
+  g_lp_calls = g_max_pivots = 0;
+  const assay::Benchmark b =
+      assay::makeBenchmark(assay::BenchmarkId::KinaseAct2);
+  synth::SynthResult base =
+      synth::synthesizeOnChip(*b.graph, synth::placeChip(b.library));
+  // 200 schedule and 20 path nodes per MIP, under wall limits no run
+  // reaches, so the run is the same on every machine.
+  core::PdwOptions options = core::PdwOptions{}
+                                 .withThreads(1)
+                                 .withScheduleBudget(3600.0, 200)
+                                 .withPathBudget(3600.0, 20);
+  const SubstituteBackend<PivotCountingBackend> substitute;
+  const PdwResult result = Pipeline(std::move(options)).run(base.schedule);
+
+  RecordProperty("lp_calls", static_cast<int>(g_lp_calls));
+  RecordProperty("max_pivots", static_cast<int>(g_max_pivots));
+  EXPECT_GT(result.schedule().washCount(), 0);
+  EXPECT_GT(g_lp_calls, 500);
+  EXPECT_LT(g_max_pivots, 1000);
+}
 
 }  // namespace
 }  // namespace pdw::ilp

@@ -24,6 +24,7 @@
 #include "ilp/solver.h"
 #include "obs/metric_names.h"
 #include "obs/metrics.h"
+#include "reference_lp.h"
 #include "util/rng.h"
 
 namespace pdw::ilp {
@@ -221,7 +222,6 @@ TEST(CutsSolve, OnOffObjectiveEquivalence) {
     without.cuts.enabled = false;
     without.probing = false;
     without.coef_tightening = false;
-    without.branch_rule = BranchRule::MostFractional;
 
     const Solution a = solve(m, with_cuts);
     const Solution b = solve(m, without);
@@ -492,7 +492,9 @@ TEST(CoefStrengthening, ShrinksNegativeBigMIndicator) {
   EXPECT_NEAR(a.objective, -4.5, 1e-6);  // x=1, y=5
 }
 
-TEST(BranchRuleTest, PseudocostAndMostFractionalAgreeOnOptimum) {
+TEST(PseudocostBranching, KnapsackOptimaMatchEnumeration) {
+  // Pseudocost branching (most-fractional until a pseudocost is observed)
+  // against brute force over all 2^10 points of each knapsack.
   util::Rng rng(21);
   for (int trial = 0; trial < 5; ++trial) {
     const int n = 10;
@@ -509,15 +511,12 @@ TEST(BranchRuleTest, PseudocostAndMostFractionalAgreeOnOptimum) {
     m.addLessEqual(weight, capacity * 0.5);
     m.setObjective(-1.0 * value);
 
-    SolveParams pc;
-    pc.branch_rule = BranchRule::Pseudocost;
-    SolveParams mf = pc;
-    mf.branch_rule = BranchRule::MostFractional;
-    const Solution a = solve(m, pc);
-    const Solution b = solve(m, mf);
-    ASSERT_EQ(a.status, SolveStatus::Optimal);
-    ASSERT_EQ(b.status, SolveStatus::Optimal);
-    EXPECT_NEAR(a.objective, b.objective, 1e-6) << "trial " << trial;
+    const Solution s = solve(m, SolveParams{});
+    const std::optional<double> optimum =
+        reference::enumerateIntegerOptimum(m);
+    ASSERT_TRUE(optimum.has_value()) << "trial " << trial;
+    ASSERT_EQ(s.status, SolveStatus::Optimal) << "trial " << trial;
+    EXPECT_NEAR(s.objective, *optimum, 1e-6) << "trial " << trial;
   }
 }
 

@@ -168,6 +168,38 @@ TEST(WarmPath, MipStatsAccountWarmHits) {
             4 * (s.stats.warm_hits + s.stats.warm_misses) / 5);
 }
 
+// dual_pivots counts the pivots of warm re-solves only (DESIGN.md §10.2),
+// although cold solves run the same dual simplex: a cold pivot counts only
+// in simplex_iterations.
+
+TEST(WarmPath, IntegralRootReportsNoDualPivots) {
+  // max x + y over integers in [0, 3] with x + y <= 4. The cold start rests
+  // both at 3, and one pivot reaches the integral vertex (1, 3), so the root
+  // is the only node and no LP is warm.
+  Model m;
+  const VarId x = m.addInteger(0, 3);
+  const VarId y = m.addInteger(0, 3);
+  m.addLessEqual(LinExpr(x) + LinExpr(y), 4);
+  m.setObjective(-LinExpr(x) - LinExpr(y));
+  const Solution s = solve(m, quickParams());
+  ASSERT_EQ(s.status, SolveStatus::Optimal);
+  EXPECT_NEAR(s.objective, -4.0, 1e-9);
+  EXPECT_EQ(s.stats.nodes_explored, 1);
+  EXPECT_GT(s.stats.simplex_iterations, 0);
+  EXPECT_EQ(s.stats.dual_pivots, 0);
+}
+
+TEST(WarmPath, DualPivotsCountOnlyWarmResolves) {
+  util::Rng rng(13);
+  const Model m = makeBranchyMip(rng, 10);
+  const Solution s = solve(m, quickParams());
+  ASSERT_TRUE(s.hasSolution());
+  EXPECT_GT(s.stats.warm_hits, 0);
+  EXPECT_GT(s.stats.dual_pivots, 0);
+  // The cold root's pivots are iterations, not dual pivots.
+  EXPECT_LT(s.stats.dual_pivots, s.stats.simplex_iterations);
+}
+
 // ---- wall-clock budget ------------------------------------------------
 
 std::vector<double> modelLower(const Model& m) {
@@ -182,8 +214,9 @@ std::vector<double> modelUpper(const Model& m) {
   return out;
 }
 
-/// max 3x + 2y s.t. x + y <= 4, x + 3y <= 6, x, y in [0, 3]; optimum x = 3,
-/// y = 1. The >= row starts violated, so a cold solve runs Phase 1.
+/// max 3x + 2y s.t. x + y <= 4, x + 3y <= 6, x + y >= 1, x, y in [0, 3];
+/// optimum x = 3, y = 1. A cold solve rests both columns at 3, where both
+/// <= rows are violated, so it takes dual pivots.
 Model makeSmallLp() {
   Model m;
   const VarId x = m.addContinuous(0, 3);
