@@ -17,8 +17,9 @@
 # N_wash identity between incremental resolve and cold re-solve, gates a
 # >= 5x speedup, pdw.resolve.* partition invariants reconciled by obs_check
 # --resolve, run record diffed against the frozen rewash-quick-baseline
-# label), the ILP numerics (LU bit-identity differential, half-bounded LP
-# differential and the engine's wall-clock stops included), JSON decoder
+# label), the ILP numerics (LU and pivot-row pricing bit-identity
+# differentials, LinExpr building, half-bounded LP differential and the
+# engine's wall-clock stops included), JSON decoder
 # and grid-router tests (the router's path-identity differential
 # included) under ASan+UBSan, then
 # the parallel-runtime + obs + daemon-concurrency tests (determinism, route
@@ -149,12 +150,14 @@ else
   # The router's flat arrays index y * width + x: out-of-grid cells must be
   # filtered before any access, which the router differential suite probes.
   # The LP engine's per-row devex weights grow with every cut row, and its
-  # artificial bounds are probed by the half-bounded LP differential.
+  # artificial bounds are probed by the half-bounded LP differential. The
+  # row-wise pricer's CSR indexing, touched-column marks (read eight to a
+  # word) and growth by cut rows are probed by the pricing differential.
   cmake -B build-asan -S . -DPDW_ASAN=ON >/dev/null
   cmake --build build-asan -j --target pdw_tests
   ASAN_OPTIONS="halt_on_error=1" UBSAN_OPTIONS="print_stacktrace=1" \
     ./build-asan/tests/pdw_tests \
-    --gtest_filter='BasisLu.*:LuDifferential.*:BackendDifferential.*:ReferenceLp.*:ArtificialBound.*:WarmPath.*:EngineDeadline.*:GmiCuts.*:Simplex.*:Mip.*:WarmStart.*:Model.*:Presolve.*:LinExpr.*:ObsJson.*:RouterDifferential.*:RouterFixture.*:WashPathFixture.*:ChipLayout.*:CellSet.*'
+    --gtest_filter='BasisLu.*:LuDifferential.*:PricingDifferential.*:BackendDifferential.*:ReferenceLp.*:ArtificialBound.*:WarmPath.*:EngineDeadline.*:GmiCuts.*:Simplex.*:Mip.*:WarmStart.*:Model.*:Presolve.*:LinExpr.*:ObsJson.*:RouterDifferential.*:RouterFixture.*:WashPathFixture.*:ChipLayout.*:CellSet.*'
 fi
 
 if [[ "${PDW_SKIP_TSAN:-0}" == "1" ]]; then

@@ -16,7 +16,9 @@ namespace pdw::ilp {
 
 /// A linear expression: sum of (coefficient * variable) terms plus a
 /// constant. Terms are kept sorted by VarId with duplicates merged, so
-/// expressions compare and hash deterministically.
+/// expressions compare and hash deterministically. Building one term at a
+/// time in ascending VarId order appends; any other order merges in linear
+/// time, never re-sorting the whole expression.
 class LinExpr {
  public:
   LinExpr() = default;
@@ -73,7 +75,9 @@ class LinExpr {
   bool empty() const { return terms_.empty(); }
 
  private:
-  void normalize();
+  /// Adds `other` (negated when `negate`), both sides sorted and merged.
+  void mergeTerms(const std::vector<std::pair<VarId, double>>& other,
+                  bool negate);
 
   std::vector<std::pair<VarId, double>> terms_;
   double constant_ = 0.0;

@@ -38,24 +38,20 @@ Activity rowActivity(const Constraint& c, const Bounds& b) {
   return activity;
 }
 
-/// Worklist bound propagation over `bounds`. Seeded with `seed` rows;
-/// tightening a variable re-queues every row it appears in. Returns false
-/// on proven infeasibility. `max_pops <= 0` means unbounded.
-bool propagate(const Model& model,
-               const std::vector<std::vector<int>>& rows_of_var,
-               Bounds& bounds, const std::vector<int>& seed, double tol,
-               int max_pops, int* tightened) {
-  const int num_rows = model.numConstraints();
-  std::vector<char> queued(static_cast<std::size_t>(num_rows), 0);
+/// Working storage that every propagate() of one presolve() call reuses.
+struct PropagateScratch {
+  std::vector<char> queued;   ///< per row; all 0 between calls
   std::vector<int> queue;
-  queue.reserve(seed.size());
-  for (int r : seed) {
-    if (r < num_rows && !queued[static_cast<std::size_t>(r)]) {
-      queued[static_cast<std::size_t>(r)] = 1;
-      queue.push_back(r);
-    }
-  }
+  std::vector<char> integer;  ///< per variable: not Continuous
+};
 
+/// The worklist loop of propagate(), over the rows queued in `scratch`.
+bool drainQueue(const Model& model,
+                const std::vector<std::vector<int>>& rows_of_var,
+                Bounds& bounds, double tol, int max_pops, int* tightened,
+                PropagateScratch& scratch) {
+  std::vector<char>& queued = scratch.queued;
+  std::vector<int>& queue = scratch.queue;
   int pops = 0;
   for (std::size_t head = 0; head < queue.size(); ++head) {
     if (max_pops > 0 && ++pops > max_pops) break;  // budget: stop, stay valid
@@ -73,7 +69,7 @@ bool propagate(const Model& model,
 
     for (const auto& [var, coeff] : c.expr.terms()) {
       const std::size_t v = static_cast<std::size_t>(var);
-      const bool integer = model.var(var).type != VarType::Continuous;
+      const bool integer = scratch.integer[v] != 0;
       double new_lower = bounds.lower[v];
       double new_upper = bounds.upper[v];
 
@@ -134,6 +130,30 @@ bool propagate(const Model& model,
     }
   }
   return true;
+}
+
+/// Worklist bound propagation over `bounds`. Seeded with `seed` rows;
+/// tightening a variable re-queues every row it appears in. Returns false
+/// on proven infeasibility. `max_pops <= 0` means unbounded.
+bool propagate(const Model& model,
+               const std::vector<std::vector<int>>& rows_of_var,
+               Bounds& bounds, const std::vector<int>& seed, double tol,
+               int max_pops, int* tightened, PropagateScratch& scratch) {
+  const int num_rows = model.numConstraints();
+  std::vector<char>& queued = scratch.queued;
+  std::vector<int>& queue = scratch.queue;
+  queue.clear();
+  for (int r : seed) {
+    if (r < num_rows && !queued[static_cast<std::size_t>(r)]) {
+      queued[static_cast<std::size_t>(r)] = 1;
+      queue.push_back(r);
+    }
+  }
+  const bool feasible =
+      drainQueue(model, rows_of_var, bounds, tol, max_pops, tightened, scratch);
+  // Rows still queued when the loop stopped leave their flags behind.
+  for (const int r : queue) queued[static_cast<std::size_t>(r)] = 0;
+  return feasible;
 }
 
 bool isUnfixedBinary(const Model& model, const Bounds& b, VarId var,
@@ -232,6 +252,12 @@ PresolveResult presolve(Model& model, const PresolveOptions& options) {
     bounds.upper[static_cast<std::size_t>(v)] = model.var(v).upper;
   }
   std::vector<std::vector<int>> rows_of_var = buildAdjacency(model);
+  PropagateScratch scratch;
+  scratch.queued.assign(static_cast<std::size_t>(model.numConstraints()), 0);
+  scratch.integer.resize(static_cast<std::size_t>(model.numVars()));
+  for (VarId v = 0; v < model.numVars(); ++v)
+    scratch.integer[static_cast<std::size_t>(v)] =
+        model.var(v).type != VarType::Continuous;
 
   // Alternate propagation and coefficient strengthening to a joint
   // fixpoint: each strengthening changes activities, which can unlock more
@@ -240,7 +266,7 @@ PresolveResult presolve(Model& model, const PresolveOptions& options) {
     result.rounds = round + 1;
     int tightened = 0;
     if (!propagate(model, rows_of_var, bounds, allRows(model), tol,
-                   /*max_pops=*/0, &tightened)) {
+                   /*max_pops=*/0, &tightened, scratch)) {
       result.infeasible = true;
       return result;
     }
@@ -274,11 +300,13 @@ PresolveResult presolve(Model& model, const PresolveOptions& options) {
       probe0 = bounds;
       probe0.lower[vi] = probe0.upper[vi] = 0.0;
       const bool feasible0 = propagate(model, rows_of_var, probe0, seed, tol,
-                                       options.probe_row_limit, nullptr);
+                                       options.probe_row_limit, nullptr,
+                                       scratch);
       probe1 = bounds;
       probe1.lower[vi] = probe1.upper[vi] = 1.0;
       const bool feasible1 = propagate(model, rows_of_var, probe1, seed, tol,
-                                       options.probe_row_limit, nullptr);
+                                       options.probe_row_limit, nullptr,
+                                       scratch);
 
       if (!feasible0 && !feasible1) {
         result.infeasible = true;
@@ -308,7 +336,7 @@ PresolveResult presolve(Model& model, const PresolveOptions& options) {
     if (any_probe_change) {
       int tightened = 0;
       if (!propagate(model, rows_of_var, bounds, allRows(model), tol,
-                     /*max_pops=*/0, &tightened)) {
+                     /*max_pops=*/0, &tightened, scratch)) {
         result.infeasible = true;
         return result;
       }

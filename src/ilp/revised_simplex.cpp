@@ -8,61 +8,11 @@
 
 namespace pdw::ilp {
 
-RevisedSimplex::Csc RevisedSimplex::buildCsc(const Model& model) {
-  const int m = model.numConstraints();
-  const std::size_t n = static_cast<std::size_t>(model.numVars());
-  Csc csc;
-  // Count pass (duplicates counted, merged during the compaction below).
-  std::vector<int> counts(n + 1, 0);
-  for (int i = 0; i < m; ++i)
-    for (const auto& [var, coeff] : model.constraint(i).expr.terms())
-      ++counts[static_cast<std::size_t>(var) + 1];
-  csc.col_start.assign(n + 1, 0);
-  for (std::size_t j = 0; j < n; ++j)
-    csc.col_start[j + 1] = csc.col_start[j] + counts[j + 1];
-  const std::size_t raw_nnz = static_cast<std::size_t>(csc.col_start[n]);
-  csc.row_index.resize(raw_nnz);
-  csc.value.resize(raw_nnz);
-  std::vector<int> cursor(csc.col_start.begin(), csc.col_start.end() - 1);
-  for (int i = 0; i < m; ++i) {
-    for (const auto& [var, coeff] : model.constraint(i).expr.terms()) {
-      const int slot = cursor[static_cast<std::size_t>(var)]++;
-      csc.row_index[static_cast<std::size_t>(slot)] = i;
-      csc.value[static_cast<std::size_t>(slot)] = coeff;
-    }
-  }
-  // Rows land in ascending order per column already (outer loop over rows),
-  // so merging duplicates is a linear compaction.
-  std::size_t out = 0;
-  std::vector<int> merged_start(n + 1, 0);
-  for (std::size_t j = 0; j < n; ++j) {
-    merged_start[j] = static_cast<int>(out);
-    std::size_t k = static_cast<std::size_t>(csc.col_start[j]);
-    const std::size_t end = static_cast<std::size_t>(csc.col_start[j + 1]);
-    while (k < end) {
-      const int row = csc.row_index[k];
-      double v = csc.value[k];
-      ++k;
-      while (k < end && csc.row_index[k] == row) {
-        v += csc.value[k];
-        ++k;
-      }
-      if (v != 0.0) {
-        csc.row_index[out] = row;
-        csc.value[out] = v;
-        ++out;
-      }
-    }
-  }
-  merged_start[n] = static_cast<int>(out);
-  csc.row_index.resize(out);
-  csc.value.resize(out);
-  csc.col_start = std::move(merged_start);
-  return csc;
-}
-
 RevisedSimplex::RevisedSimplex(const Model& model, const SolveParams& params)
-    : model_(model), params_(params), csc_(buildCsc(model)) {
+    : model_(model),
+      params_(params),
+      csc_(buildCsc(model)),
+      csr_(buildCsr(csc_, model.numConstraints())) {
   using Clock = std::chrono::steady_clock;
   deadline_ = params.time_limit_seconds < 1e9
                   ? Clock::now() + std::chrono::duration_cast<Clock::duration>(
@@ -101,7 +51,6 @@ RevisedSimplex::RevisedSimplex(const Model& model, const SolveParams& params)
 
   alpha_.resize(static_cast<std::size_t>(m_));
   rho_.resize(static_cast<std::size_t>(m_));
-  row_.resize(static_cast<std::size_t>(total_));
 }
 
 std::int64_t RevisedSimplex::blandThreshold() const {
@@ -141,28 +90,14 @@ void RevisedSimplex::ftranColumn(int col, std::vector<double>* alpha) const {
   lu_.ftran(*alpha);
 }
 
-void RevisedSimplex::pivotRow(int pos, std::vector<double>* rho,
-                              std::vector<double>* row) const {
+void RevisedSimplex::pivotRow(int pos, std::vector<double>* rho) const {
   rho->assign(static_cast<std::size_t>(m_), 0.0);
   (*rho)[static_cast<std::size_t>(pos)] = 1.0;
   lu_.btran(*rho);
-  // Price every nonbasic column against rho (including currently fixed
-  // columns — their reduced costs must stay maintained so a later bound
-  // loosening can warm-start). Basic slots are left stale on purpose.
-  for (int j = 0; j < total_; ++j) {
-    if (pos_of_[static_cast<std::size_t>(j)] >= 0) continue;
-    double v = 0.0;
-    if (j < n_) {
-      for (int k = csc_.col_start[static_cast<std::size_t>(j)];
-           k < csc_.col_start[static_cast<std::size_t>(j) + 1]; ++k)
-        v += csc_.value[static_cast<std::size_t>(k)] *
-             (*rho)[static_cast<std::size_t>(
-                 csc_.row_index[static_cast<std::size_t>(k)])];
-    } else {
-      v = (*rho)[static_cast<std::size_t>(j - n_)];
-    }
-    (*row)[static_cast<std::size_t>(j)] = v;
-  }
+  // Prices every nonbasic column against rho, currently fixed columns
+  // included: their reduced costs must stay maintained so a later bound
+  // loosening can warm-start.
+  pricer_.price(csc_, csr_, *rho, pos_of_);
 }
 
 bool RevisedSimplex::refactor() {
@@ -644,7 +579,8 @@ RevisedSimplex::DualStatus RevisedSimplex::dualIterate(std::int64_t cap) {
     }
     const int p = basis_[static_cast<std::size_t>(r)];
 
-    pivotRow(r, &rho_, &row_);
+    pivotRow(r, &rho_);
+    const std::vector<double>& row = pricer_.row();
 
     // Dual ratio test over sign-eligible columns. With the row normalized
     // by sgn (+1 when the leaving variable is above its upper bound, -1
@@ -652,14 +588,16 @@ RevisedSimplex::DualStatus RevisedSimplex::dualIterate(std::int64_t cap) {
     // entry to help, an at-upper column a negative one, and dual
     // feasibility survives exactly for the minimum-ratio column (ties:
     // larger |entry|, or smaller index under Bland). No candidate means the
-    // row proves primal infeasibility.
+    // row proves primal infeasibility. A column outside the pricer's
+    // candidates has a +-0 entry and is never eligible; the candidates
+    // ascend, so ties break as in a scan over every column.
     const double sgn = above ? 1.0 : -1.0;
     int q = -1;
     double best_ratio = kInfinity;
     double best_mag = 0.0;
-    for (int j = 0; j < total_; ++j) {
+    for (const int j : pricer_.candidates()) {
       if (pos_of_[static_cast<std::size_t>(j)] >= 0 || fixedCol(j)) continue;
-      const double ahat = sgn * row_[static_cast<std::size_t>(j)];
+      const double ahat = sgn * row[static_cast<std::size_t>(j)];
       bool eligible = false;
       switch (vstat_[static_cast<std::size_t>(j)]) {
         case VStat::Lower:
@@ -694,7 +632,7 @@ RevisedSimplex::DualStatus RevisedSimplex::dualIterate(std::int64_t cap) {
       collectArtificial();
       bool helped = false;
       for (const int j : widen_) {
-        const double ahat = sgn * row_[static_cast<std::size_t>(j)];
+        const double ahat = sgn * row[static_cast<std::size_t>(j)];
         if (vstat_[static_cast<std::size_t>(j)] == VStat::Upper ? ahat > kEps
                                                                 : ahat < -kEps)
           helped = true;
@@ -772,10 +710,11 @@ RevisedSimplex::DualStatus RevisedSimplex::dualIterate(std::int64_t cap) {
       refreshed = true;
     }
     if (!refreshed) {
-      // Incremental reduced-cost update from the priced pivot row.
-      for (int j = 0; j < total_; ++j) {
+      // Incremental reduced-cost update from the priced pivot row; a
+      // column outside its candidates has a +-0 entry and keeps its d_j.
+      for (const int j : pricer_.candidates()) {
         if (pos_of_[static_cast<std::size_t>(j)] >= 0 || j == p) continue;
-        const double arj = row_[static_cast<std::size_t>(j)];
+        const double arj = row[static_cast<std::size_t>(j)];
         if (arj != 0.0) d_[static_cast<std::size_t>(j)] -= theta * arj;
       }
       d_[static_cast<std::size_t>(p)] = -theta;
@@ -793,7 +732,8 @@ bool RevisedSimplex::tableauRow(VarId var, TableauRowView* out) const {
   for (int j = 0; j < n_; ++j)
     if (artificialLower(j) || artificialUpper(j)) return false;
 
-  pivotRow(pos, &rho_, &row_);
+  pivotRow(pos, &rho_);
+  const std::vector<double>& row = pricer_.row();
   out->coeff.assign(static_cast<std::size_t>(total_), 0.0);
   out->status.resize(static_cast<std::size_t>(total_));
   out->lower.resize(static_cast<std::size_t>(total_));
@@ -821,7 +761,7 @@ bool RevisedSimplex::tableauRow(VarId var, TableauRowView* out) const {
         out->status[static_cast<std::size_t>(j)] = ColStatus::Free;
         break;
     }
-    const double a = row_[static_cast<std::size_t>(j)];
+    const double a = row[static_cast<std::size_t>(j)];
     out->coeff[static_cast<std::size_t>(j)] = a;
     if (a != 0.0) rhs += a * x_[static_cast<std::size_t>(j)];
   }
@@ -852,45 +792,12 @@ void RevisedSimplex::addCutRows(const std::vector<CutRow>& rows) {
     }
   }
 
-  // Extend the CSC: per-column new entries arrive in ascending row order
-  // (cut k lands on row old_m + k), so appending them after each column's
-  // existing entries keeps rows sorted within columns.
-  std::vector<std::vector<std::pair<int, double>>> extra(
-      static_cast<std::size_t>(n_));
-  for (int k = 0; k < added; ++k)
-    for (const auto& [v, c] : rows[static_cast<std::size_t>(k)].terms)
-      if (v >= 0 && v < n_ && c != 0.0)
-        extra[static_cast<std::size_t>(v)].emplace_back(old_m + k, c);
-  Csc next;
-  next.col_start.resize(static_cast<std::size_t>(n_) + 1);
-  next.col_start[0] = 0;
-  for (int j = 0; j < n_; ++j) {
-    const int old_len = csc_.col_start[static_cast<std::size_t>(j) + 1] -
-                        csc_.col_start[static_cast<std::size_t>(j)];
-    next.col_start[static_cast<std::size_t>(j) + 1] =
-        next.col_start[static_cast<std::size_t>(j)] + old_len +
-        static_cast<int>(extra[static_cast<std::size_t>(j)].size());
-  }
-  next.row_index.reserve(static_cast<std::size_t>(next.col_start.back()));
-  next.value.reserve(static_cast<std::size_t>(next.col_start.back()));
-  for (int j = 0; j < n_; ++j) {
-    for (int k = csc_.col_start[static_cast<std::size_t>(j)];
-         k < csc_.col_start[static_cast<std::size_t>(j) + 1]; ++k) {
-      next.row_index.push_back(csc_.row_index[static_cast<std::size_t>(k)]);
-      next.value.push_back(csc_.value[static_cast<std::size_t>(k)]);
-    }
-    for (const auto& [row, coeff] : extra[static_cast<std::size_t>(j)]) {
-      next.row_index.push_back(row);
-      next.value.push_back(coeff);
-    }
-  }
-  csc_ = std::move(next);
+  appendCutRows(rows, &csc_, &csr_);
 
   m_ += added;
   total_ = n_ + m_;
   alpha_.resize(static_cast<std::size_t>(m_));
   rho_.resize(static_cast<std::size_t>(m_));
-  row_.resize(static_cast<std::size_t>(total_));
 
   // Extend the loaded state, if any: each new slack enters the basis at the
   // value its row activity dictates, with reduced cost 0. Block structure

@@ -6,6 +6,13 @@
 // BTRAN for the pivot row — so per-iteration cost tracks the *nonzeros* of
 // the model, not its dimensions:
 //
+//  * Row-wise pricing (pricing.h). The pivot row scatters rho_i * A_i over
+//    the rows where rho = e_r^T B^{-1} is nonzero, through a row-wise copy
+//    of A, and records the columns it reaches; the ratio test and the
+//    reduced-cost update visit only those. Each entry adds its products
+//    over ascending rows, as a column-wise dot product does, so every
+//    pivot is bit-identical to pricing column by column. A rho denser than
+//    PivotRowPricer::kColumnWiseDensity is priced column by column.
 //  * Native bounded-variable columns. Every model variable is exactly one
 //    column with its node bounds attached; a nonbasic column sits AtLower /
 //    AtUpper / at-value (free). No free-variable splits, no complement
@@ -72,6 +79,7 @@
 #include "ilp/basis_lu.h"
 #include "ilp/lp_backend.h"
 #include "ilp/model.h"
+#include "ilp/pricing.h"
 #include "ilp/types.h"
 
 namespace pdw::ilp {
@@ -94,27 +102,18 @@ class RevisedSimplex final : public LpBackend {
   /// plus a pricing pass — the engine's native column space *is* the
   /// canonical space, so no translation is needed.
   bool tableauRow(VarId var, TableauRowView* out) const override;
-  /// Incremental cut rows: extends the CSC, rhs and slack-bound arrays, adds
-  /// each new row's slack to the basis (keeping it valid and dual-feasible)
-  /// and refactorizes; the next solve()'s `factorizations` counts that
-  /// refactorization. A failed refactorization just clears the warm state —
-  /// the next solve() runs cold over the extended row set.
+  /// Incremental cut rows: extends both copies of the matrix, the rhs and
+  /// slack-bound arrays, adds each new row's slack to the basis (keeping it
+  /// valid and dual-feasible) and refactorizes; the next solve()'s
+  /// `factorizations` counts that refactorization. A failed refactorization
+  /// just clears the warm state — the next solve() runs cold over the
+  /// extended row set.
   void addCutRows(const std::vector<CutRow>& rows) override;
   void setFlightRecorder(obs::FlightRecorder* recorder) override {
     flight_ = recorder;
   }
 
  private:
-  /// Compressed-sparse-column constraint matrix over the model variables
-  /// (slack columns are implicit unit columns). Duplicate (row, var) terms
-  /// are merged; rows ascend within each column.
-  struct Csc {
-    std::vector<int> col_start;  ///< size n + 1
-    std::vector<int> row_index;
-    std::vector<double> value;
-  };
-  static Csc buildCsc(const Model& model);
-
   static constexpr double kEps = 1e-9;
   /// Dual feasibility tolerance on reduced costs.
   static constexpr double kDualTol = 1e-7;
@@ -180,10 +179,10 @@ class RevisedSimplex final : public LpBackend {
   void columnEntries(int col, BasisLu::SparseColumn* out) const;
   /// alpha = B^{-1} A_col, dense by basis position.
   void ftranColumn(int col, std::vector<double>* alpha) const;
-  /// row = (e_pos^T B^{-1}) A over all *nonbasic* columns (dense by column;
-  /// basic slots left stale — callers must only read nonbasic entries).
-  void pivotRow(int pos, std::vector<double>* rho,
-                std::vector<double>* row) const;
+  /// rho = e_pos^T B^{-1} by BTRAN, then pricer_ prices rho^T [A | I]:
+  /// callers read only nonbasic entries of pricer_.row(), and the ratio
+  /// test and reduced-cost update only pricer_.candidates().
+  void pivotRow(int pos, std::vector<double>* rho) const;
 
   /// Refactorize the current basis and recompute x_B and reduced costs from
   /// scratch. Returns false when the basis is numerically singular.
@@ -221,6 +220,7 @@ class RevisedSimplex final : public LpBackend {
   const Model& model_;
   const SolveParams& params_;
   Csc csc_;
+  Csr csr_;  ///< row-wise copy of csc_, kept in step by addCutRows
   /// Construction time + params.time_limit_seconds (max() when unbounded).
   std::chrono::steady_clock::time_point deadline_;
 
@@ -254,7 +254,8 @@ class RevisedSimplex final : public LpBackend {
   obs::FlightRecorder* flight_ = nullptr;  ///< not owned; may be null
 
   // scratch
-  mutable std::vector<double> alpha_, rho_, row_;
+  mutable std::vector<double> alpha_, rho_;
+  mutable PivotRowPricer pricer_;
   std::vector<BasisLu::SparseColumn> basis_cols_;  ///< refactor()'s gather
   std::vector<int> widen_;  ///< columns resting on artificial bounds
   double widen_step_ = 0.0;  ///< planWidening()'s outward step

@@ -1,8 +1,14 @@
 // Model container, LinExpr algebra and presolve tests.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
+#include <utility>
+#include <vector>
+
 #include "ilp/presolve.h"
 #include "ilp/solver.h"
+#include "util/rng.h"
 
 namespace pdw::ilp {
 namespace {
@@ -39,6 +45,139 @@ TEST(LinExpr, Evaluate) {
   LinExpr e = 2.0 * LinExpr(0) - 3.0 * LinExpr(2) + 1.0;
   std::vector<double> x = {4.0, 9.0, 2.0};
   EXPECT_DOUBLE_EQ(e.evaluate(x), 8.0 - 6.0 + 1.0);
+}
+
+/// The LinExpr building LinExpr replaced: every add, += and -= appended
+/// and then re-sorted and re-merged all terms. The reference its linear
+/// merge must match term for term.
+struct SortMergeExpr {
+  std::vector<std::pair<VarId, double>> terms;
+  double constant = 0.0;
+
+  void normalize() {
+    std::sort(terms.begin(), terms.end(),
+              [](const auto& a, const auto& b) { return a.first < b.first; });
+    std::size_t out = 0;
+    for (std::size_t i = 0; i < terms.size();) {
+      const VarId var = terms[i].first;
+      double coeff = 0.0;
+      while (i < terms.size() && terms[i].first == var) {
+        coeff += terms[i].second;
+        ++i;
+      }
+      if (coeff != 0.0) terms[out++] = {var, coeff};
+    }
+    terms.resize(out);
+  }
+  void add(VarId var, double coeff) {
+    if (coeff == 0.0) return;
+    terms.emplace_back(var, coeff);
+    normalize();
+  }
+  void addExpr(const SortMergeExpr& other, double sign) {
+    const std::vector<std::pair<VarId, double>> copy = other.terms;
+    if (sign > 0)
+      constant += other.constant;
+    else
+      constant -= other.constant;
+    for (const auto& [var, coeff] : copy)
+      terms.emplace_back(var, sign > 0 ? coeff : -coeff);
+    normalize();
+  }
+  void scale(double factor) {
+    constant *= factor;
+    if (factor == 0.0) {
+      terms.clear();
+      return;
+    }
+    for (auto& [var, coeff] : terms) coeff *= factor;
+  }
+};
+
+bool sameExpr(const LinExpr& e, const SortMergeExpr& ref) {
+  if (e.terms().size() != ref.terms.size()) return false;
+  const double constant = e.constant();
+  if (std::memcmp(&ref.constant, &constant, sizeof(double)) != 0)
+    return false;
+  for (std::size_t k = 0; k < ref.terms.size(); ++k) {
+    if (e.terms()[k].first != ref.terms[k].first) return false;
+    if (std::memcmp(&e.terms()[k].second, &ref.terms[k].second,
+                    sizeof(double)) != 0)
+      return false;
+  }
+  return true;
+}
+
+TEST(LinExpr, MatchesSortAndMergeReference) {
+  // Coefficients cancel exactly (dyadic values) or round (0.1, -0.3); no
+  // product underflows, where the reference would keep a zero term.
+  const std::vector<double> coeffs = {-2.0, -1.0, -0.5, 0.0, 0.5,
+                                      1.0,  3.0,  0.1,  -0.3};
+  const std::vector<double> factors = {-1.0, 2.0, 0.5, -3.0, 0.0, 0.1};
+  util::Rng rng(77);
+  int ops = 0;
+  for (int trial = 0; trial < 200; ++trial) {
+    std::vector<LinExpr> exprs(4);
+    std::vector<SortMergeExpr> refs(4);
+    for (int step = 0; step < 40; ++step, ++ops) {
+      const std::size_t a = rng.index(exprs.size());
+      const std::size_t b = rng.index(exprs.size());  // may be a: e += e
+      switch (rng.intIn(0, 5)) {
+        case 0:
+        case 1: {
+          // Ascending runs take the append path, others the insert path.
+          const VarId var = rng.intIn(0, 24);
+          const double c = coeffs[rng.index(coeffs.size())];
+          exprs[a].add(var, c);
+          refs[a].add(var, c);
+          break;
+        }
+        case 2: {
+          const double c = static_cast<double>(rng.intIn(-3, 3));
+          exprs[a] += LinExpr(c);
+          refs[a].constant += c;
+          refs[a].normalize();
+          break;
+        }
+        case 3:
+          exprs[a] += exprs[b];
+          refs[a].addExpr(refs[b], 1.0);
+          break;
+        case 4:
+          exprs[a] -= exprs[b];
+          refs[a].addExpr(refs[b], -1.0);
+          break;
+        default: {
+          const double f = factors[rng.index(factors.size())];
+          exprs[a] *= f;
+          refs[a].scale(f);
+          break;
+        }
+      }
+      ASSERT_TRUE(sameExpr(exprs[a], refs[a]))
+          << "trial " << trial << " step " << step;
+    }
+  }
+  RecordProperty("ops", ops);
+}
+
+TEST(LinExpr, AddsAndSubtractsItself) {
+  LinExpr e = 2.0 * LinExpr(3) - LinExpr(1) + 4.0;
+  e += e;
+  ASSERT_EQ(e.terms().size(), 2u);
+  EXPECT_EQ(e.terms()[0], (std::pair<VarId, double>{1, -2.0}));
+  EXPECT_EQ(e.terms()[1], (std::pair<VarId, double>{3, 4.0}));
+  EXPECT_EQ(e.constant(), 8.0);
+  e -= e;
+  EXPECT_TRUE(e.empty());
+  EXPECT_EQ(e.constant(), 0.0);
+}
+
+TEST(LinExpr, ScalingDropsTermsThatUnderflow) {
+  LinExpr e = 1e-300 * LinExpr(0) + LinExpr(1);
+  e *= 1e-300;
+  ASSERT_EQ(e.terms().size(), 1u);
+  EXPECT_EQ(e.terms()[0].first, 1);
 }
 
 TEST(Model, ConstantFoldedIntoRhs) {

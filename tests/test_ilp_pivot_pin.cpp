@@ -1,0 +1,111 @@
+// Pivot-identity pin. Node LPs are degenerate 0-1 relaxations with
+// alternative optima, so any change to the LP engine's arithmetic or pivot
+// rules can move the search to another vertex and change a plan
+// (DESIGN.md §12.2). A change meant to be bit-identical (a faster pricing
+// loop, a reused buffer) must leave every pivot where it was; this suite
+// fails on the first one that moves.
+//
+// Each case runs one Table-II benchmark through Pipeline::run at
+// bench_ilp_solver's work caps (200 schedule / 20 path nodes per MIP, 3600 s
+// wall limits no run reaches, 1 thread), so the work done depends only on
+// the code. The run's registry deltas and a fingerprint of its canonical
+// plan must equal the constants below. A change that moves pivots on
+// purpose records the new constants and says so in CHANGES.md.
+#include <gtest/gtest.h>
+
+#include <cstdint>
+#include <string>
+
+#include "assay/benchmarks.h"
+#include "core/pipeline.h"
+#include "obs/metric_names.h"
+#include "service/protocol.h"
+#include "sim/metrics.h"
+#include "synth/placer.h"
+#include "synth/synthesizer.h"
+
+namespace pdw {
+namespace {
+
+using assay::BenchmarkId;
+
+/// The recorded work and plan of one benchmark's run.
+struct Pin {
+  BenchmarkId id;
+  std::int64_t solves;
+  std::int64_t nodes;
+  std::int64_t iterations;
+  std::int64_t dual_pivots;
+  std::int64_t refactorizations;
+  std::int64_t cuts_added;
+  std::int64_t cut_iterations;
+  std::int64_t cut_refactorizations;
+  int n_wash;
+  double l_wash_mm;
+  double t_assay;
+  std::uint64_t plan_fnv;  ///< FNV-1a of service::canonicalPlan
+};
+
+std::uint64_t fnv1a(const std::string& text) {
+  std::uint64_t h = 14695981039346656037ull;
+  for (const char c : text) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+class PivotPin : public ::testing::TestWithParam<Pin> {};
+
+TEST_P(PivotPin, WorkAndPlanMatchRecordedRun) {
+  const Pin& pin = GetParam();
+  const assay::Benchmark b = assay::makeBenchmark(pin.id);
+  synth::SynthResult base =
+      synth::synthesizeOnChip(*b.graph, synth::placeChip(b.library));
+  core::PdwOptions options = core::PdwOptions{}
+                                 .withThreads(1)
+                                 .withScheduleBudget(3600.0, 200)
+                                 .withPathBudget(3600.0, 20);
+  const PdwResult result = Pipeline(std::move(options)).run(base.schedule);
+
+  namespace names = obs::names;
+  const obs::MetricsSnapshot& m = result.metrics;
+  EXPECT_EQ(m.counter(names::kBbSolves), pin.solves);
+  EXPECT_EQ(m.counter(names::kBbNodes), pin.nodes);
+  EXPECT_EQ(m.counter(names::kSimplexIterations), pin.iterations);
+  EXPECT_EQ(m.counter(names::kSimplexDualPivots), pin.dual_pivots);
+  EXPECT_EQ(m.counter(names::kSimplexRefactorizations),
+            pin.refactorizations);
+  EXPECT_EQ(m.counter(names::kCutsAdded), pin.cuts_added);
+  EXPECT_EQ(m.counter(names::kCutsSimplexIterations), pin.cut_iterations);
+  EXPECT_EQ(m.counter(names::kCutsRefactorizations),
+            pin.cut_refactorizations);
+
+  const sim::WashMetrics wm =
+      sim::computeMetrics(result.schedule(), base.schedule);
+  EXPECT_EQ(wm.n_wash, pin.n_wash);
+  EXPECT_EQ(wm.l_wash_mm, pin.l_wash_mm);
+  EXPECT_EQ(wm.t_assay, pin.t_assay);
+  EXPECT_EQ(fnv1a(service::canonicalPlan(result.schedule())), pin.plan_fnv);
+}
+
+// Recorded on the commit before row-wise pricing (one simplex method, dual
+// devex pricing, column-wise pivot rows).
+INSTANTIATE_TEST_SUITE_P(
+    TableII, PivotPin,
+    ::testing::Values(
+        Pin{BenchmarkId::Pcr, 21, 310, 5888, 4996, 105, 599, 1570, 82, 5,
+            168.0, 92.800000000000026, 15074450502523479373ull},
+        Pin{BenchmarkId::Ivd, 45, 541, 12001, 9621, 210, 966, 3301, 174, 22,
+            699.0, 242.09999999999999, 589018277385357344ull},
+        Pin{BenchmarkId::KinaseAct1, 18, 312, 5245, 4341, 92, 611, 1349, 87,
+            11, 312.0, 146.40000000000006, 4596107480925008240ull}),
+    [](const ::testing::TestParamInfo<Pin>& info) {
+      std::string name = assay::toString(info.param.id);
+      for (char& c : name)
+        if (c == ' ' || c == '-') c = '_';
+      return name;
+    });
+
+}  // namespace
+}  // namespace pdw
