@@ -15,7 +15,6 @@
 //    the committed perf baseline this series is measured against.
 //
 //      bench_ilp_solver --json-out=out.json [--quick] [--label=NAME]
-//                       [--no-cuts]   # cuts, probing, coef tightening off
 //
 // Both modes additionally accept the shared observability flags
 // (bench_common.h): --run-store=FILE appends a `pdw-run-1` record for
@@ -47,18 +46,6 @@ using namespace pdw;
 /// --flight-out was given).
 obs::FlightConfig g_flight;
 
-/// --no-cuts: run every solve with root cutting planes, probing presolve
-/// and coefficient tightening off. The frozen "pre-cuts" label in
-/// BENCH_runs.jsonl came from an older solver and is no longer reproducible;
-/// the flag still measures what the three presolve/cut stages buy.
-bool g_no_cuts = false;
-
-void applyPreCuts(ilp::SolveParams* p) {
-  p->cuts.enabled = false;
-  p->probing = false;
-  p->coef_tightening = false;
-}
-
 /// Wall-clock limit of every measured solve. No run comes near it, so each
 /// row is work-capped: node and iteration caps decide where a solve stops,
 /// and `nodes` and `simplex_iterations` count the same work on any machine.
@@ -68,7 +55,6 @@ ilp::SolveParams benchParams() {
   ilp::SolveParams p;
   p.time_limit_seconds = kNoWallLimit;
   p.flight = g_flight;
-  if (g_no_cuts) applyPreCuts(&p);
   return p;
 }
 
@@ -237,10 +223,6 @@ BenchRecord runPipelineBenchmark(assay::BenchmarkId id) {
       .withPathBudget(kNoWallLimit, kPathNodeCap);
   options.solver.schedule.flight = g_flight;
   options.solver.path.flight = g_flight;
-  if (g_no_cuts) {
-    applyPreCuts(&options.solver.schedule);
-    applyPreCuts(&options.solver.path);
-  }
   options.num_threads = 1;  // sequential: canonical-lane solver numbers only
   Pipeline pipeline(options);
   const PdwResult result = pipeline.run(base.schedule);
@@ -396,8 +378,6 @@ int main(int argc, char** argv) {
       json_out = argv[++i];
     } else if (arg == "--quick") {
       quick = true;
-    } else if (arg == "--no-cuts") {
-      g_no_cuts = true;
     } else {
       bench_args.push_back(argv[i]);
     }

@@ -58,10 +58,6 @@ void printUsage() {
       "  --time-limit S     scheduling-ILP budget in seconds (default 8)\n"
       "  --threads N        execution lanes (default 0 = hardware\n"
       "                     concurrency; results are identical for any N)\n"
-      "  --cuts MODE        root cutting planes for both ILP stages:\n"
-      "                     on (default) | off | gomory | cover (enable one\n"
-      "                     separator family only; perf/ablation knob,\n"
-      "                     plans are identical either way)\n"
       "  --no-type1|2|3     disable a necessity exemption (ablation)\n"
       "  --no-integration   disable removal integration\n"
       "  --no-ilp-paths     BFS wash paths instead of the ILP\n"
@@ -185,14 +181,6 @@ std::optional<CliOptions> parseArgs(int argc, char** argv) {
       else if (arg == "--beta") options.pdw.beta = x;
       else if (arg == "--gamma") options.pdw.gamma = x;
       else options.pdw.withScheduleBudget(x, 60000);
-    } else if (arg == "--cuts") {
-      const auto value = value_of(i);
-      if (!value) return std::nullopt;
-      if (value->empty() || !core::applyCutsMode(*value, options.pdw.solver)) {
-        std::cerr << "unknown --cuts mode '" << *value
-                  << "' (on|off|gomory|cover)\n";
-        return std::nullopt;
-      }
     } else if (arg == "--threads") {
       const auto value = value_of(i);
       if (!value) return std::nullopt;

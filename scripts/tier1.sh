@@ -19,8 +19,8 @@
 # --resolve, run record diffed against the frozen rewash-quick-baseline
 # label), the ILP numerics (LU and pivot-row pricing bit-identity
 # differentials, LinExpr building, half-bounded LP differential and the
-# engine's wall-clock stops included), JSON decoder
-# and grid-router tests (the router's path-identity differential
+# engine's wall-clock stops included), root cuts, probing presolve and
+# pseudocost branching, JSON decoder and grid-router tests (the router's path-identity differential
 # included) under ASan+UBSan, then
 # the parallel-runtime + obs + daemon-concurrency tests (determinism, route
 # cache + epochs, tracing/metrics/logging, byte-identical concurrent pdwd
@@ -71,7 +71,7 @@ echo "== tier-1: ILP perf smoke (bench_ilp_solver --quick + pdw_report) =="
   --against BENCH_ilp.json --max-regression 10% --min-wall 0.05
 
 echo "== tier-1: root-cut reconciliation (bench flight vs registry) =="
-# Cuts are on by default in the quick bench above; the root separation loop
+# Cuts are always on in the quick bench above; the root separation loop
 # records one cut_added flight event per materialized cut into the
 # canonical lane, and obs_check asserts the stream's canonical cut_added
 # total equals the registry's ilp.cuts.added counter exactly (alongside the
@@ -146,18 +146,21 @@ cat "$obs_dir/rewash_runs.jsonl" >> "$obs_dir/rewash_store.jsonl"
 if [[ "${PDW_SKIP_ASAN:-0}" == "1" ]]; then
   echo "== tier-1: ASan/UBSan stage skipped (PDW_SKIP_ASAN=1) =="
 else
-  echo "== tier-1: ASan/UBSan build + ILP numerics / JSON decoder / grid router tests =="
+  echo "== tier-1: ASan/UBSan build + ILP numerics / cuts / JSON decoder / grid router tests =="
   # The router's flat arrays index y * width + x: out-of-grid cells must be
   # filtered before any access, which the router differential suite probes.
   # The LP engine's per-row devex weights grow with every cut row, and its
   # artificial bounds are probed by the half-bounded LP differential. The
   # row-wise pricer's CSR indexing, touched-column marks (read eight to a
   # word) and growth by cut rows are probed by the pricing differential.
+  # The root cut loop, probing, coefficient strengthening and pseudocost
+  # branching (cuts.cpp, presolve.cpp, solver.cpp) run under the cut,
+  # presolve and branching suites.
   cmake -B build-asan -S . -DPDW_ASAN=ON >/dev/null
   cmake --build build-asan -j --target pdw_tests
   ASAN_OPTIONS="halt_on_error=1" UBSAN_OPTIONS="print_stacktrace=1" \
     ./build-asan/tests/pdw_tests \
-    --gtest_filter='BasisLu.*:LuDifferential.*:PricingDifferential.*:BackendDifferential.*:ReferenceLp.*:ArtificialBound.*:WarmPath.*:EngineDeadline.*:GmiCuts.*:Simplex.*:Mip.*:WarmStart.*:Model.*:Presolve.*:LinExpr.*:ObsJson.*:RouterDifferential.*:RouterFixture.*:WashPathFixture.*:ChipLayout.*:CellSet.*'
+    --gtest_filter='BasisLu.*:LuDifferential.*:PricingDifferential.*:BackendDifferential.*:ReferenceLp.*:ArtificialBound.*:WarmPath.*:EngineDeadline.*:GmiCuts.*:Simplex.*:Mip.*:WarmStart.*:Model.*:Presolve.*:LinExpr.*:ObsJson.*:RouterDifferential.*:RouterFixture.*:WashPathFixture.*:ChipLayout.*:CellSet.*:CutsSolve.*:CoverCuts.*:CutPoolTest.*:CoefStrengthening.*:Probing.*:PseudocostBranching.*'
 fi
 
 if [[ "${PDW_SKIP_TSAN:-0}" == "1" ]]; then

@@ -19,7 +19,6 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <string_view>
 #include <utility>
 
 #include "core/schedule_ilp.h"
@@ -34,37 +33,25 @@ namespace pdw::core {
 
 class RouteCache;  // core/route_cache.h
 
-/// All solver knobs of the pipeline in one place: per-stage ilp::SolveParams
-/// for the scheduling ILP and the per-operation wash-path ILPs. Within
+/// The solver budgets of the pipeline's two ILP stages. Within
 /// `PdwOptions`, this struct is the authoritative source — the Pipeline
 /// facade copies `path` over `PdwOptions::path.solver` before routing, so
 /// standalone `routeWashPathIlp(..., WashPathOptions)` use is unaffected.
+/// Each stage's default budget lives with the stage: these start from
+/// `ScheduleIlpOptions{}.solver` and `WashPathOptions{}.solver`, and
+/// whatever a caller writes here is what the stage runs with.
 struct SolverConfig {
-  /// Scheduling-ILP knobs (eqs. 1-8, 16-26). NOTE: unless
-  /// `withScheduleBudget` pins a budget, the Pipeline facade replaces stock
-  /// `ilp::SolveParams` limits (10 s / 200000 nodes) with the PDW defaults
-  /// (8 s / 60000 nodes) and logs that it did so.
-  ilp::SolveParams schedule;
+  /// Scheduling-ILP budget (eqs. 1-8, 16-26): 8 s / 60000 nodes.
+  ilp::SolveParams schedule = ScheduleIlpOptions{}.solver;
 
-  /// Per-operation wash-path ILP knobs (eqs. 12-15). Defaults mirror the
-  /// standalone WashPathOptions (1.5 s / 8000 nodes).
-  ilp::SolveParams path;
+  /// Per-operation wash-path ILP budget (eqs. 12-15): 1.5 s / 8000 nodes.
+  ilp::SolveParams path = WashPathOptions{}.solver;
 
-  /// True once withScheduleBudget() pinned an explicit budget (suppresses
-  /// the facade's default-budget substitution).
-  bool schedule_budget_pinned = false;
-
-  SolverConfig() {
-    path.time_limit_seconds = 1.5;
-    path.node_limit = 8000;
-  }
-
-  /// Pin the scheduling-ILP budget (wall-clock seconds and, optionally, a
-  /// branch-and-bound node cap). Suppresses the facade's default budget.
+  /// Scheduling-ILP budget: wall-clock seconds and, optionally, a
+  /// branch-and-bound node cap (0 keeps the current cap).
   SolverConfig& withScheduleBudget(double seconds, std::int64_t nodes = 0) {
     schedule.time_limit_seconds = seconds;
     if (nodes > 0) schedule.node_limit = nodes;
-    schedule_budget_pinned = true;
     return *this;
   }
 
@@ -72,23 +59,6 @@ struct SolverConfig {
   SolverConfig& withPathBudget(double seconds, std::int64_t nodes = 0) {
     path.time_limit_seconds = seconds;
     if (nodes > 0) path.node_limit = nodes;
-    return *this;
-  }
-
-  /// Toggle the root cutting-plane loop (ilp/cuts.h) in both ILP stages.
-  /// The two-argument form additionally switches individual separator
-  /// families (Gomory mixed-integer / knapsack cover) while leaving the
-  /// master switch on. Cuts never change the optimum — only the size of
-  /// the branch-and-bound tree — so this is a perf/ablation knob.
-  SolverConfig& withCuts(bool enabled) {
-    schedule.cuts.enabled = enabled;
-    path.cuts.enabled = enabled;
-    return *this;
-  }
-  SolverConfig& withCuts(bool gomory, bool cover) {
-    schedule.cuts.enabled = path.cuts.enabled = gomory || cover;
-    schedule.cuts.gomory = path.cuts.gomory = gomory;
-    schedule.cuts.cover = path.cuts.cover = cover;
     return *this;
   }
 
@@ -103,34 +73,19 @@ struct SolverConfig {
     return *this;
   }
 
-  /// One-line description of the solver knobs that affect results or
-  /// performance, stamped into `pdw-run-1` records (obs/runs.h).
+  /// One-line description of both stages' budgets, stamped into
+  /// `pdw-run-1` records (obs/runs.h) and the pdwd plan-cache key.
   std::string fingerprint() const {
     return "schedule{" + ilp::fingerprint(schedule) + "} path{" +
            ilp::fingerprint(path) + "}";
   }
 };
 
-/// Apply a named root-cut policy to both ILP stages — the vocabulary of
-/// `pdw_cli --cuts`, `pdwd --cuts` and the pdwd `cuts` request key: "on",
-/// "off", "gomory" or "cover" (one separator family only); "" keeps the
-/// defaults. Returns false, leaving `config` unchanged, for any other name.
-inline bool applyCutsMode(std::string_view mode, SolverConfig& config) {
-  if (mode == "on") config.withCuts(true);
-  else if (mode == "off") config.withCuts(false);
-  else if (mode == "gomory") config.withCuts(true, false);
-  else if (mode == "cover") config.withCuts(false, true);
-  else return mode.empty();
-  return true;
-}
-
 /// One consolidated option block for the whole pipeline. The builder-style
-/// `with*` setters below are the supported way to configure a run — they
-/// cover every knob of the nested stage structs (wash physics, necessity
-/// exemptions, clustering, path routing, scheduling solver) so callers
-/// never have to reach into four namespaces. DESIGN.md §"Unified options"
-/// documents the mapping. Plain member access stays valid for the ablation
-/// benches.
+/// `with*` setters below cover what the tools, examples and the service set
+/// (threads, budgets, flight recording, the two ablation switches, shared
+/// runtime); every other knob is a plain field, written directly by the
+/// ablation benches and tests. DESIGN.md §8 documents the mapping.
 struct PdwOptions {
   /// Objective weights of eq. 26 (paper §IV: 0.3 / 0.3 / 0.4).
   double alpha = 0.3;
@@ -149,10 +104,11 @@ struct PdwOptions {
   /// Integrate excess removals into washes (paper §II-B; ablation).
   bool enable_integration = true;
 
+  /// Ordering-binary pruning horizon of the scheduling ILP (DESIGN.md §7).
   double order_horizon_s = 12.0;
 
-  /// All solver knobs (per-stage SolveParams, pinned budget flag).
-  /// Authoritative within the pipeline; see SolverConfig.
+  /// Per-stage solver budgets. Authoritative within the pipeline; see
+  /// SolverConfig.
   SolverConfig solver;
 
   /// Execution lanes for the parallel runtime (per-operation wash-path
@@ -183,34 +139,15 @@ struct PdwOptions {
 
   // ---- builder-style setters (each returns *this for chaining) ----------
 
-  /// Objective weights alpha (N_wash), beta (L_wash), gamma (T_assay).
-  PdwOptions& withWeights(double a, double b, double g) {
-    alpha = a;
-    beta = b;
-    gamma = g;
-    return *this;
-  }
-
   /// Runtime width; see num_threads.
   PdwOptions& withThreads(int threads) {
     num_threads = threads;
     return *this;
   }
 
-  /// Pin the scheduling-ILP budget (wall-clock seconds and, optionally, a
-  /// branch-and-bound node cap). Suppresses the facade's default budget.
+  /// Scheduling-ILP budget (see SolverConfig::withScheduleBudget).
   PdwOptions& withScheduleBudget(double seconds, std::int64_t nodes = 0) {
     solver.withScheduleBudget(seconds, nodes);
-    return *this;
-  }
-
-  /// Toggle root cutting planes for both ILP stages (see SolverConfig).
-  PdwOptions& withCuts(bool enabled) {
-    solver.withCuts(enabled);
-    return *this;
-  }
-  PdwOptions& withCuts(bool gomory, bool cover) {
-    solver.withCuts(gomory, cover);
     return *this;
   }
 
@@ -227,12 +164,6 @@ struct PdwOptions {
     return *this;
   }
 
-  /// Disable excess-removal integration (paper §II-B ablation).
-  PdwOptions& withoutIntegration() {
-    enable_integration = false;
-    return *this;
-  }
-
   /// BFS heuristic wash paths instead of the path ILP.
   PdwOptions& withoutIlpPaths() {
     use_ilp_paths = false;
@@ -242,42 +173,6 @@ struct PdwOptions {
   /// Greedy insertion instead of the scheduling ILP.
   PdwOptions& withoutIlpSchedule() {
     use_ilp_schedule = false;
-    return *this;
-  }
-
-  /// Toggle the Type 1/2/3 wash-necessity exemptions (eqs. 9-11).
-  PdwOptions& withNecessityExemptions(bool type1, bool type2, bool type3) {
-    necessity.enable_type1 = type1;
-    necessity.enable_type2 = type2;
-    necessity.enable_type3 = type3;
-    return *this;
-  }
-
-  /// Clustering window slack and maximum cluster span (wash::ClusterOptions).
-  PdwOptions& withClusterWindow(double min_window_s, int max_span) {
-    cluster.min_window_s = min_window_s;
-    cluster.max_span = max_span;
-    return *this;
-  }
-
-  /// Wash physics: flow velocity v_f [mm/s] and dissolution time t_d [s]
-  /// (wash::WashParams, eq. 17).
-  PdwOptions& withWashPhysics(double flow_velocity_mm_s,
-                              double dissolution_s) {
-    wash.flow_velocity_mm_s = flow_velocity_mm_s;
-    wash.dissolution_s = dissolution_s;
-    return *this;
-  }
-
-  /// Ordering-binary pruning horizon of the scheduling ILP (DESIGN.md §7).
-  PdwOptions& withOrderHorizon(double seconds) {
-    order_horizon_s = seconds;
-    return *this;
-  }
-
-  /// Route-cache capacity in problems; 0 disables caching.
-  PdwOptions& withRouteCache(std::size_t capacity) {
-    route_cache_capacity = capacity;
     return *this;
   }
 

@@ -55,19 +55,10 @@ RouteOutcome routeOperation(const arch::ChipLayout& chip,
     }
   }
 
+  // A nullopt is final: the ILP router also runs the BFS heuristic.
   if (options.use_ilp_paths) {
     out.path = core::routeWashPathIlp(chip, targets, options.path);
   } else {
-    out.path = core::routeWashPathHeuristic(chip, targets,
-                                            options.path.avoid_cells);
-  }
-  // Last resort, when the first attempt did not already include it: the
-  // heuristic on the whole grid (minus avoided cells — those are hard
-  // constraints). Target cells are on used flow paths, so ports can always
-  // reach them. A repeat of a heuristic that failed would fail again.
-  const bool tried_heuristic =
-      !options.use_ilp_paths || options.path.fallback_heuristic;
-  if (!out.path && !tried_heuristic) {
     out.path = core::routeWashPathHeuristic(chip, targets,
                                             options.path.avoid_cells);
   }
@@ -123,31 +114,6 @@ Pipeline::Pipeline(core::PdwOptions options) : options_(std::move(options)) {
   obs::setThreadName("pdw-main");
   if (options_.num_threads <= 0)
     options_.num_threads = util::ThreadPool::hardwareConcurrency();
-
-  // The PDW scheduling budget (8 s / 60000 nodes) historically replaced the
-  // stock ilp::SolveParams limits silently inside PdwOptions's constructor;
-  // the substitution now lives here, visibly. Fields the caller already
-  // moved off their stock defaults are respected.
-  if (!options_.solver.schedule_budget_pinned) {
-    const ilp::SolveParams stock;
-    bool substituted = false;
-    if (options_.solver.schedule.time_limit_seconds ==
-        stock.time_limit_seconds) {
-      options_.solver.schedule.time_limit_seconds = 8.0;
-      substituted = true;
-    }
-    if (options_.solver.schedule.node_limit == stock.node_limit) {
-      options_.solver.schedule.node_limit = 60000;
-      substituted = true;
-    }
-    if (substituted) {
-      PDW_LOG(Info, "pipeline")
-          << "scheduling solver budget defaulted to "
-          << options_.solver.schedule.time_limit_seconds << " s / "
-          << options_.solver.schedule.node_limit
-          << " nodes (pin with SolverConfig::withScheduleBudget)";
-    }
-  }
 
   // SolverConfig is the authoritative source of the wash-path solver knobs;
   // the copy keeps routeOperation's WashPathOptions (and the route-cache

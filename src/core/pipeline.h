@@ -101,10 +101,9 @@ struct PdwResult {
 
 class Pipeline {
  public:
-  /// Resolves num_threads (0 -> hardware concurrency), builds the runtime
-  /// (thread pool + route cache) and — unless withScheduleBudget pinned one —
-  /// applies the PDW scheduling-solver budget over the stock ilp defaults,
-  /// logging the substitution.
+  /// Resolves num_threads (0 -> hardware concurrency) and builds the
+  /// runtime (thread pool + route cache). The solver budgets run exactly as
+  /// given in `options.solver`.
   explicit Pipeline(core::PdwOptions options = {});
   ~Pipeline();
 
@@ -136,7 +135,8 @@ class Pipeline {
   /// True once run() has primed the state resolve() needs.
   bool canResolve() const;
 
-  /// The options as resolved by the constructor (threads, budgets).
+  /// The options as resolved by the constructor (thread count resolved,
+  /// `path.solver` taken from `solver.path`).
   const core::PdwOptions& options() const { return options_; }
 
   /// Lifetime route-cache statistics (accumulated over all run() calls).

@@ -209,10 +209,6 @@ RouteKey RouteCache::makeKey(const arch::ChipLayout& chip,
   key.blocked_hash = blocked_h;
 
   std::uint64_t opt_h = use_ilp ? 0x1234 : 0x4321;
-  opt_h = combine(opt_h, static_cast<std::uint64_t>(options.region_inflate));
-  opt_h = combine(opt_h,
-                  static_cast<std::uint64_t>(options.max_region_cells));
-  opt_h = combine(opt_h, options.fallback_heuristic ? 1 : 0);
   opt_h = combineDouble(opt_h, options.solver.time_limit_seconds);
   opt_h = combine(opt_h, static_cast<std::uint64_t>(options.solver.node_limit));
   opt_h = combine(opt_h, static_cast<std::uint64_t>(

@@ -10,7 +10,8 @@
 // pitch, every port, every device — the flow/waste port set the ILP chooses
 // from), the sorted target-cell set, a hash of the blocked cells (devices
 // not in the target set, which both routers avoid on their first pass), and
-// the routing options (ILP on/off, region knobs, solver budget). Lookups
+// the routing options (ILP on/off, solver budgets: the only path-solver
+// settings, so every setting that can change a path is in the key). Lookups
 // and inserts are thread-safe; the parallel routing stage shares one cache.
 #pragma once
 

@@ -22,10 +22,17 @@ using ilp::LinExpr;
 using ilp::Model;
 using ilp::VarId;
 
+/// Candidate-region inflation around the targets' bounding box.
+constexpr int kRegionInflate = 2;
+/// Larger candidate regions skip the ILP (straight to the heuristic): the
+/// exact model is reserved for the localized routing problems it is meant
+/// for.
+constexpr int kMaxRegionCells = 140;
+
 /// Candidate region: non-port, non-foreign-device cells inside the inflated
 /// bounding box of targets and the listed port cells.
 std::vector<Cell> buildRegion(const ChipLayout& chip,
-                              const std::vector<Cell>& targets, int inflate,
+                              const std::vector<Cell>& targets,
                               bool whole_grid,
                               const std::set<Cell>& avoid) {
   int min_x = chip.width(), min_y = chip.height(), max_x = -1, max_y = -1;
@@ -59,10 +66,10 @@ std::vector<Cell> buildRegion(const ChipLayout& chip,
     max_x = chip.width() - 1;
     max_y = chip.height() - 1;
   } else {
-    min_x = std::max(0, min_x - inflate);
-    min_y = std::max(0, min_y - inflate);
-    max_x = std::min(chip.width() - 1, max_x + inflate);
-    max_y = std::min(chip.height() - 1, max_y + inflate);
+    min_x = std::max(0, min_x - kRegionInflate);
+    min_y = std::max(0, min_y - kRegionInflate);
+    max_x = std::min(chip.width() - 1, max_x + kRegionInflate);
+    max_y = std::min(chip.height() - 1, max_y + kRegionInflate);
   }
 
   const std::set<Cell> target_set(targets.begin(), targets.end());
@@ -287,9 +294,9 @@ std::optional<FlowPath> routeWashPathIlp(const ChipLayout& chip,
   for (const Cell& t : targets)
     if (avoid.count(t)) return std::nullopt;
   for (const bool whole_grid : {false, true}) {
-    const std::vector<Cell> region = buildRegion(
-        chip, targets, options.region_inflate, whole_grid, avoid);
-    if (static_cast<int>(region.size()) > options.max_region_cells) break;
+    const std::vector<Cell> region =
+        buildRegion(chip, targets, whole_grid, avoid);
+    if (static_cast<int>(region.size()) > kMaxRegionCells) break;
     PathModel pm = buildModel(chip, region, targets, avoid);
 
     // Lazy connectivity-cut loop.
@@ -317,8 +324,6 @@ std::optional<FlowPath> routeWashPathIlp(const ChipLayout& chip,
     }
     if (ilp_path) break;
   }
-
-  if (!options.fallback_heuristic) return ilp_path;
 
   // The restricted-region ILP can be beaten by the grid-wide heuristic;
   // keep whichever path is shorter.

@@ -30,15 +30,6 @@ struct WashPathStats {
 
 struct WashPathOptions {
   ilp::SolveParams solver;
-  /// Candidate-region inflation around the targets' bounding box.
-  int region_inflate = 2;
-  /// Skip the ILP (straight to the heuristic) when the candidate region
-  /// exceeds this many cells — the exact model is reserved for the
-  /// localized routing problems it is meant for.
-  int max_region_cells = 140;
-  /// Fall back to the BFS heuristic when the ILP fails or times out; when
-  /// both succeed the shorter path wins.
-  bool fallback_heuristic = true;
   /// Cells no wash path may enter (stuck valves / damaged cells reported by
   /// a ScheduleDelta). Hard constraint for BOTH routers on every pass —
   /// unlike foreign devices, which only the restricted pass avoids. Part of
@@ -52,9 +43,13 @@ struct WashPathOptions {
   }
 };
 
-/// Route an optimal wash path covering `targets` on `chip` via the ILP.
-/// `occupied_devices` (optional) marks device cells the path must avoid
-/// (devices holding fluids); target cells are always allowed.
+/// Route a wash path covering `targets` on `chip` via the ILP, first over
+/// the targets' neighbourhood (their bounding box grown toward the two
+/// nearest flow and waste ports, inflated by 2 cells), then over the whole
+/// grid; a region above 140 cells is not modelled. The BFS heuristic
+/// (routeWashPathHeuristic) always runs as well: the shorter path wins, and
+/// when the ILP finds none the heuristic's path is returned and counted as
+/// a fallback. nullopt means neither router reached every target.
 std::optional<arch::FlowPath> routeWashPathIlp(
     const arch::ChipLayout& chip, const std::vector<arch::Cell>& targets,
     const WashPathOptions& options = {}, WashPathStats* stats = nullptr);

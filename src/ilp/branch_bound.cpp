@@ -20,6 +20,10 @@ namespace pdw::ilp {
 
 namespace {
 
+/// Relative gap at which the search stops with the incumbent proven
+/// optimal.
+constexpr double kMipGap = 1e-6;
+
 /// Fold one finished MIP solve into the registry. Counters are batched here
 /// — once per solve, from the already-collected SolveStats — so the search
 /// loop itself carries no per-node counter cost. The simplex call/iteration
@@ -296,7 +300,7 @@ class BranchAndBound {
       if (has_incumbent_) {
         fix_buffer_.clear();
         engine_->collectReducedCostFixes(incumbent_obj_ - lp.objective,
-                                         params_.integrality_tol,
+                                         kIntegralityTol,
                                          &fix_buffer_);
         if (!fix_buffer_.empty()) applyRcFixes(entry.node);
       }
@@ -305,7 +309,7 @@ class BranchAndBound {
       if (flight_)
         flight_->record(obs::FlightEventKind::NodeBranched, entry.node,
                         static_cast<double>(branch_var), value);
-      const double floor_value = std::floor(value + params_.integrality_tol);
+      const double floor_value = std::floor(value + kIntegralityTol);
       const double frac =
           std::min(1.0, std::max(0.0, value - floor_value));
       pushChild(entry.node, branch_var,
@@ -378,7 +382,7 @@ class BranchAndBound {
     if (open_.empty()) return true;
     const double gap = (incumbent_obj_ - open_.top().bound) /
                        std::max(1.0, std::abs(incumbent_obj_));
-    return gap <= params_.mip_gap;
+    return gap <= kMipGap;
   }
 
   // ---- incremental bound tracking ----------------------------------------
@@ -466,7 +470,7 @@ class BranchAndBound {
   /// farthest from the nearest integer.
   VarId pickMostFractional(const std::vector<double>& values) const {
     VarId best = -1;
-    double best_frac = params_.integrality_tol;
+    double best_frac = kIntegralityTol;
     for (VarId v : integer_vars_) {
       const double value = values[static_cast<std::size_t>(v)];
       const double frac = std::abs(value - std::round(value));
@@ -497,7 +501,7 @@ class BranchAndBound {
     for (VarId v : integer_vars_) {
       const std::size_t vi = static_cast<std::size_t>(v);
       const double value = values[vi];
-      if (std::abs(value - std::round(value)) <= params_.integrality_tol)
+      if (std::abs(value - std::round(value)) <= kIntegralityTol)
         continue;
       const double f_down = value - std::floor(value);
       const double f_up = 1.0 - f_down;
@@ -642,9 +646,8 @@ Solution solveMip(const Model& model, const SolveParams& params) {
   // before the search starts: the search inherits the cut rows as ordinary
   // constraints, so its warm-start contract is untouched.
   Model augmented;
-  const Model* search_model = &model;
   CutStats cuts;
-  if (params.cuts.enabled) {
+  {
     std::vector<double> check_point;
     if (params.warm_start.size() ==
         static_cast<std::size_t>(model.numVars())) {
@@ -658,13 +661,12 @@ Solution solveMip(const Model& model, const SolveParams& params) {
     PDW_TRACE_SPAN("ilp", "root_cuts");
     augmented = model;
     cuts = separateRootCuts(augmented, params, check_point, flight.get());
-    search_model = &augmented;
   }
 
   Solution result;
   {
     PDW_TRACE_SPAN("ilp", "branch_and_bound");
-    BranchAndBound search(*search_model, params, flight.get());
+    BranchAndBound search(augmented, params, flight.get());
     result = search.run();
   }
   result.stats.cuts = cuts;

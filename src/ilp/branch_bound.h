@@ -12,8 +12,9 @@
 
 namespace pdw::ilp {
 
-/// Solve `model` as a mixed-integer program. Pure-LP models are delegated to
-/// the simplex directly.
+/// Solve `model` as a mixed-integer program, without presolve (solve() in
+/// solver.h is presolve + solveMip). Pure-LP models are delegated to the
+/// simplex directly.
 Solution solveMip(const Model& model, const SolveParams& params);
 
 }  // namespace pdw::ilp

@@ -17,6 +17,21 @@ constexpr double kCoeffDrop = 1e-12;  ///< relative zero threshold for cuts
 constexpr double kMaxDynamism = 1e7;  ///< max |coeff| ratio within one cut
 constexpr double kMinViolation = 1e-5;
 
+// The root loop's fixed policy (DESIGN.md §13).
+constexpr int kMaxRounds = 8;      ///< separation rounds at the root
+constexpr int kMaxPerRound = 32;   ///< cut cap per round (most violated first)
+/// Gomory cuts with more than max(16, kMaxSupportFrac * numVars()) nonzero
+/// model terms are discarded: dense cut rows destroy the basis-LU sparsity
+/// and cost more per simplex iteration across the whole search than their
+/// root-bound improvement buys back.
+constexpr double kMaxSupportFrac = 0.4;
+/// Tailing-off guard: a round that improves the root LP bound by less than
+/// kTailoffTol * (1 + |bound|) counts as flat.
+constexpr double kTailoffTol = 1e-4;
+/// A cut slack at the round's LP optimum for this many consecutive rounds
+/// is evicted before the cuts are materialized for the search.
+constexpr int kEvictAfterRounds = 2;
+
 double fractionalPart(double v) { return v - std::floor(v); }
 
 /// Finalize a >=-form cut `coeff . x >= rhs` over dense model-variable
@@ -65,8 +80,7 @@ bool CutPool::add(const Cut& cut) {
 }
 
 std::optional<Cut> gmiCut(const LpBackend::TableauRowView& view,
-                          VarId basic_var, const Model& model,
-                          double integrality_tol) {
+                          const Model& model) {
   const int n = model.numVars();
   const int total = static_cast<int>(view.coeff.size());
   const int m = total - n;
@@ -140,8 +154,6 @@ std::optional<Cut> gmiCut(const LpBackend::TableauRowView& view,
       rhs += sign * gamma * con.rhs;
     }
   }
-  (void)integrality_tol;
-  (void)basic_var;
 
   Cut cut;
   if (!finalizeCut(model_coeff, rhs, CutFamily::Gomory, &cut))
@@ -250,7 +262,6 @@ CutStats separateRootCuts(Model& model, const SolveParams& params,
                           const std::vector<double>& check_point,
                           obs::FlightRecorder* flight) {
   CutStats stats;
-  if (!params.cuts.enabled) return stats;
   if (model.numIntegerVars() == 0 || model.numConstraints() == 0) return stats;
 
   const int n = model.numVars();
@@ -286,41 +297,40 @@ CutStats separateRootCuts(Model& model, const SolveParams& params,
   };
 
   int quiet_rounds = 0;  // consecutive rounds with no root-bound progress
-  for (int round = 0; round < params.cuts.max_rounds; ++round) {
+  for (int round = 0; round < kMaxRounds; ++round) {
     stats.rounds = round + 1;
 
+    // Gomory cuts from the fractional integer variables, most-fractional
+    // first.
     std::vector<Cut> candidates;
-    if (params.cuts.gomory) {
-      // Fractional integer variables, most-fractional first.
-      std::vector<std::pair<double, VarId>> frac;
-      for (VarId v = 0; v < n; ++v) {
-        if (model.var(v).type == VarType::Continuous) continue;
-        const double value = lp.values[static_cast<std::size_t>(v)];
-        const double dist = std::abs(value - std::round(value));
-        if (dist > params.integrality_tol) frac.emplace_back(-dist, v);
-      }
-      std::sort(frac.begin(), frac.end());
-      const int attempts = std::min<int>(static_cast<int>(frac.size()),
-                                         4 * params.cuts.max_per_round);
-      const int max_support = std::max(
-          16, static_cast<int>(params.cuts.max_support_frac * n));
-      LpBackend::TableauRowView view;
-      for (int k = 0; k < attempts; ++k) {
-        const VarId v = frac[static_cast<std::size_t>(k)].second;
-        if (!engine->tableauRow(v, &view)) continue;
-        auto cut = gmiCut(view, v, model, params.integrality_tol);
-        if (!cut) continue;
-        // Density cap: dense rows make every later FTRAN/BTRAN and LU
-        // refactorization pay for this cut, across both lanes.
-        if (static_cast<int>(cut->terms.size()) > max_support) continue;
-        // Re-measure the violation in model space: the substitution chain
-        // is numerically exact only up to rounding.
-        cut->violation = evalCut(*cut, lp.values) - cut->rhs;
-        if (cut->violation < kMinViolation) continue;
-        candidates.push_back(std::move(*cut));
-      }
+    std::vector<std::pair<double, VarId>> frac;
+    for (VarId v = 0; v < n; ++v) {
+      if (model.var(v).type == VarType::Continuous) continue;
+      const double value = lp.values[static_cast<std::size_t>(v)];
+      const double dist = std::abs(value - std::round(value));
+      if (dist > kIntegralityTol) frac.emplace_back(-dist, v);
     }
-    if (params.cuts.cover) coverCuts(model, lp.values, &candidates);
+    std::sort(frac.begin(), frac.end());
+    const int attempts =
+        std::min<int>(static_cast<int>(frac.size()), 4 * kMaxPerRound);
+    const int max_support =
+        std::max(16, static_cast<int>(kMaxSupportFrac * n));
+    LpBackend::TableauRowView view;
+    for (int k = 0; k < attempts; ++k) {
+      const VarId v = frac[static_cast<std::size_t>(k)].second;
+      if (!engine->tableauRow(v, &view)) continue;
+      auto cut = gmiCut(view, model);
+      if (!cut) continue;
+      // Density cap: dense rows make every later FTRAN/BTRAN and LU
+      // refactorization pay for this cut, across both lanes.
+      if (static_cast<int>(cut->terms.size()) > max_support) continue;
+      // Re-measure the violation in model space: the substitution chain
+      // is numerically exact only up to rounding.
+      cut->violation = evalCut(*cut, lp.values) - cut->rhs;
+      if (cut->violation < kMinViolation) continue;
+      candidates.push_back(std::move(*cut));
+    }
+    coverCuts(model, lp.values, &candidates);
 
     // Validity guard: a correct cut can never cut off a known
     // integer-feasible point; discard (and flag) any candidate that does.
@@ -356,7 +366,7 @@ CutStats separateRootCuts(Model& model, const SolveParams& params,
     int added_this_round = 0;
     std::vector<LpBackend::CutRow> engine_rows;
     for (Cut& cut : candidates) {
-      if (added_this_round >= params.cuts.max_per_round) break;
+      if (added_this_round >= kMaxPerRound) break;
       if (!pool.add(cut)) continue;
       LinExpr expr;
       for (const auto& [var, c] : cut.terms) expr.add(var, c);
@@ -392,14 +402,14 @@ CutStats separateRootCuts(Model& model, const SolveParams& params,
     // mean further rounds only bloat the row set the search inherits (a
     // single flat round often precedes more progress and is forgiven).
     if (std::abs(lp.objective - prev_obj) <=
-        params.cuts.tailoff_tol * (1.0 + std::abs(prev_obj)))
+        kTailoffTol * (1.0 + std::abs(prev_obj)))
       ++quiet_rounds;
     else
       quiet_rounds = 0;
     const bool tailed_off = quiet_rounds >= 2;
 
     // Activity aging: a cut slack at this round's optimum has not bound
-    // the relaxation; evict it after `evict_after_rounds` such rounds.
+    // the relaxation; evict it after kEvictAfterRounds such rounds.
     for (Materialized& mc : mat) {
       const Constraint& con = model.constraint(mc.row);
       const double slack = con.rhs - con.expr.evaluate(lp.values);
@@ -413,7 +423,7 @@ CutStats separateRootCuts(Model& model, const SolveParams& params,
 
   std::vector<char> drop(static_cast<std::size_t>(model.numConstraints()), 0);
   for (const Materialized& mc : mat) {
-    if (mc.inactive >= params.cuts.evict_after_rounds) {
+    if (mc.inactive >= kEvictAfterRounds) {
       drop[static_cast<std::size_t>(mc.row)] = 1;
       ++stats.evicted;
     } else if (mc.family == CutFamily::Gomory) {

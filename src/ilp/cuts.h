@@ -63,15 +63,14 @@ class CutPool {
   std::vector<std::vector<std::int64_t>> keys_;  ///< sorted normalized keys
 };
 
-/// Derive the Gomory mixed-integer cut from the optimal-tableau row of
-/// basic variable `basic_var` (which must have a fractional LP value).
-/// `view` is the engine's canonical-space row (LpBackend::tableauRow), and
-/// `model` supplies integrality of the columns and the coefficients of the
-/// slack rows substituted back out. Returns nullopt when the row yields no
-/// usable cut (integral rhs, a free nonbasic with support, or numerics).
+/// Derive the Gomory mixed-integer cut from an optimal-tableau row of a
+/// basic variable with a fractional LP value. `view` is the engine's
+/// canonical-space row (LpBackend::tableauRow), and `model` supplies
+/// integrality of the columns and the coefficients of the slack rows
+/// substituted back out. Returns nullopt when the row yields no usable cut
+/// (integral rhs, a free nonbasic with support, or numerics).
 std::optional<Cut> gmiCut(const LpBackend::TableauRowView& view,
-                          VarId basic_var, const Model& model,
-                          double integrality_tol);
+                          const Model& model);
 
 /// Separate violated minimal-cover cuts from every binary-only inequality
 /// row of `model` at LP point `x`, appending them to `out`.
@@ -79,9 +78,9 @@ void coverCuts(const Model& model, const std::vector<double>& x,
                std::vector<Cut>* out);
 
 /// Run the root separation loop: solve the root LP of `model` with a fresh
-/// backend, alternate (separate -> materialize -> warm re-solve) for at
-/// most `params.cuts.max_rounds` rounds, then evict cuts that stayed slack
-/// for `params.cuts.evict_after_rounds` consecutive rounds. Mutates `model`
+/// backend (under `params`' budgets), alternate (separate -> materialize ->
+/// warm re-solve) for at most 8 rounds of at most 32 cuts each, then evict
+/// cuts that stayed slack for 2 consecutive rounds. Mutates `model`
 /// by appending the surviving cut rows. `check_point`, when non-empty, is a
 /// known integer-feasible point used as a validity guard — any candidate
 /// cut it violates is discarded. Records one CutAdded flight event per

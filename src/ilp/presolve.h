@@ -29,9 +29,10 @@ namespace pdw::ilp {
 struct PresolveOptions {
   double feasibility_tol = 1e-7;
   int max_rounds = 10;
-  /// Enable the probing pass (SolveParams::probing).
+  /// Enable the probing pass (always on in ilp::solve; tests switch it off
+  /// to isolate the other reductions).
   bool probing = true;
-  /// Enable big-M coefficient strengthening (SolveParams::coef_tightening).
+  /// Enable big-M coefficient strengthening (always on in ilp::solve).
   bool coef_tightening = true;
   /// Probing work cap: maximum binaries probed (both directions each).
   /// <= 0 disables the cap.

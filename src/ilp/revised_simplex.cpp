@@ -525,7 +525,6 @@ void RevisedSimplex::applyWidening() {
 
 RevisedSimplex::DualStatus RevisedSimplex::dualIterate(std::int64_t cap) {
   const std::int64_t bland_threshold = blandThreshold();
-  const double tol = params_.feasibility_tol;
   std::int64_t local = 0;
   int retries = 0;
 
@@ -550,7 +549,7 @@ RevisedSimplex::DualStatus RevisedSimplex::dualIterate(std::int64_t cap) {
         viol = over;
         up = true;
       }
-      if (viol <= tol) continue;
+      if (viol <= kFeasibilityTol) continue;
       const double score = viol * viol / weight_[static_cast<std::size_t>(i)];
       if (score > best_score) {
         r = i;

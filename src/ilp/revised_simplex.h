@@ -117,6 +117,9 @@ class RevisedSimplex final : public LpBackend {
   static constexpr double kEps = 1e-9;
   /// Dual feasibility tolerance on reduced costs.
   static constexpr double kDualTol = 1e-7;
+  /// Primal feasibility tolerance: a basic value this far outside its
+  /// bounds makes its row a leaving candidate.
+  static constexpr double kFeasibilityTol = 1e-7;
   /// Magnitude of the artificial bound a cold load gives a column whose
   /// cost pulls it toward an infinite bound.
   static constexpr double kArtificialBound = 1e7;

@@ -10,20 +10,14 @@ namespace pdw::ilp {
 // through here — it owns a persistent LpBackend per search so node LPs can
 // warm-start (see lp_backend.h); this wrapper serves pure-LP models and
 // tests, where there is no prior basis to reuse.
-LpResult solveLp(const Model& model, const SolveParams& params,
-                 const std::vector<double>* lower_override,
-                 const std::vector<double>* upper_override) {
+LpResult solveLp(const Model& model, const SolveParams& params) {
   std::vector<double> lower, upper;
   const std::size_t n = static_cast<std::size_t>(model.numVars());
   lower.reserve(n);
   upper.reserve(n);
-  for (int j = 0; j < model.numVars(); ++j) {
-    lower.push_back(lower_override
-                        ? (*lower_override)[static_cast<std::size_t>(j)]
-                        : model.var(j).lower);
-    upper.push_back(upper_override
-                        ? (*upper_override)[static_cast<std::size_t>(j)]
-                        : model.var(j).upper);
+  for (const Variable& v : model.vars()) {
+    lower.push_back(v.lower);
+    upper.push_back(v.upper);
   }
   const std::unique_ptr<LpBackend> engine = makeLpBackend(model, params);
   LpResult result = engine->coldSolve(lower, upper);

@@ -9,25 +9,16 @@
 // row and solves again.)
 #pragma once
 
-#include <cstdint>
-#include <vector>
-
 #include "ilp/model.h"
 #include "ilp/types.h"
 
 namespace pdw::ilp {
 
-/// Solve the LP relaxation of `model` (variable types are ignored) with one
-/// cold solve of makeLpBackend() (lp_backend.h). The solve stops with
-/// IterLimit once params.time_limit_seconds have passed (the engine's
-/// wall-clock budget, revised_simplex.h). LpStatus and LpResult live in
-/// ilp/types.h.
-///
-/// If `lower_override` / `upper_override` are non-null they replace the
-/// model's variable bounds — this is how branch-and-bound explores nodes
-/// without copying the model.
-LpResult solveLp(const Model& model, const SolveParams& params,
-                 const std::vector<double>* lower_override = nullptr,
-                 const std::vector<double>* upper_override = nullptr);
+/// Solve the LP relaxation of `model` (variable types are ignored) over its
+/// own variable bounds with one cold solve of makeLpBackend()
+/// (lp_backend.h). The solve stops with IterLimit once
+/// params.time_limit_seconds have passed (the engine's wall-clock budget,
+/// revised_simplex.h). LpStatus and LpResult live in ilp/types.h.
+LpResult solveLp(const Model& model, const SolveParams& params);
 
 }  // namespace pdw::ilp

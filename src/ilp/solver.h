@@ -15,8 +15,8 @@
 
 namespace pdw::ilp {
 
-/// Solve `model` (LP or MILP) with optional presolve. The model is copied
-/// internally when presolve is enabled, so `model` is never mutated.
+/// Solve `model` (LP or MILP): presolve (presolve.h) a copy, then run
+/// solveMip (branch_bound.h) on it, so `model` is never mutated.
 Solution solve(const Model& model, const SolveParams& params = {});
 
 }  // namespace pdw::ilp

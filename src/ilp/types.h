@@ -150,30 +150,15 @@ struct Solution {
   bool boolValue(VarId v) const { return value(v) > 0.5; }
 };
 
-/// Root cutting-plane knobs (cuts.h). Cuts are generated once at the root
-/// of every MIP solve and materialized as ordinary model rows before the
-/// search starts, so they ride the warm-start contract unchanged (no rows
-/// are ever added mid-search).
-struct CutParams {
-  bool enabled = true;   ///< master switch for the root separation loop
-  bool gomory = true;    ///< Gomory mixed-integer cuts from the tableau
-  bool cover = true;     ///< knapsack-cover cuts on 0-1 rows
-  int max_rounds = 8;    ///< separation rounds at the root
-  int max_per_round = 32;  ///< cut cap per round (most-violated first)
-  /// Gomory cuts with more than max(16, max_support_frac * numVars())
-  /// nonzero model terms are discarded: dense cut rows destroy the basis-LU
-  /// sparsity and cost more per simplex iteration across the whole search
-  /// than their root-bound improvement buys back.
-  double max_support_frac = 0.4;
-  /// Tailing-off guard: stop separating when a round improves the root LP
-  /// bound by less than tailoff_tol * (1 + |bound|).
-  double tailoff_tol = 1e-4;
-  /// A pool cut slack at the round's LP optimum for this many consecutive
-  /// rounds is evicted before the cuts are materialized for the search.
-  int evict_after_rounds = 2;
-};
+/// Integrality tolerance: a value within this distance of an integer
+/// counts as integral (branching, incumbents, root cut separation).
+inline constexpr double kIntegralityTol = 1e-6;
 
-/// Knobs for the solver; defaults suit the PDW models.
+/// Knobs for the solver: the three budgets plus the per-call inputs
+/// (warm start, flight recorder) and one test hook. Every tolerance, the
+/// MIP gap, presolve, probing, coefficient tightening and the root cut
+/// loop are fixed (named constants in the files that use them): like the
+/// paper's Gurobi runs, a solve is configured by its budget alone.
 struct SolveParams {
   /// Wall-clock budget. Branch-and-bound stops at it, and every LP engine
   /// stops an LP with IterLimit once it has passed since the engine was
@@ -182,20 +167,6 @@ struct SolveParams {
   double time_limit_seconds = 10.0;
   std::int64_t node_limit = 200000;
   std::int64_t simplex_iteration_limit = 400000;
-  double integrality_tol = 1e-6;
-  double feasibility_tol = 1e-7;
-  double mip_gap = 1e-6;        ///< relative gap for early stop
-  bool enable_presolve = true;
-  /// Probing presolve (presolve.h): tentatively fix each binary both ways,
-  /// propagate, fix variables whose one branch is infeasible and tighten
-  /// bounds valid across both branches. Requires enable_presolve.
-  bool probing = true;
-  /// Big-M coefficient strengthening in presolve: shrink binary big-M
-  /// coefficients to the smallest value the activity bounds prove
-  /// sufficient. Requires enable_presolve.
-  bool coef_tightening = true;
-  /// Root cutting planes; see CutParams.
-  CutParams cuts;
   /// Optional warm start (one value per model variable). If it is feasible
   /// it seeds the branch-and-bound incumbent, so the solver never returns
   /// anything worse than this point (the paper's "best-effort within the
@@ -224,8 +195,8 @@ struct SolveParams {
   int portfolio_threads = 1;
 };
 
-/// Compact one-line description of the solver knobs that affect results or
-/// performance ("tl=4 nodes=60000 ..."), stamped into
+/// Compact one-line description of the budgets, the only solver knobs that
+/// affect results ("tl=4 nodes=60000 iters=400000"), stamped into
 /// `pdw-run-1` records so stored runs are only compared within one
 /// configuration. Defined in solver.cpp.
 std::string fingerprint(const SolveParams& params);

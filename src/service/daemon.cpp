@@ -30,18 +30,15 @@ obs::Counter& counterOf(const char* name) {
 }
 
 /// The Pipeline options of both request paths: the shared pool, the
-/// daemon's node caps and flight recorder, the given budgets and cut
-/// policy (validated at the protocol boundary and by pdwd's flag parser).
+/// daemon's node caps and flight recorder, and the given budgets.
 core::PdwOptions pipelineOptions(const DaemonOptions& daemon,
                                  std::shared_ptr<util::ThreadPool> pool,
-                                 double budget_s, double path_budget_s,
-                                 const std::string& cuts) {
+                                 double budget_s, double path_budget_s) {
   core::PdwOptions options;
   options.withThreads(pool->size())
       .withScheduleBudget(budget_s, daemon.default_budget_nodes)
       .withPathBudget(path_budget_s, daemon.path_budget_nodes)
       .withSharedPool(std::move(pool));
-  core::applyCutsMode(cuts, options.solver);
   if (daemon.flight.enabled || !daemon.flight.path.empty())
     options.withFlightRecording(daemon.flight);
   return options;
@@ -302,8 +299,7 @@ SolveReply Daemon::solveRequest(const Request& req, double remaining_s,
   }
 
   core::PdwOptions options =
-      pipelineOptions(options_, pool_, budget_s, path_budget_s,
-                      !req.cuts.empty() ? req.cuts : options_.cuts);
+      pipelineOptions(options_, pool_, budget_s, path_budget_s);
   if (req.use_cache) options.withSharedRouteCache(route_cache_);
 
   PlanKey key;
@@ -386,12 +382,12 @@ SolveReply Daemon::resolveRequest(const Request& req, std::string* error) {
   std::lock_guard<std::mutex> lock(rc->mutex);
   const bool warm = rc->pipeline && rc->pipeline->canResolve();
   if (!rc->pipeline) {
-    // Resident pipelines run with the daemon defaults: per-request budget /
-    // cuts overrides would fork the resident solved-base state the deltas
+    // Resident pipelines run with the daemon defaults: per-request budget
+    // overrides would fork the resident solved-base state the deltas
     // compose on.
     core::PdwOptions options =
         pipelineOptions(options_, pool_, options_.default_budget_s,
-                        options_.path_budget_s, options_.cuts);
+                        options_.path_budget_s);
     options.withSharedRouteCache(route_cache_);
     rc->pipeline = std::make_unique<Pipeline>(std::move(options));
   }

@@ -67,9 +67,6 @@ struct DaemonOptions {
   /// Requests slower than this (admission to response, seconds) are logged
   /// at Warn with their trace id and counted in pdwd.slow_requests.
   double slow_request_seconds = 5.0;
-  /// Default cut policy ("" = library default, else on|off|gomory|cover;
-  /// see core::applyCutsMode). A request's `cuts` wins.
-  std::string cuts;
   /// Solver flight recorder (dump_on_limit: budget/deadline-capped solves
   /// dump their search tail). Enabled when `flight.path` is non-empty.
   obs::FlightConfig flight;

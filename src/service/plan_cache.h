@@ -3,9 +3,10 @@
 // Memoizes the full solved outcome of a request — wash plan metrics plus
 // the canonical plan serialization — keyed by everything that determines
 // it: the chip fingerprint, the base-schedule fingerprint, and the solver
-// configuration fingerprint (which, via ilp::fingerprint, covers budgets
-// and cuts). A warm hit skips the entire pipeline: necessity analysis,
-// clustering, routing, model build, presolve and branch-and-bound.
+// configuration fingerprint (which, via ilp::fingerprint, covers the
+// budgets, the only solver settings). A warm hit skips the entire
+// pipeline: necessity analysis, clustering, routing, model build, presolve
+// and branch-and-bound.
 //
 // Budget-capped outcomes ("budget_hit") are cached too: the solver is
 // deterministic under a node budget, so the capped plan is as reproducible

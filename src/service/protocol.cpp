@@ -3,7 +3,6 @@
 #include <cmath>
 #include <sstream>
 
-#include "core/pathdriver_wash.h"
 #include "obs/json.h"
 #include "util/hash.h"
 
@@ -162,8 +161,6 @@ ParsedRequest parseRequest(std::string_view line) {
     return fail(err->message, err->code);
   if (auto err = readBool(*doc, "cache", &req.use_cache))
     return fail(err->message, err->code);
-  if (auto err = readString(*doc, "cuts", &req.cuts))
-    return fail(err->message, err->code);
   if (auto err = readNumber(*doc, "sleep_ms", &req.sleep_ms))
     return fail(err->message, err->code);
   if (auto err = readIndex(*doc, "delay_op", &req.delay_op))
@@ -192,9 +189,6 @@ ParsedRequest parseRequest(std::string_view line) {
   if (req.budget_s < 0.0) return fail("budget_s must be >= 0", "value");
   if (req.deadline_ms < 0.0) return fail("deadline_ms must be >= 0", "value");
   if (req.sleep_ms < 0.0) return fail("sleep_ms must be >= 0", "value");
-  core::SolverConfig cuts_probe;
-  if (!core::applyCutsMode(req.cuts, cuts_probe))
-    return fail("cuts must be on|off|gomory|cover", "value");
   if (req.type == RequestType::Solve && req.benchmark.empty() &&
       req.sleep_ms <= 0.0)
     return fail("solve requires a benchmark", "value");

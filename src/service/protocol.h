@@ -6,12 +6,14 @@
 // default) and the daemon always answers — malformed, truncated,
 // type-confused or oversized input yields a structured error response,
 // never a dropped connection or a crash. Unknown object keys are ignored
-// for forward compatibility.
+// for forward compatibility — among them the retired `engine` and `cuts`
+// keys, whatever their value: the LP engine and the root-cut policy are
+// fixed (DESIGN.md §14.1).
 //
 // Request schema (fields beyond `schema` optional unless noted):
 //   {"schema":"pdw-req-1","type":"solve","id":"r1","benchmark":"PCR",
-//    "budget_s":4.0,"deadline_ms":2000,"cache":true,"cuts":"on",
-//    "cache_version":2,"sleep_ms":0}
+//    "budget_s":4.0,"deadline_ms":2000,"cache":true,"cache_version":2,
+//    "sleep_ms":0}
 //   type: solve (default) | resolve | metrics | ping | invalidate | shutdown
 //   benchmark: Table-II name; required for solve unless sleep_ms > 0
 //   budget_s: scheduling-ILP budget (0 = daemon default)
@@ -19,7 +21,6 @@
 //     answer status "deadline", and the remaining deadline caps the solver
 //     budget of requests that do run
 //   cache: opt out of the shared plan/route caches with false
-//   cuts: root-cut policy on | off | gomory | cover (core::applyCutsMode)
 //   cache_version: client's cache generation; a value above the daemon's
 //     current version invalidates the shared caches before solving
 //   sleep_ms: load-harness aid — hold a lane for this long instead of
@@ -74,7 +75,6 @@ struct Request {
   double budget_s = 0.0;     ///< scheduling-ILP budget; 0 = daemon default
   double deadline_ms = 0.0;  ///< total deadline from admission; 0 = none
   bool use_cache = true;     ///< plan/route cache participation
-  std::string cuts;          ///< "" | "on" | "off" | "gomory" | "cover"
   std::uint64_t cache_version = 0;  ///< > daemon version => invalidate first
   double sleep_ms = 0.0;     ///< test/load aid: hold a lane, skip the solve
   // Resolve perturbation fields (type == Resolve only; -1 / "" = unset).

@@ -100,31 +100,6 @@ TEST_P(EndToEndTest, PdwDominatesDawo) {
   EXPECT_LE(mp.t_delay, md.t_delay + 1e-6) << e.benchmark.name;
 }
 
-TEST_P(EndToEndTest, CutsOnOffPlansMatch) {
-  // Root cutting planes (ilp/cuts.h) only ever remove fractional LP points,
-  // so the wash plan — in particular N_wash, the paper's headline metric —
-  // must be identical with the separation loop on and off; only the
-  // branch-and-bound tree size may differ.
-  EndToEnd e = makeBase(GetParam());
-  core::PdwOptions with_cuts;
-  with_cuts.solver.schedule.time_limit_seconds = 6.0;
-  core::PdwOptions without = with_cuts;
-  without.withCuts(false);
-  without.solver.schedule.probing = false;
-  without.solver.path.probing = false;
-
-  const wash::WashPlanResult on = runPdw(e.synth.schedule, with_cuts);
-  const wash::WashPlanResult off = runPdw(e.synth.schedule, without);
-  const sim::WashMetrics mon = sim::computeMetrics(on.schedule,
-                                                   e.synth.schedule);
-  const sim::WashMetrics moff = sim::computeMetrics(off.schedule,
-                                                    e.synth.schedule);
-  EXPECT_EQ(mon.n_wash, moff.n_wash) << e.benchmark.name;
-  EXPECT_EQ(remainingTargets(on.schedule), 0) << e.benchmark.name;
-  EXPECT_TRUE(sim::validateSchedule(on.schedule, looseTol()).ok())
-      << e.benchmark.name;
-}
-
 INSTANTIATE_TEST_SUITE_P(
     AllBenchmarks, EndToEndTest, ::testing::ValuesIn(assay::allBenchmarks()),
     [](const ::testing::TestParamInfo<BenchmarkId>& info) {
@@ -212,6 +187,30 @@ TEST(EndToEnd, WalledInTargetRunsHeuristicOnce) {
               r.metrics.counter(obs::names::kRouteCacheMisses))
         << "ilp_paths " << ilp_paths;
   }
+}
+
+TEST(PipelineOptions, SolverBudgetsRunAsSet) {
+  // Each stage's default budget comes from the stage itself.
+  const core::SolverConfig defaults;
+  EXPECT_EQ(defaults.schedule.time_limit_seconds,
+            core::ScheduleIlpOptions{}.solver.time_limit_seconds);
+  EXPECT_EQ(defaults.schedule.node_limit,
+            core::ScheduleIlpOptions{}.solver.node_limit);
+  EXPECT_EQ(defaults.path.time_limit_seconds,
+            core::WashPathOptions{}.solver.time_limit_seconds);
+  EXPECT_EQ(defaults.path.node_limit,
+            core::WashPathOptions{}.solver.node_limit);
+  EXPECT_EQ(defaults.schedule.time_limit_seconds, 8.0);
+  EXPECT_EQ(defaults.schedule.node_limit, 60000);
+
+  // A budget written straight into the fields is the budget the Pipeline
+  // runs with, also where it equals ilp::SolveParams' own defaults.
+  core::PdwOptions options = core::PdwOptions{}.withThreads(1);
+  options.solver.schedule.time_limit_seconds = 10.0;
+  options.solver.schedule.node_limit = 200000;
+  const Pipeline pipeline(options);
+  EXPECT_EQ(pipeline.options().solver.schedule.time_limit_seconds, 10.0);
+  EXPECT_EQ(pipeline.options().solver.schedule.node_limit, 200000);
 }
 
 TEST(EndToEnd, NoContaminationMeansNoWash) {

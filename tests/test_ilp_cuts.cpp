@@ -16,6 +16,7 @@
 #include <optional>
 #include <vector>
 
+#include "ilp/branch_bound.h"
 #include "ilp/cuts.h"
 #include "ilp/lp_backend.h"
 #include "ilp/model.h"
@@ -82,7 +83,7 @@ TEST(GmiCuts, CutsOffFractionalVertexKeepsIntegerPoints) {
 
   LpBackend::TableauRowView view;
   ASSERT_TRUE(backend->tableauRow(y, &view));
-  const std::optional<Cut> cut = gmiCut(view, y, m, 1e-6);
+  const std::optional<Cut> cut = gmiCut(view, m);
   ASSERT_TRUE(cut.has_value());
 
   EXPECT_GT(evalCut(*cut, lp.values), cut->rhs + 1e-6)
@@ -124,7 +125,7 @@ TEST(GmiCuts, ValidOnRandomKnapsacks) {
       if (std::abs(val - std::round(val)) < 1e-6) continue;
       LpBackend::TableauRowView view;
       if (!backend->tableauRow(v, &view)) continue;
-      const std::optional<Cut> cut = gmiCut(view, v, m, 1e-6);
+      const std::optional<Cut> cut = gmiCut(view, m);
       if (!cut) continue;
       ++cuts_checked;
       EXPECT_GT(evalCut(*cut, lp.values), cut->rhs - 1e-9)
@@ -199,7 +200,8 @@ TEST(CutPoolTest, DeduplicatesScaledRederivations) {
   EXPECT_EQ(pool.size(), 2u);
 }
 
-/// Cuts must never change the optimum, only the tree size.
+/// Cuts must never change the optimum, only the tree size: solve() (root
+/// cuts, probing and coefficient tightening all on) matches brute force.
 TEST(CutsSolve, OnOffObjectiveEquivalence) {
   util::Rng rng(7);
   for (int trial = 0; trial < 8; ++trial) {
@@ -217,17 +219,12 @@ TEST(CutsSolve, OnOffObjectiveEquivalence) {
     m.addLessEqual(weight, capacity * 0.4);
     m.setObjective(-1.0 * value);
 
-    SolveParams with_cuts;
-    SolveParams without = with_cuts;
-    without.cuts.enabled = false;
-    without.probing = false;
-    without.coef_tightening = false;
-
-    const Solution a = solve(m, with_cuts);
-    const Solution b = solve(m, without);
+    const Solution a = solve(m, SolveParams{});
+    const std::optional<double> optimum =
+        reference::enumerateIntegerOptimum(m);
+    ASSERT_TRUE(optimum.has_value()) << "trial " << trial;
     ASSERT_EQ(a.status, SolveStatus::Optimal) << "trial " << trial;
-    ASSERT_EQ(b.status, SolveStatus::Optimal) << "trial " << trial;
-    EXPECT_NEAR(a.objective, b.objective, 1e-6) << "trial " << trial;
+    EXPECT_NEAR(a.objective, *optimum, 1e-6) << "trial " << trial;
   }
 }
 
@@ -241,9 +238,8 @@ TEST(CutsSolve, RootSeparationReportsStats) {
   m.addLessEqual(2.0 * LinExpr(x) + 2.0 * LinExpr(y), 3.0);
   m.setObjective(-2.0 * LinExpr(x) - 1.0 * LinExpr(y));
 
-  SolveParams params;
-  params.enable_presolve = false;  // keep the fractional root intact
-  const Solution s = solve(m, params);
+  // solveMip skips presolve, which keeps the fractional root intact.
+  const Solution s = solveMip(m, SolveParams{});
   ASSERT_EQ(s.status, SolveStatus::Optimal);
   EXPECT_NEAR(s.objective, -2.0, 1e-6);
   EXPECT_GE(s.stats.cuts.added, 1);

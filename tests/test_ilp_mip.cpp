@@ -4,7 +4,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
 
+#include "ilp/branch_bound.h"
+#include "ilp/lp_backend.h"
+#include "ilp/revised_simplex.h"
 #include "ilp/solver.h"
 #include "util/rng.h"
 
@@ -151,6 +155,39 @@ TEST(Mip, GeneralIntegerVariables) {
   EXPECT_NEAR(s.objective, best, 1e-6);
 }
 
+/// The production engine with its tableau rows withheld: the root cut loop
+/// then separates no Gomory cut.
+class NoTableauBackend final : public LpBackend {
+ public:
+  NoTableauBackend(const Model& model, const SolveParams& params)
+      : inner_(model, params) {}
+  LpResult solve(const std::vector<double>& lower,
+                 const std::vector<double>& upper, bool allow_warm,
+                 bool* used_warm = nullptr,
+                 std::int64_t* dual_pivots = nullptr) override {
+    return inner_.solve(lower, upper, allow_warm, used_warm, dual_pivots);
+  }
+  LpResult coldSolve(const std::vector<double>& lower,
+                     const std::vector<double>& upper) override {
+    return inner_.coldSolve(lower, upper);
+  }
+  bool warmReady() const override { return inner_.warmReady(); }
+  void collectReducedCostFixes(double gap, double integrality_tol,
+                               std::vector<Fix>* out) const override {
+    inner_.collectReducedCostFixes(gap, integrality_tol, out);
+  }
+  bool tableauRow(VarId, TableauRowView*) const override { return false; }
+  void addCutRows(const std::vector<CutRow>& rows) override {
+    inner_.addCutRows(rows);
+  }
+  void setFlightRecorder(obs::FlightRecorder* recorder) override {
+    inner_.setFlightRecorder(recorder);
+  }
+
+ private:
+  RevisedSimplex inner_;
+};
+
 TEST(Mip, IterationBudgetWithoutIncumbentReportsIterLimit) {
   // 2 * sum(x) = 7 has no integer solution, but every node whose fixings
   // leave a free variable has a feasible (fractional) LP. The search can
@@ -166,11 +203,18 @@ TEST(Mip, IterationBudgetWithoutIncumbentReportsIterLimit) {
   m.addEqual(twice_sum, 7);
   m.setObjective(objective);
 
+  // Root Gomory cuts prove the parity row infeasible, so the engine
+  // withholds its tableau rows (an equality row yields no cover cut either),
+  // and solveMip runs the search without presolve.
   SolveParams params = quickParams();
-  params.enable_presolve = false;
-  params.cuts.enabled = false;
   params.simplex_iteration_limit = 40;
-  const Solution s = solve(m, params);
+  const LpBackendFactory previous = substituteLpBackendForTesting(
+      [](const Model& model,
+         const SolveParams& p) -> std::unique_ptr<LpBackend> {
+        return std::make_unique<NoTableauBackend>(model, p);
+      });
+  const Solution s = solveMip(m, params);
+  substituteLpBackendForTesting(previous);
   EXPECT_EQ(s.status, SolveStatus::IterLimit);
   EXPECT_FALSE(s.hasSolution());
   EXPECT_GE(s.stats.simplex_iterations, params.simplex_iteration_limit);

@@ -6,6 +6,7 @@
 #include <utility>
 #include <vector>
 
+#include "ilp/branch_bound.h"
 #include "ilp/presolve.h"
 #include "ilp/solver.h"
 #include "util/rng.h"
@@ -271,10 +272,9 @@ TEST(Presolve, SolutionUnchangedBySolveWithPresolve) {
   m.addLessEqual(3.0 * LinExpr(x) - LinExpr(y), 0);
   m.setObjective(-1.0 * LinExpr(x) - LinExpr(y));
 
-  SolveParams with, without;
-  without.enable_presolve = false;
-  Solution a = solve(m, with);
-  Solution b = solve(m, without);
+  // solve() presolves; solveMip() is the same search without presolve.
+  Solution a = solve(m, SolveParams{});
+  Solution b = solveMip(m, SolveParams{});
   ASSERT_EQ(a.status, SolveStatus::Optimal);
   ASSERT_EQ(b.status, SolveStatus::Optimal);
   EXPECT_NEAR(a.objective, b.objective, 1e-6);

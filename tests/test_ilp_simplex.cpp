@@ -191,14 +191,13 @@ TEST(Simplex, FixedVariable) {
 }
 
 TEST(Simplex, BoundOverridesReplaceModelBounds) {
+  // Variable bounds [2, 3] bind before the looser row x <= 100.
   Model m;
-  VarId x = m.addContinuous(0, 10, "x");
+  VarId x = m.addContinuous(2, 3, "x");
   m.setObjective(-1.0 * LinExpr(x));
   m.addLessEqual(LinExpr(x), 100);
 
-  std::vector<double> lower = {2.0};
-  std::vector<double> upper = {3.0};
-  LpResult r = solveLp(m, quickParams(), &lower, &upper);
+  LpResult r = solveLp(m, quickParams());
   ASSERT_EQ(r.status, LpStatus::Optimal);
   EXPECT_NEAR(r.values[x], 3.0, 1e-6);
 }

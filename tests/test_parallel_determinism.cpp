@@ -232,7 +232,9 @@ TEST(RouteCache, ZeroCapacityDisablesCaching) {
   synth::SynthResult base =
       synth::synthesizeOnChip(*b.graph, synth::placeChip(b.library));
 
-  Pipeline pipeline(deterministicOptions(1).withRouteCache(0));
+  core::PdwOptions options = deterministicOptions(1);
+  options.route_cache_capacity = 0;
+  Pipeline pipeline(options);
   const PdwResult first = pipeline.run(base.schedule);
   const PdwResult second = pipeline.run(base.schedule);
   EXPECT_EQ(second.cache.hits + second.cache.misses, 0);

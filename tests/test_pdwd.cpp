@@ -141,7 +141,6 @@ TEST(PdwdProtocol, ValidSolveRequestParses) {
   EXPECT_DOUBLE_EQ(req.budget_s, 2.5);
   EXPECT_DOUBLE_EQ(req.deadline_ms, 4000.0);
   EXPECT_FALSE(req.use_cache);
-  EXPECT_EQ(req.cuts, "gomory");
   EXPECT_EQ(req.cache_version, 3u);
 }
 
@@ -158,18 +157,21 @@ TEST(PdwdProtocol, DefaultsAndUnknownKeysIgnored) {
 }
 
 TEST(PdwdProtocol, EngineKeyIsAnIgnoredUnknownKey) {
-  // There is one LP engine; an "engine" key left over from older clients
-  // parses like any other unknown key, whatever its value or type.
-  const std::string with_key =
-      solveLine("e1", "PCR", ",\"engine\":\"dense\",\"budget_s\":2");
+  // There is one LP engine and one root-cut policy; an "engine" or "cuts"
+  // key left over from older clients parses like any other unknown key,
+  // whatever its value or type.
+  const std::string with_key = solveLine(
+      "e1", "PCR", ",\"engine\":\"dense\",\"cuts\":\"off\",\"budget_s\":2");
   const auto parsed = parseRequest(with_key);
   ASSERT_TRUE(parsed.ok()) << parsed.error;
   const auto plain = parseRequest(solveLine("e1", "PCR", ",\"budget_s\":2"));
   ASSERT_TRUE(plain.ok()) << plain.error;
   EXPECT_EQ(parsed.request->benchmark, plain.request->benchmark);
   EXPECT_DOUBLE_EQ(parsed.request->budget_s, plain.request->budget_s);
-  EXPECT_EQ(parsed.request->cuts, plain.request->cuts);
   EXPECT_TRUE(parseRequest(solveLine("e2", "PCR", ",\"engine\":7")).ok());
+  EXPECT_TRUE(parseRequest(solveLine("e3", "PCR", ",\"cuts\":7")).ok());
+  EXPECT_TRUE(
+      parseRequest(solveLine("e4", "PCR", ",\"cuts\":\"zigzag\"")).ok());
 }
 
 TEST(PdwdProtocol, RejectsMalformedAndSchemaErrors) {
@@ -208,10 +210,6 @@ TEST(PdwdProtocol, RejectsValueErrors) {
             "value");
   EXPECT_EQ(parseRequest("{\"schema\":\"pdw-req-1\",\"benchmark\":\"PCR\","
                          "\"deadline_ms\":-5}")
-                .error_code,
-            "value");
-  EXPECT_EQ(parseRequest("{\"schema\":\"pdw-req-1\",\"benchmark\":\"PCR\","
-                         "\"cuts\":\"zigzag\"}")
                 .error_code,
             "value");
   EXPECT_EQ(parseRequest("{\"schema\":\"pdw-req-1\",\"benchmark\":\"PCR\","
@@ -541,9 +539,9 @@ TEST(PdwdDaemon, SolveWarmsAndInvalidates) {
 }
 
 TEST(PdwdDaemon, EngineKeyDoesNotChangeThePlan) {
-  // The dropped "engine" key is ignored end to end: the request solves
-  // cold (cache off, so nothing is replayed) to the same canonical plan as
-  // the same request without the key.
+  // The dropped "engine" and "cuts" keys are ignored end to end: the
+  // request solves cold (cache off, so nothing is replayed) to the same
+  // canonical plan as the same request without them.
   DaemonOptions options;
   options.lanes = 1;
   options.threads = 1;
@@ -552,7 +550,8 @@ TEST(PdwdDaemon, EngineKeyDoesNotChangeThePlan) {
   const obs::json::Value plain =
       parseResponse(daemon.handleLine(solveLine("p1", "Kinase act-1", extra)));
   const obs::json::Value keyed = parseResponse(daemon.handleLine(solveLine(
-      "p2", "Kinase act-1", extra + ",\"engine\":\"dense\"")));
+      "p2", "Kinase act-1",
+      extra + ",\"engine\":\"dense\",\"cuts\":\"off\"")));
   daemon.shutdown();
   EXPECT_EQ(str(plain, "status"), "ok");
   EXPECT_EQ(str(keyed, "status"), "ok");

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include "core/wash_path_ilp.h"
+#include "obs/metric_names.h"
+#include "obs/metrics.h"
 
 namespace pdw::core {
 namespace {
@@ -119,14 +121,26 @@ TEST_F(WashPathFixture, EmptyTargetsRejected) {
 }
 
 TEST_F(WashPathFixture, NoFallbackReportsFailureHonestly) {
+  // A starved ILP (one simplex iteration) finds no path: the BFS
+  // heuristic's path comes back, and the call reports exactly one fallback
+  // in its stats and in the registry.
   WashPathOptions options;
-  options.fallback_heuristic = false;
-  options.solver.time_limit_seconds = 0.001;  // starve the solver
+  options.solver.time_limit_seconds = 0.001;
   options.solver.node_limit = 1;
-  const auto path = routeWashPathIlp(chip_, {{2, 1}, {6, 4}}, options);
-  // Either it solved within one node (tiny model) or reported nullopt;
-  // both are acceptable, but a returned path must be valid.
-  if (path) expectValidWashPath(chip_, *path, {{2, 1}, {6, 4}});
+  options.solver.simplex_iteration_limit = 1;
+  obs::Counter& fallbacks =
+      obs::Registry::instance().counter(obs::names::kPathIlpFallbacks);
+  const std::int64_t before = fallbacks.value();
+  WashPathStats stats;
+  const std::vector<arch::Cell> targets = {{2, 1}, {6, 4}};
+  const auto path = routeWashPathIlp(chip_, targets, options, &stats);
+  ASSERT_TRUE(path.has_value());
+  expectValidWashPath(chip_, *path, targets);
+  EXPECT_TRUE(stats.used_fallback);
+  EXPECT_EQ(fallbacks.value() - before, 1);
+  const auto bfs = routeWashPathHeuristic(chip_, targets);
+  ASSERT_TRUE(bfs.has_value());
+  EXPECT_EQ(path->cells(), bfs->cells());
 }
 
 }  // namespace

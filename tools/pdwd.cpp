@@ -13,13 +13,14 @@
 //   --budget-nodes N   default scheduling-ILP node cap          (default 60000)
 //   --path-budget S    per-operation path-ILP budget, seconds   (default 1)
 //   --slow S           slow-request log threshold, seconds      (default 5)
-//   --cuts MODE        default cut policy (on | off | gomory | cover)
 //   --metrics-out F    write a pdw-metrics-1 export on exit
 //   --flight-out F     flight-record budget-capped solves to F (JSONL)
 //   --log-level L      trace | debug | info | warn | error | off
 //
 // The daemon exits after a `{"schema":"pdw-req-1","type":"shutdown"}`
 // request (in-flight solves drain first) or, in --stdio mode, at EOF.
+// There is no cut-policy flag: the root cut loop always runs, and a
+// request's `cuts` key, like its `engine` key, is ignored.
 // See README "Running pdwd" for client one-liners.
 #include <csignal>
 #include <cstdio>
@@ -28,7 +29,6 @@
 #include <iostream>
 #include <string>
 
-#include "core/pathdriver_wash.h"
 #include "obs/metrics.h"
 #include "service/daemon.h"
 #include "service/server.h"
@@ -42,7 +42,7 @@ int usage() {
                "[--queue N] [--threads N]\n"
                "            [--route-cache N] [--plan-cache N] [--budget S] "
                "[--budget-nodes N]\n"
-               "            [--path-budget S] [--slow S] [--cuts MODE]\n"
+               "            [--path-budget S] [--slow S]\n"
                "            [--metrics-out FILE] [--flight-out FILE] "
                "[--log-level LEVEL]\n");
   return 2;
@@ -87,14 +87,6 @@ int main(int argc, char** argv) {
       options.path_budget_s = std::atof(v);
     } else if (const char* v = value("--slow")) {
       options.slow_request_seconds = std::atof(v);
-    } else if (const char* v = value("--cuts")) {
-      pdw::core::SolverConfig probe;
-      if (!pdw::core::applyCutsMode(v, probe)) {
-        std::fprintf(stderr, "pdwd: unknown --cuts mode '%s' "
-                             "(on|off|gomory|cover)\n", v);
-        return 2;
-      }
-      options.cuts = v;
     } else if (const char* v = value("--metrics-out")) {
       metrics_out = v;
     } else if (const char* v = value("--flight-out")) {
