@@ -180,7 +180,7 @@ std::optional<CliOptions> parseArgs(int argc, char** argv) {
       if (arg == "--alpha") options.pdw.alpha = x;
       else if (arg == "--beta") options.pdw.beta = x;
       else if (arg == "--gamma") options.pdw.gamma = x;
-      else options.pdw.withScheduleBudget(x, 60000);
+      else options.pdw.withScheduleBudget(x);
     } else if (arg == "--threads") {
       const auto value = value_of(i);
       if (!value) return std::nullopt;

@@ -19,9 +19,9 @@
 # --resolve, run record diffed against the frozen rewash-quick-baseline
 # label), the ILP numerics (LU and pivot-row pricing bit-identity
 # differentials, LinExpr building, half-bounded LP differential and the
-# engine's wall-clock stops included), root cuts, probing presolve and
-# pseudocost branching, JSON decoder and grid-router tests (the router's path-identity differential
-# included) under ASan+UBSan, then
+# engine's wall-clock stops included), root cuts, lazy rows, probing
+# presolve and pseudocost branching, JSON decoder and grid-router tests (the
+# router's path-identity differential included) under ASan+UBSan, then
 # the parallel-runtime + obs + daemon-concurrency tests (determinism, route
 # cache + epochs, tracing/metrics/logging, byte-identical concurrent pdwd
 # plans, rescheduler thread-count determinism, invalidate coherence) under
@@ -155,12 +155,14 @@ else
   # word) and growth by cut rows are probed by the pricing differential.
   # The root cut loop, probing, coefficient strengthening and pseudocost
   # branching (cuts.cpp, presolve.cpp, solver.cpp) run under the cut,
-  # presolve and branching suites.
+  # presolve and branching suites. Lazy rows grow the engine's CSC/CSR and
+  # devex weights between node LPs of one search (LazyRows suite, and the
+  # wash-path ILP's connectivity cuts under WashPathFixture).
   cmake -B build-asan -S . -DPDW_ASAN=ON >/dev/null
   cmake --build build-asan -j --target pdw_tests
   ASAN_OPTIONS="halt_on_error=1" UBSAN_OPTIONS="print_stacktrace=1" \
     ./build-asan/tests/pdw_tests \
-    --gtest_filter='BasisLu.*:LuDifferential.*:PricingDifferential.*:BackendDifferential.*:ReferenceLp.*:ArtificialBound.*:WarmPath.*:EngineDeadline.*:GmiCuts.*:Simplex.*:Mip.*:WarmStart.*:Model.*:Presolve.*:LinExpr.*:ObsJson.*:RouterDifferential.*:RouterFixture.*:WashPathFixture.*:ChipLayout.*:CellSet.*:CutsSolve.*:CoverCuts.*:CutPoolTest.*:CoefStrengthening.*:Probing.*:PseudocostBranching.*'
+    --gtest_filter='BasisLu.*:LuDifferential.*:PricingDifferential.*:BackendDifferential.*:ReferenceLp.*:ArtificialBound.*:WarmPath.*:EngineDeadline.*:GmiCuts.*:Simplex.*:Mip.*:WarmStart.*:Model.*:Presolve.*:LinExpr.*:ObsJson.*:RouterDifferential.*:RouterFixture.*:WashPathFixture.*:ChipLayout.*:CellSet.*:CutsSolve.*:CoverCuts.*:CutPoolTest.*:CoefStrengthening.*:Probing.*:PseudocostBranching.*:LazyRows.*'
 fi
 
 if [[ "${PDW_SKIP_TSAN:-0}" == "1" ]]; then

@@ -5,6 +5,7 @@
 #include <set>
 
 #include "arch/router.h"
+#include "ilp/lp_backend.h"
 #include "ilp/solver.h"
 #include "obs/metric_names.h"
 #include "obs/metrics.h"
@@ -193,26 +194,19 @@ PathModel buildModel(const ChipLayout& chip, const std::vector<Cell>& region,
   return pm;
 }
 
-/// Extract the ordered path from an integral solution, or report the cells
-/// of a disconnected cycle component for a cut.
-struct Extraction {
-  std::optional<FlowPath> path;
-  std::vector<Cell> cycle_component;  // non-empty => add a cut
+/// A selection split into the walk from the flow endpoint to the waste
+/// endpoint and the cell sets connectivity cuts must break up (see
+/// connectivityCutSets).
+struct Selection {
+  std::vector<Cell> path;
+  std::vector<std::vector<Cell>> cut_sets;
 };
 
-Extraction extractPath(const ChipLayout& chip, const PathModel& pm,
-                       const ilp::Solution& sol) {
-  Extraction out;
-  std::set<Cell> selected;
-  Cell flow_cell{}, waste_cell{};
-  for (const auto& [c, v] : pm.cell_var)
-    if (sol.boolValue(v)) selected.insert(c);
-  for (const auto& [c, v] : pm.flow_end)
-    if (sol.boolValue(v)) flow_cell = c;
-  for (const auto& [c, v] : pm.waste_end)
-    if (sol.boolValue(v)) waste_cell = c;
-
+Selection splitSelection(const ChipLayout& chip,
+                         const std::set<Cell>& selected, Cell flow_cell,
+                         Cell waste_cell) {
   // Walk from the flow endpoint along selected cells.
+  Selection out;
   std::vector<Cell> ordered{flow_cell};
   std::set<Cell> visited{flow_cell};
   Cell current = flow_cell;
@@ -229,44 +223,86 @@ Extraction extractPath(const ChipLayout& chip, const PathModel& pm,
     current = next;
     if (current == waste_cell) break;
   }
-
-  if (current == waste_cell && visited.size() == selected.size()) {
-    // Single connected path covering all selected cells: attach the ports.
-    Cell flow_port{}, waste_port{};
-    for (const auto& [pid, v] : pm.flow_ports)
-      if (sol.boolValue(v)) flow_port = chip.port(pid).cell;
-    for (const auto& [pid, v] : pm.waste_ports)
-      if (sol.boolValue(v)) waste_port = chip.port(pid).cell;
-    std::vector<Cell> cells;
-    cells.push_back(flow_port);
-    cells.insert(cells.end(), ordered.begin(), ordered.end());
-    cells.push_back(waste_port);
-    out.path = FlowPath(std::move(cells));
+  if (current != waste_cell) {
+    out.cut_sets.emplace_back(selected.begin(), selected.end());
     return out;
   }
+  out.path = std::move(ordered);
 
-  // Disconnected: some selected component is a cycle. Report one.
+  // Flood-fill every selected component the walk did not reach.
   for (const Cell& c : selected) {
     if (visited.count(c)) continue;
-    // Flood-fill the component containing c.
     std::vector<Cell> component{c};
-    std::set<Cell> seen{c};
+    visited.insert(c);
     for (std::size_t i = 0; i < component.size(); ++i)
       for (const Cell& n : chip.neighbors(component[i]))
-        if (selected.count(n) && !seen.count(n)) {
-          seen.insert(n);
+        if (selected.count(n) && !visited.count(n)) {
+          visited.insert(n);
           component.push_back(n);
         }
-    out.cycle_component = std::move(component);
-    return out;
+    out.cut_sets.push_back(std::move(component));
   }
-  // Walk stalled inside the main component (should not happen with valid
-  // degree constraints); report it as a cut to force a different solution.
-  out.cycle_component.assign(selected.begin(), selected.end());
   return out;
 }
 
+/// The Selection of an integral point of the path model.
+Selection splitPoint(const ChipLayout& chip, const PathModel& pm,
+                     const std::vector<double>& point) {
+  const auto chosen = [&point](VarId v) {
+    return point[static_cast<std::size_t>(v)] > 0.5;
+  };
+  std::set<Cell> selected;
+  Cell flow_cell{}, waste_cell{};
+  for (const auto& [c, v] : pm.cell_var)
+    if (chosen(v)) selected.insert(c);
+  for (const auto& [c, v] : pm.flow_end)
+    if (chosen(v)) flow_cell = c;
+  for (const auto& [c, v] : pm.waste_end)
+    if (chosen(v)) waste_cell = c;
+  return splitSelection(chip, selected, flow_cell, waste_cell);
+}
+
+/// The connectivity cuts that reject `point`: sum_{c in C} u_c <= |C| - 1
+/// for every cut set C of its Selection. Empty when the point is a single
+/// path.
+std::vector<ilp::LpBackend::CutRow> connectivityCuts(
+    const ChipLayout& chip, const PathModel& pm,
+    const std::vector<double>& point) {
+  std::vector<ilp::LpBackend::CutRow> rows;
+  for (const std::vector<Cell>& set : splitPoint(chip, pm, point).cut_sets) {
+    ilp::LpBackend::CutRow row;
+    for (const Cell& c : set) row.terms.emplace_back(pm.cell_var.at(c), 1.0);
+    std::sort(row.terms.begin(), row.terms.end());
+    row.rhs = static_cast<double>(set.size()) - 1.0;
+    rows.push_back(std::move(row));
+    PDW_TRACE_INSTANT("routing", "connectivity_cut");
+  }
+  return rows;
+}
+
+/// The flow path of a point the connectivity cuts accepted: chosen flow
+/// port, the walk, chosen waste port.
+FlowPath assemblePath(const ChipLayout& chip, const PathModel& pm,
+                      const ilp::Solution& sol) {
+  std::vector<Cell> cells;
+  for (const auto& [pid, v] : pm.flow_ports)
+    if (sol.boolValue(v)) cells.push_back(chip.port(pid).cell);
+  const std::vector<Cell> walk = splitPoint(chip, pm, sol.values).path;
+  cells.insert(cells.end(), walk.begin(), walk.end());
+  for (const auto& [pid, v] : pm.waste_ports)
+    if (sol.boolValue(v)) cells.push_back(chip.port(pid).cell);
+  return FlowPath(std::move(cells));
+}
+
 }  // namespace
+
+std::vector<std::vector<Cell>> connectivityCutSets(
+    const ChipLayout& chip, const std::vector<Cell>& selected, Cell flow_end,
+    Cell waste_end) {
+  return splitSelection(chip, std::set<Cell>(selected.begin(), selected.end()),
+                        flow_end, waste_end)
+      .cut_sets;
+}
 
 std::optional<FlowPath> routeWashPathIlp(const ChipLayout& chip,
                                          const std::vector<Cell>& targets,
@@ -297,32 +333,23 @@ std::optional<FlowPath> routeWashPathIlp(const ChipLayout& chip,
     const std::vector<Cell> region =
         buildRegion(chip, targets, whole_grid, avoid);
     if (static_cast<int>(region.size()) > kMaxRegionCells) break;
-    PathModel pm = buildModel(chip, region, targets, avoid);
+    const PathModel pm = buildModel(chip, region, targets, avoid);
 
-    // Lazy connectivity-cut loop.
-    for (int round = 0; round < 25 && !ilp_path; ++round) {
-      ++s.ilp_solves;
-      ilp_solves.increment();
-      const ilp::Solution sol = ilp::solve(pm.model, options.solver);
-      warm_hits.add(sol.stats.warm_hits);
-      if (!sol.hasSolution()) break;  // infeasible/limits: try wider region
-      Extraction ex = extractPath(chip, pm, sol);
-      if (ex.path) {
-        ilp_path = std::move(ex.path);
-        break;
-      }
-      // Add the cut sum_{c in C} u_c <= |C| - 1 and re-solve.
-      LinExpr cut;
-      for (const Cell& c : ex.cycle_component)
-        cut += LinExpr(pm.cell_var.at(c));
-      pm.model.addLessEqual(
-          cut, static_cast<double>(ex.cycle_component.size()) - 1.0,
-          "connectivity_cut");
-      ++s.connectivity_cuts;
-      cuts.increment();
-      PDW_TRACE_INSTANT("routing", "connectivity_cut");
+    // One search per pass: the connectivity cuts are lazy rows of it.
+    ++s.ilp_solves;
+    ilp_solves.increment();
+    const ilp::Solution sol = ilp::solve(
+        pm.model, options.solver, [&](const std::vector<double>& point) {
+          return connectivityCuts(chip, pm, point);
+        });
+    warm_hits.add(sol.stats.warm_hits);
+    s.connectivity_cuts += static_cast<int>(sol.stats.lazy_rows);
+    cuts.add(sol.stats.lazy_rows);
+    if (sol.hasSolution()) {
+      ilp_path = assemblePath(chip, pm, sol);
+      break;
     }
-    if (ilp_path) break;
+    // Infeasible or out of budget: try the wider region.
   }
 
   // The restricted-region ILP can be beaten by the grid-wide heuristic;

@@ -5,9 +5,12 @@
 // (eq. 13), degree-2 continuity on interior path cells (eq. 14), and cover
 // every wash target (eq. 15), minimizing path length (the L_wash term of
 // eq. 26). Degree constraints alone admit disconnected cycles; the router
-// adds lazy connectivity cuts (for a selected cycle component C:
-// sum u_c <= |C|-1) and re-solves until the selection is a single path —
-// the standard exact completion of the formulation (DESIGN.md §6).
+// enforces connectivity with lazy rows of the search (ilp::LazyRows): an
+// integral point with selected cycle components is rejected with
+// sum_{c in C} u_c <= |C|-1 for each such component C, and branch-and-bound
+// re-solves the node with those rows kept. One search per pass returns a
+// single path — the standard exact completion of the formulation
+// (DESIGN.md §6).
 //
 // A BFS nearest-port chaining heuristic (the wash-path method of the DAWO
 // baseline [10]) is provided both as a fallback and for the ablation bench.
@@ -23,8 +26,8 @@
 namespace pdw::core {
 
 struct WashPathStats {
-  int ilp_solves = 0;
-  int connectivity_cuts = 0;
+  int ilp_solves = 0;         ///< path-ILP searches: at most one per pass
+  int connectivity_cuts = 0;  ///< lazy rows those searches added
   bool used_fallback = false;
 };
 
@@ -46,13 +49,25 @@ struct WashPathOptions {
 /// Route a wash path covering `targets` on `chip` via the ILP, first over
 /// the targets' neighbourhood (their bounding box grown toward the two
 /// nearest flow and waste ports, inflated by 2 cells), then over the whole
-/// grid; a region above 140 cells is not modelled. The BFS heuristic
-/// (routeWashPathHeuristic) always runs as well: the shorter path wins, and
-/// when the ILP finds none the heuristic's path is returned and counted as
-/// a fallback. nullopt means neither router reached every target.
+/// grid; a region above 140 cells is not modelled. Each pass is one search
+/// under `options.solver`'s budgets, so a call spends at most two. The BFS
+/// heuristic (routeWashPathHeuristic) always runs as well: the shorter path
+/// wins, and when the ILP finds none the heuristic's path is returned and
+/// counted as a fallback. nullopt means neither router reached every
+/// target.
 std::optional<arch::FlowPath> routeWashPathIlp(
     const arch::ChipLayout& chip, const std::vector<arch::Cell>& targets,
     const WashPathOptions& options = {}, WashPathStats* stats = nullptr);
+
+/// The cell sets whose connectivity cuts reject a path-ILP point selecting
+/// `selected`, with its endpoint markers on `flow_end` and `waste_end`:
+/// every selected component the walk from `flow_end` does not reach (each a
+/// cycle under eq. 14), or the whole selection should that walk stall short
+/// of `waste_end`. Empty when the selection is one path. The router rejects
+/// a point with one row sum_{c in C} u_c <= |C|-1 per set C.
+std::vector<std::vector<arch::Cell>> connectivityCutSets(
+    const arch::ChipLayout& chip, const std::vector<arch::Cell>& selected,
+    arch::Cell flow_end, arch::Cell waste_end);
 
 /// BFS heuristic: nearest flow port -> greedy target chain -> nearest waste
 /// port (the DAWO baseline's wash-path construction). `avoid_cells` are

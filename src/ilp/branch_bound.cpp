@@ -109,17 +109,19 @@ struct QueueEntry {
 };
 
 /// Best-bound branch-and-bound over one model. Its node sequence depends
-/// only on the model and the params, never on other threads, so a
-/// work-capped solve is identical at every thread count.
+/// only on the model, the params and the lazy-row callback, never on other
+/// threads, so a work-capped solve is identical at every thread count.
 class BranchAndBound {
  public:
-  /// `flight`, when non-null, is the solve's recorder. The caller owns it,
-  /// and it must outlive the BranchAndBound (the engine keeps a raw pointer
-  /// to it).
-  BranchAndBound(const Model& model, const SolveParams& params,
-                 obs::FlightRecorder* flight)
+  /// `model` is the search's own copy: lazy rows are appended to it. The
+  /// engine references it, so the two grow in step. `flight`, when
+  /// non-null, is the solve's recorder. The caller owns it, and it must
+  /// outlive the BranchAndBound (the engine keeps a raw pointer to it).
+  BranchAndBound(Model& model, const SolveParams& params,
+                 const LazyRows& lazy, obs::FlightRecorder* flight)
       : model_(model),
         params_(params),
+        lazy_(lazy),
         flight_(flight),
         start_(Clock::now()),
         engine_(makeLpBackend(model, params)) {
@@ -159,12 +161,12 @@ class BranchAndBound {
         }
       }
       const std::string violation = model_.firstViolation(warm, 1e-5);
-      if (violation.empty()) {
+      if (!violation.empty()) {
+        PDW_LOG(Info, "ilp") << "warm start rejected: " << violation;
+      } else if (lazyAccepts(warm)) {
         incumbent_ = std::move(warm);
         incumbent_obj_ = model_.objective().evaluate(incumbent_);
         has_incumbent_ = true;
-      } else {
-        PDW_LOG(Info, "ilp") << "warm start rejected: " << violation;
       }
     }
 
@@ -184,13 +186,18 @@ class BranchAndBound {
     // The budget that stopped the search, if one did.
     std::optional<SolveStatus> limit;
     bool lp_trouble = false;
+    // A node whose integral point the lazy rows just rejected: it is solved
+    // again, warm, before any queued node.
+    std::optional<QueueEntry> resolve;
 
-    while (!open_.empty()) {
+    while (resolve || !open_.empty()) {
       limit = limitReached();
       if (limit) break;
 
-      const QueueEntry entry = open_.top();
-      open_.pop();
+      const bool lazy_resolve = resolve.has_value();
+      const QueueEntry entry = lazy_resolve ? *resolve : open_.top();
+      if (lazy_resolve) resolve.reset();
+      else open_.pop();
       if (entry.bound >= incumbentBound() - absTol()) {
         // Pruned before its LP ran: the incumbent improved since this node
         // was queued. It gets a NodePruned event but no NodeOpen, so the
@@ -215,17 +222,18 @@ class BranchAndBound {
       }
 
       // Node LP: warm dual re-solve from the engine's current basis when
-      // possible, cold solve otherwise. The root is always cold (there is
-      // no prior basis) and counts as neither hit nor miss.
+      // possible, cold solve otherwise. The root's first solve is always
+      // cold (there is no prior basis) and counts as neither hit nor miss.
+      const bool allow_warm = entry.node != 0 || lazy_resolve;
       bool used_warm = false;
       std::int64_t dual_pivots = 0;
-      LpResult lp = engine_->solve(lower_, upper_, entry.node != 0,
-                                   &used_warm, &dual_pivots);
+      LpResult lp = engine_->solve(lower_, upper_, allow_warm, &used_warm,
+                                   &dual_pivots);
       ++stats_.lp_solves;
       stats_.simplex_iterations += lp.iterations;
       stats_.dual_pivots += dual_pivots;
       stats_.refactorizations += lp.factorizations;
-      if (entry.node != 0) {
+      if (allow_warm) {
         if (used_warm) ++stats_.warm_hits;
         else ++stats_.warm_misses;
       }
@@ -233,7 +241,7 @@ class BranchAndBound {
       if (flight_) {
         // WarmMiss mirrors the stats_.warm_misses condition exactly, so the
         // dump's count reconciles with ilp.simplex.warm_misses.
-        if (entry.node != 0 && !used_warm)
+        if (allow_warm && !used_warm)
           flight_->record(obs::FlightEventKind::WarmMiss, entry.node);
         flight_->record(obs::FlightEventKind::NodeSolved, entry.node,
                         lp.objective, static_cast<double>(lp.iterations));
@@ -265,8 +273,10 @@ class BranchAndBound {
 
       // Pseudocost learning: this node's LP bound degradation relative to
       // its parent, normalized by the fractional distance its branch
-      // imposed. Updated before any pruning so pruned nodes teach too.
-      if (entry.node != 0) {
+      // imposed. Updated before any pruning so pruned nodes teach too; a
+      // lazy re-solve's degradation comes from its new rows, not its
+      // branch, so it teaches nothing.
+      if (entry.node != 0 && !lazy_resolve) {
         const Node& node = nodes_[static_cast<std::size_t>(entry.node)];
         if (node.var >= 0 && node.branch_dist > 1e-9 &&
             std::isfinite(node.bound)) {
@@ -289,7 +299,10 @@ class BranchAndBound {
 
       const VarId branch_var = pickBranchVariable(lp.values);
       if (branch_var < 0) {
-        acceptIncumbent(lp);
+        if (!offerIncumbent(lp)) {
+          resolve = QueueEntry{lp.objective, entry.node};
+          continue;
+        }
         if (gapClosed()) break;
         continue;
       }
@@ -300,7 +313,6 @@ class BranchAndBound {
       if (has_incumbent_) {
         fix_buffer_.clear();
         engine_->collectReducedCostFixes(incumbent_obj_ - lp.objective,
-                                         kIntegralityTol,
                                          &fix_buffer_);
         if (!fix_buffer_.empty()) applyRcFixes(entry.node);
       }
@@ -320,6 +332,8 @@ class BranchAndBound {
                 1.0 - frac, /*up_branch=*/true);
     }
 
+    // A limit that cut a lazy re-solve leaves its node open.
+    if (resolve) open_.push(*resolve);
     fillStats(result);
     if (has_incumbent_) {
       result.objective = incumbent_obj_;
@@ -523,26 +537,48 @@ class BranchAndBound {
     return best;
   }
 
-  void acceptIncumbent(const LpResult& lp) {
+  /// Show `point`, integral and feasible for the model, to the lazy-row
+  /// callback. Rows it returns are appended to the model and to the engine
+  /// in step and counted in stats_.lazy_rows; the point is rejected then.
+  bool lazyAccepts(const std::vector<double>& point) {
+    if (!lazy_) return true;
+    const std::vector<LpBackend::CutRow> rows = lazy_(point);
+    if (rows.empty()) return true;
+    for (const LpBackend::CutRow& row : rows) {
+      LinExpr expr;
+      for (const auto& [var, coeff] : row.terms) expr.add(var, coeff);
+      model_.addConstr(expr, row.sense, row.rhs, "lazy_row");
+    }
+    engine_->addCutRows(rows);
+    stats_.lazy_rows += static_cast<std::int64_t>(rows.size());
+    return false;
+  }
+
+  /// Round a node's integral LP point and make it the incumbent if it
+  /// improves on it, stays feasible and the lazy rows accept it. Returns
+  /// false only when the lazy rows rejected it.
+  bool offerIncumbent(const LpResult& lp) {
     std::vector<double> values = lp.values;
     for (VarId v : integer_vars_) {
       auto& value = values[static_cast<std::size_t>(v)];
       value = std::round(value);
     }
     const double objective = model_.objective().evaluate(values);
-    if (has_incumbent_ && objective >= incumbent_obj_ - absTol()) return;
+    if (has_incumbent_ && objective >= incumbent_obj_ - absTol()) return true;
     if (!model_.isFeasible(values, 1e-5)) {
       // Snapping pushed the point out of the feasible region (can happen on
       // near-degenerate LPs); keep searching instead of accepting it.
       PDW_LOG(Debug, "ilp") << "rejecting numerically infeasible incumbent";
-      return;
+      return true;
     }
+    if (!lazyAccepts(values)) return false;
     incumbent_ = std::move(values);
     incumbent_obj_ = objective;
     has_incumbent_ = true;
     if (flight_)
       flight_->record(obs::FlightEventKind::Incumbent, -1, incumbent_obj_,
                       static_cast<double>(stats_.nodes_explored));
+    return true;
   }
 
   void pushChild(int parent, VarId var, double lower, double upper,
@@ -562,8 +598,9 @@ class BranchAndBound {
     open_.push(QueueEntry{bound, static_cast<int>(nodes_.size()) - 1});
   }
 
-  const Model& model_;
+  Model& model_;
   const SolveParams& params_;
+  const LazyRows& lazy_;
   obs::FlightRecorder* flight_ = nullptr;
   /// Taken before the engine is built: the engine counts its wall-clock
   /// budget from its construction, so its deadline never precedes the
@@ -602,14 +639,15 @@ class BranchAndBound {
 
 }  // namespace
 
-Solution solveMip(const Model& model, const SolveParams& params) {
+Solution solveMip(const Model& model, const SolveParams& params,
+                  const LazyRows& lazy) {
   PDW_TRACE_SPAN("ilp", "solve_mip");
   const auto start = Clock::now();
   const auto wallSeconds = [start] {
     return std::chrono::duration<double>(Clock::now() - start).count();
   };
 
-  if (model.numIntegerVars() == 0) {
+  if (model.numIntegerVars() == 0 && !lazy) {
     LpResult lp = solveLp(model, params);
     Solution result;
     result.stats.simplex_iterations = lp.iterations;
@@ -666,7 +704,7 @@ Solution solveMip(const Model& model, const SolveParams& params) {
   Solution result;
   {
     PDW_TRACE_SPAN("ilp", "branch_and_bound");
-    BranchAndBound search(augmented, params, flight.get());
+    BranchAndBound search(augmented, params, lazy, flight.get());
     result = search.run();
   }
   result.stats.cuts = cuts;

@@ -94,10 +94,10 @@ class LpBackend {
   virtual bool warmReady() const = 0;
 
   /// Reduced-cost fixings at the current optimum: every nonbasic integer
-  /// variable whose reduced cost exceeds `gap` (incumbent objective minus
-  /// this LP's objective) by a safety margin. Only valid immediately after
-  /// a solve that returned Optimal.
-  virtual void collectReducedCostFixes(double gap, double integrality_tol,
+  /// variable, integral within kIntegralityTol, whose reduced cost exceeds
+  /// `gap` (incumbent objective minus this LP's objective) by a safety
+  /// margin. Only valid immediately after a solve that returned Optimal.
+  virtual void collectReducedCostFixes(double gap,
                                        std::vector<Fix>* out) const = 0;
 
   /// Extract the optimal-tableau row of the *basic* model variable `var`
@@ -110,7 +110,8 @@ class LpBackend {
   /// Append cut rows to the engine without rebuilding it: each row arrives
   /// with its slack basic, so the current basis stays valid and
   /// dual-feasible and the next `solve(..., allow_warm=true)` re-optimizes
-  /// with the dual simplex from it (the classic cut-loop warm start).
+  /// with the dual simplex from it (the classic cut-loop warm start). The
+  /// root cut loop and branch-and-bound's lazy rows both append this way.
   virtual void addCutRows(const std::vector<CutRow>& rows) = 0;
 
   /// Attach a flight recorder (obs/flight.h) owned by the calling lane; the

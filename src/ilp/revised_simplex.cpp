@@ -832,7 +832,6 @@ std::vector<double> RevisedSimplex::extractValues() const {
 }
 
 void RevisedSimplex::collectReducedCostFixes(double gap,
-                                             double integrality_tol,
                                              std::vector<Fix>* out) const {
   if (!ready_ || !std::isfinite(gap)) return;
   for (int j = 0; j < n_; ++j) {
@@ -857,7 +856,7 @@ void RevisedSimplex::collectReducedCostFixes(double gap,
     const double value = x_[static_cast<std::size_t>(j)];
     // Only fix to (near-)integral bounds — an unattainable fractional bound
     // would invalidate the one-integer-step cost argument.
-    if (std::abs(value - std::round(value)) > integrality_tol) continue;
+    if (std::abs(value - std::round(value)) > kIntegralityTol) continue;
     out->push_back(Fix{j, std::round(value)});
   }
 }

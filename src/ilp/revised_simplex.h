@@ -96,7 +96,7 @@ class RevisedSimplex final : public LpBackend {
   LpResult coldSolve(const std::vector<double>& lower,
                      const std::vector<double>& upper) override;
   bool warmReady() const override { return ready_; }
-  void collectReducedCostFixes(double gap, double integrality_tol,
+  void collectReducedCostFixes(double gap,
                                std::vector<Fix>* out) const override;
   /// Canonical-space tableau row via one BTRAN against the factorized basis
   /// plus a pricing pass — the engine's native column space *is* the

@@ -4,9 +4,9 @@
 // substitute for Gurobi, see DESIGN.md §2). It routes one cold solve
 // through the LpBackend seam (lp_backend.h, DESIGN.md §12), so the same
 // sparse revised simplex serves pure LPs, node LPs and the root cut loop
-// alike, and no solve bypasses the obs instrumentation. (There is no
-// lazy-cut callback: the wash-path ILP adds each connectivity cut as a
-// row and solves again.)
+// alike, and no solve bypasses the obs instrumentation. (Lazy rows, which
+// the wash-path ILP's connectivity cuts use, belong to the MIP search:
+// see branch_bound.h.)
 #pragma once
 
 #include "ilp/model.h"

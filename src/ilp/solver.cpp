@@ -2,7 +2,6 @@
 
 #include <cstdio>
 
-#include "ilp/branch_bound.h"
 #include "ilp/presolve.h"
 
 namespace pdw::ilp {
@@ -16,7 +15,8 @@ std::string fingerprint(const SolveParams& params) {
   return buf;
 }
 
-Solution solve(const Model& model, const SolveParams& params) {
+Solution solve(const Model& model, const SolveParams& params,
+               const LazyRows& lazy) {
   Model reduced = model;
   const PresolveResult pre = presolve(reduced, PresolveOptions{});
   if (pre.infeasible) {
@@ -24,7 +24,7 @@ Solution solve(const Model& model, const SolveParams& params) {
     result.status = SolveStatus::Infeasible;
     return result;
   }
-  return solveMip(reduced, params);
+  return solveMip(reduced, params, lazy);
 }
 
 }  // namespace pdw::ilp

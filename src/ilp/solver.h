@@ -10,13 +10,16 @@
 //   ilp::Solution sol = ilp::solve(m, params);
 #pragma once
 
+#include "ilp/branch_bound.h"
 #include "ilp/model.h"
 #include "ilp/types.h"
 
 namespace pdw::ilp {
 
 /// Solve `model` (LP or MILP): presolve (presolve.h) a copy, then run
-/// solveMip (branch_bound.h) on it, so `model` is never mutated.
-Solution solve(const Model& model, const SolveParams& params = {});
+/// solveMip (branch_bound.h) on it with the lazy-row callback `lazy`, so
+/// `model` is never mutated.
+Solution solve(const Model& model, const SolveParams& params = {},
+               const LazyRows& lazy = {});
 
 }  // namespace pdw::ilp

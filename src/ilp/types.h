@@ -102,6 +102,9 @@ struct SolveStats {
   double wall_seconds = 0.0;
   /// Cutting planes the root separation loop materialized into the model.
   CutStats cuts;
+  /// Rows the lazy-row callback (branch_bound.h) returned to reject
+  /// integral points; never counted in `cuts`.
+  std::int64_t lazy_rows = 0;
   /// Node LPs run by the in-tree simplex engine (root + children).
   std::int64_t lp_solves = 0;
   /// Non-root node LPs re-optimized warm from the engine's current basis
@@ -124,6 +127,7 @@ struct SolveStats {
     nodes_explored += other.nodes_explored;
     wall_seconds += other.wall_seconds;
     cuts += other.cuts;
+    lazy_rows += other.lazy_rows;
     lp_solves += other.lp_solves;
     warm_hits += other.warm_hits;
     warm_misses += other.warm_misses;

@@ -36,6 +36,8 @@
 #include <thread>
 #include <vector>
 
+#include "core/schedule_ilp.h"
+#include "core/wash_path_ilp.h"
 #include "obs/flight.h"
 #include "service/plan_cache.h"
 #include "service/protocol.h"
@@ -59,11 +61,15 @@ struct DaemonOptions {
   std::size_t route_cache_capacity = 4096;
   std::size_t plan_cache_capacity = 256;
   /// Scheduling-ILP budget applied when a request does not set budget_s.
+  /// The node cap is the scheduling stage's own default.
   double default_budget_s = 4.0;
-  std::int64_t default_budget_nodes = 60000;
-  /// Per-operation wash-path ILP budget.
+  std::int64_t default_budget_nodes =
+      core::ScheduleIlpOptions{}.solver.node_limit;
+  /// Per-operation wash-path ILP budget; the node cap is the routing
+  /// stage's own default.
   double path_budget_s = 1.0;
-  std::int64_t path_budget_nodes = 8000;
+  std::int64_t path_budget_nodes =
+      core::WashPathOptions{}.solver.node_limit;
   /// Requests slower than this (admission to response, seconds) are logged
   /// at Warn with their trace id and counted in pdwd.slow_requests.
   double slow_request_seconds = 5.0;

@@ -139,10 +139,11 @@ TEST(BackendDifferential, RandomMipsAgreeOnObjective) {
 // cut rows — to a real RevisedSimplex, so the search, the root cut loop and
 // the plan are exactly the production ones. Every kSampleStride-th LP it
 // serves is also solved cold by the reference on the identical bound vector
-// and row set (the model the engine was built over, which the cut loop
-// extends in step with addCutRows), and the two results are compared on the
-// spot. Driving real PDW pipeline runs through it covers the bound patterns
-// branching produces on Table-II models, not a hand-picked sample.
+// and row set (the model the engine was built over, which the cut loop and
+// the lazy rows extend in step with addCutRows), and the two results are
+// compared on the spot. Driving real PDW pipeline runs through it covers
+// the bound patterns branching produces on Table-II models, not a
+// hand-picked sample.
 
 constexpr int kSampleStride = 6;
 
@@ -176,9 +177,9 @@ class ForwardingBackend : public LpBackend {
 
   bool warmReady() const override { return revised_.warmReady(); }
 
-  void collectReducedCostFixes(double gap, double integrality_tol,
+  void collectReducedCostFixes(double gap,
                                std::vector<Fix>* out) const override {
-    revised_.collectReducedCostFixes(gap, integrality_tol, out);
+    revised_.collectReducedCostFixes(gap, out);
   }
 
   bool tableauRow(VarId var, TableauRowView* out) const override {

@@ -271,9 +271,9 @@ class LoggingBackend final : public LpBackend {
     return log(inner_.coldSolve(lower, upper));
   }
   bool warmReady() const override { return inner_.warmReady(); }
-  void collectReducedCostFixes(double gap, double integrality_tol,
+  void collectReducedCostFixes(double gap,
                                std::vector<Fix>* out) const override {
-    inner_.collectReducedCostFixes(gap, integrality_tol, out);
+    inner_.collectReducedCostFixes(gap, out);
   }
   bool tableauRow(VarId var, TableauRowView* out) const override {
     return inner_.tableauRow(var, out);

@@ -172,9 +172,9 @@ class NoTableauBackend final : public LpBackend {
     return inner_.coldSolve(lower, upper);
   }
   bool warmReady() const override { return inner_.warmReady(); }
-  void collectReducedCostFixes(double gap, double integrality_tol,
+  void collectReducedCostFixes(double gap,
                                std::vector<Fix>* out) const override {
-    inner_.collectReducedCostFixes(gap, integrality_tol, out);
+    inner_.collectReducedCostFixes(gap, out);
   }
   bool tableauRow(VarId, TableauRowView*) const override { return false; }
   void addCutRows(const std::vector<CutRow>& rows) override {

@@ -89,16 +89,17 @@ TEST_P(PivotPin, WorkAndPlanMatchRecordedRun) {
   EXPECT_EQ(fnv1a(service::canonicalPlan(result.schedule())), pin.plan_fnv);
 }
 
-// Recorded on the commit before row-wise pricing (one simplex method, dual
-// devex pricing, column-wise pivot rows).
+// Recorded with the wash-path connectivity cuts as lazy rows of one search
+// per routing pass (one simplex method, dual devex pricing, row-wise pivot
+// rows).
 INSTANTIATE_TEST_SUITE_P(
     TableII, PivotPin,
     ::testing::Values(
-        Pin{BenchmarkId::Pcr, 21, 310, 5888, 4996, 105, 599, 1570, 82, 5,
-            168.0, 92.800000000000026, 15074450502523479373ull},
-        Pin{BenchmarkId::Ivd, 45, 541, 12001, 9621, 210, 966, 3301, 174, 22,
-            699.0, 242.09999999999999, 589018277385357344ull},
-        Pin{BenchmarkId::KinaseAct1, 18, 312, 5245, 4341, 92, 611, 1349, 87,
+        Pin{BenchmarkId::Pcr, 8, 290, 4240, 3940, 80, 262, 686, 24, 5, 168.0,
+            92.800000000000026, 15074450502523479373ull},
+        Pin{BenchmarkId::Ivd, 26, 483, 8246, 6810, 161, 440, 1899, 90, 22,
+            699.0, 242.10000000000002, 12864213706153772276ull},
+        Pin{BenchmarkId::KinaseAct1, 12, 276, 3546, 3033, 66, 212, 682, 37,
             11, 312.0, 146.40000000000006, 4596107480925008240ull}),
     [](const ::testing::TestParamInfo<Pin>& info) {
       std::string name = assay::toString(info.param.id);

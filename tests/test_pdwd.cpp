@@ -462,6 +462,16 @@ TEST(PdwdProtocol, FuzzAlwaysAnswersStructured) {
 
 // ---- PdwdDaemon ----------------------------------------------------------
 
+TEST(PdwdDaemon, DefaultNodeCapsAreTheStageDefaults) {
+  // The daemon restates no cap: a change to a stage's default reaches
+  // pdwd unchanged.
+  const DaemonOptions options;
+  EXPECT_EQ(options.default_budget_nodes,
+            core::ScheduleIlpOptions{}.solver.node_limit);
+  EXPECT_EQ(options.path_budget_nodes,
+            core::WashPathOptions{}.solver.node_limit);
+}
+
 TEST(PdwdDaemon, SolveWarmsAndInvalidates) {
   const obs::MetricsSnapshot baseline = obs::Registry::instance().snapshot();
   DaemonOptions options;

@@ -2,6 +2,9 @@
 // the BFS heuristic, cross-checked against each other.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+
 #include "core/wash_path_ilp.h"
 #include "obs/metric_names.h"
 #include "obs/metrics.h"
@@ -78,6 +81,71 @@ TEST_F(WashPathFixture, IlpNeverLongerThanHeuristic) {
     // routeWashPathIlp keeps the better of the two, so <= always holds;
     // the interesting assertion is that it is never *worse*.
     EXPECT_LE(ilp->size(), heuristic->size());
+  }
+}
+
+TEST_F(WashPathFixture, CutsAreLazyRowsOfOneSearch) {
+  // Two targets straddling the mixer: the degree rows alone select cycles,
+  // which the search's lazy rows cut off without a second solve.
+  const std::vector<Cell> targets = {{4, 1}, {4, 5}};
+  WashPathStats stats;
+  const auto path = routeWashPathIlp(chip_, targets, {}, &stats);
+  ASSERT_TRUE(path.has_value());
+  expectValidWashPath(chip_, *path, targets);
+  EXPECT_GT(stats.connectivity_cuts, 0);
+  EXPECT_EQ(stats.ilp_solves, 1);
+  EXPECT_FALSE(stats.used_fallback);
+}
+
+TEST_F(WashPathFixture, EveryCycleComponentGetsItsOwnCut) {
+  // A flow-to-waste walk along row 1 plus two disjoint 2x2 cycles.
+  std::vector<Cell> selected;
+  for (int x = 1; x <= 7; ++x) selected.push_back({x, 1});
+  const std::vector<Cell> left = {{1, 4}, {2, 4}, {1, 5}, {2, 5}};
+  const std::vector<Cell> right = {{6, 3}, {7, 3}, {6, 4}, {7, 4}};
+  selected.insert(selected.end(), left.begin(), left.end());
+  selected.insert(selected.end(), right.begin(), right.end());
+  const auto sets = connectivityCutSets(chip_, selected, {1, 1}, {7, 1});
+  ASSERT_EQ(sets.size(), 2u);
+  const auto sorted = [](std::vector<Cell> cells) {
+    std::sort(cells.begin(), cells.end());
+    return cells;
+  };
+  EXPECT_EQ(sorted(sets[0]), sorted(left));
+  EXPECT_EQ(sorted(sets[1]), sorted(right));
+
+  // The walk alone is one path: nothing to cut.
+  const std::vector<Cell> walk(selected.begin(), selected.begin() + 7);
+  EXPECT_TRUE(connectivityCutSets(chip_, walk, {1, 1}, {7, 1}).empty());
+  // A walk that stalls short of the waste end cuts the whole selection.
+  const auto stalled = connectivityCutSets(chip_, walk, {1, 1}, {7, 5});
+  ASSERT_EQ(stalled.size(), 1u);
+  EXPECT_EQ(stalled[0].size(), walk.size());
+}
+
+TEST_F(WashPathFixture, OneCallSpendsAtMostTwoSearches) {
+  // Each pass is one search under the node cap, so a call adds at most two
+  // solves and 2N nodes, however many cuts it needs.
+  constexpr std::int64_t kNodes = 5;
+  WashPathOptions options;
+  options.solver.node_limit = kNodes;
+  obs::Registry& reg = obs::Registry::instance();
+  obs::Counter& nodes = reg.counter(obs::names::kBbNodes);
+  obs::Counter& solves = reg.counter(obs::names::kPathIlpSolves);
+  const std::vector<Cell> target_sets[] = {
+      {{4, 1}, {4, 5}},
+      {{3, 1}, {3, 5}, {5, 1}, {5, 5}},
+      {{2, 1}, {2, 5}, {6, 1}, {6, 5}},
+      {{4, 2}, {4, 4}},
+  };
+  for (const auto& targets : target_sets) {
+    const std::int64_t nodes_before = nodes.value();
+    const std::int64_t solves_before = solves.value();
+    const auto path = routeWashPathIlp(chip_, targets, options);
+    ASSERT_TRUE(path.has_value());
+    expectValidWashPath(chip_, *path, targets);
+    EXPECT_LE(nodes.value() - nodes_before, 2 * kNodes);
+    EXPECT_LE(solves.value() - solves_before, 2);
   }
 }
 

@@ -10,7 +10,7 @@
 //   --route-cache N    shared route-cache capacity              (default 4096)
 //   --plan-cache N     plan-cache capacity                      (default 256)
 //   --budget S         default scheduling-ILP budget, seconds   (default 4)
-//   --budget-nodes N   default scheduling-ILP node cap          (default 60000)
+//   --budget-nodes N   default scheduling-ILP node cap  (default: the stage's)
 //   --path-budget S    per-operation path-ILP budget, seconds   (default 1)
 //   --slow S           slow-request log threshold, seconds      (default 5)
 //   --metrics-out F    write a pdw-metrics-1 export on exit
