@@ -1,5 +1,5 @@
-// bench_rewash — perturbation-replay load generator for incremental
-// re-wash (Pipeline::resolve(delta)).
+// bench_rewash — perturbation-replay load generator for online re-wash
+// (Pipeline::resolve(delta)).
 //
 //   bench_rewash [--quick] [--deltas N] [--budget S] [--json-out FILE]
 //                [--expect-speedup X] [--run-store FILE] [--label NAME]
@@ -12,8 +12,8 @@
 // the benchmark name and delta index alone). Every perturbation is solved
 // twice:
 //
-//   delta  Pipeline::resolve() against the resident pipeline — frontier
-//          necessity recompute, route-cache reuse, repair-mode MILP
+//   delta  Pipeline::resolve() against the resident pipeline — full
+//          necessity analysis, route-cache reuse, phase-A-only MILP
 //   cold   a fresh Pipeline::run() of the byte-identical perturbed
 //          schedule — the from-scratch re-solve the paper's offline flow
 //          would do

@@ -63,7 +63,7 @@ void printUsage() {
       "  --no-ilp-paths     BFS wash paths instead of the ILP\n"
       "  --no-ilp-schedule  greedy insertion instead of the scheduling ILP\n"
       "  --resolve-delta S  after the PDW solve, replay a perturbation\n"
-      "                     through the incremental resolver (repeatable;\n"
+      "                     through Pipeline::resolve (repeatable;\n"
       "                     deltas compose in order). Spec forms:\n"
       "                       op:ID:SECONDS     delay operation ID\n"
       "                       task:ID:SECONDS   delay fluidic task ID\n"
@@ -318,11 +318,8 @@ int main(int argc, char** argv) {
         }
         report(("PDW+d" + std::to_string(nth)).c_str(), result.plan);
         std::cerr << "resolve-delta " << nth << " (" << spec << "): "
-                  << result.resolve.frontier_cells << " frontier / "
-                  << result.resolve.reused_cells << " reused cells, "
-                  << result.resolve.routes_reused << " routes reused"
-                  << (result.resolve.full_fallback ? ", full fallback" : "")
-                  << "\n";
+                  << result.cache.hits << " routes from the route cache, "
+                  << result.cache.misses << " routed\n";
       }
     } else if (!options.resolve_deltas.empty()) {
       std::cerr << "--resolve-delta needs the PDW method\n";

@@ -14,10 +14,10 @@
 # reconciled by obs_check --pdwd, run record diffed against the frozen
 # pdwd-quick-baseline label in BENCH_runs.jsonl by pdw_report), an online
 # re-wash smoke (bench_rewash --quick replays seeded delta streams, asserts
-# N_wash identity between incremental resolve and cold re-solve, gates a
-# >= 5x speedup, pdw.resolve.* partition invariants reconciled by obs_check
-# --resolve, run record diffed against the frozen rewash-quick-baseline
-# label), the ILP numerics (LU and pivot-row pricing bit-identity
+# N_wash identity between resolve and cold re-solve, gates a >= 5x speedup,
+# pdw.resolve.requests/errors reconciled with the pdw.resolve.seconds count
+# by obs_check --resolve, run record diffed against the frozen
+# rewash-quick-baseline label), the ILP numerics (LU and pivot-row pricing bit-identity
 # differentials, LinExpr building, half-bounded LP differential and the
 # engine's wall-clock stops included), root cuts, lazy rows, probing
 # presolve and pseudocost branching, JSON decoder and grid-router tests (the
@@ -123,11 +123,12 @@ cat "$obs_dir/pdwd_runs.jsonl" >> "$obs_dir/pdwd_store.jsonl"
 
 echo "== tier-1: online re-wash smoke (bench_rewash --quick + pdw_report) =="
 # A resident pipeline replays a seeded perturbation stream (op/task delays)
-# per quick benchmark, solving each delta both incrementally
+# per quick benchmark, solving each delta both on the resident pipeline
 # (Pipeline::resolve) and cold from scratch. The bench itself asserts
 # N_wash identity on every delta and gates a >= 5x speedup (latency or
-# simplex iterations); obs_check --resolve reconciles the pdw.resolve.*
-# partition invariants from the metrics scrape; pdw_report then diffs the
+# simplex iterations); obs_check --resolve checks from the metrics export
+# that errors <= requests and that the pdw.resolve.seconds histogram
+# counts exactly requests - errors; pdw_report then diffs the
 # run record against the frozen rewash-quick-baseline label committed in
 # BENCH_runs.jsonl — nwash_mismatches is the deterministic gate (baseline
 # 0, any mismatch is +inf); wall_seconds gets a generous threshold plus a

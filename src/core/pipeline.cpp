@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <set>
 #include <utility>
 #include <vector>
 
@@ -99,13 +98,11 @@ void finalizeMetrics(PdwResult& result,
 }  // namespace
 
 /// Everything resolve() needs from the previous solve: the base schedule it
-/// was (re)based on, the memoized per-cell necessity analysis, and the
-/// blocked cells accumulated from earlier deltas. run() re-primes it from
-/// scratch; every successful resolve() re-bases it on the perturbed
-/// schedule, so deltas compose.
+/// was (re)based on and the blocked cells accumulated from earlier deltas.
+/// run() re-primes it from scratch; every successful resolve() re-bases it
+/// on the perturbed schedule, so deltas compose.
 struct Pipeline::ResolveState {
   assay::AssaySchedule base;
-  wash::NecessityMemo memo;
   std::vector<arch::Cell> blocked;  ///< sorted, deduplicated
   bool primed = false;
 };
@@ -141,11 +138,9 @@ core::RouteCacheStats Pipeline::cacheStats() const {
   return cache_ ? cache_->stats() : core::RouteCacheStats{};
 }
 
-PdwResult Pipeline::execute(const assay::AssaySchedule& base,
-                            wash::NecessityDeltaStats* delta_stats) {
+PdwResult Pipeline::execute(const assay::AssaySchedule& base, bool repair) {
   const auto run_start = Clock::now();
-  const bool incremental = delta_stats != nullptr;
-  PDW_TRACE_SPAN("pipeline", incremental ? "resolve" : "run");
+  PDW_TRACE_SPAN("pipeline", repair ? "resolve" : "run");
   obs::Registry& reg = obs::Registry::instance();
   const obs::MetricsSnapshot metrics_before = reg.snapshot();
   PdwResult result;
@@ -164,23 +159,16 @@ PdwResult Pipeline::execute(const assay::AssaySchedule& base,
     avoid.erase(std::unique(avoid.begin(), avoid.end()), avoid.end());
   }
 
-  // 1. Contamination replay + necessity analysis (eqs. 9-11). The
-  // incremental path re-walks only cells whose use list the delta moved;
-  // everything else is copied from the memo, so the merged result is
-  // bit-identical to a full analysis of `base`.
+  // 1. Contamination replay + necessity analysis (eqs. 9-11).
   auto stage_start = Clock::now();
   wash::NecessityResult necessity;
   {
     PDW_TRACE_SPAN("pipeline", "necessity_analysis");
     const wash::ContaminationTracker tracker(base);
-    if (incremental) {
-      necessity = analyzeWashNecessityDelta(tracker, resolve_state_->memo,
-                                            options_.necessity, delta_stats);
-    } else {
-      necessity = analyzeWashNecessity(
-          tracker, options_.necessity,
-          resolve_state_ ? &resolve_state_->memo : nullptr);
-    }
+    necessity = analyzeWashNecessity(tracker, options_.necessity);
+    if (repair)
+      result.resolve.frontier_cells =
+          static_cast<int>(tracker.usedCells().size());
   }
   result.plan.necessity = necessity.stats;
   reg.counter(obs::names::kNecessityTargets).add(necessity.stats.targets);
@@ -271,7 +259,7 @@ PdwResult Pipeline::execute(const assay::AssaySchedule& base,
     ilp_options.enable_integration = options_.enable_integration;
     ilp_options.solver = options_.solver.schedule;
     ilp_options.pool = pool_.get();
-    ilp_options.repair_mode = incremental;
+    ilp_options.repair_mode = repair;
     core::ScheduleIlpResult ilp =
         solveWashSchedule(base, routed, ilp_options);
     result.solver.schedule = ilp.stats;
@@ -314,12 +302,10 @@ PdwResult Pipeline::execute(const assay::AssaySchedule& base,
 
 PdwResult Pipeline::run(const assay::AssaySchedule& base) {
   if (!resolve_state_) resolve_state_ = std::make_unique<ResolveState>();
-  // Fresh priming: forget blocked cells and the old memo (execute() refills
-  // the memo as a side effect of the full necessity analysis).
+  // Fresh priming: forget blocked cells from earlier deltas.
   resolve_state_->blocked.clear();
-  resolve_state_->memo = wash::NecessityMemo{};
   resolve_state_->primed = false;
-  PdwResult result = execute(base, nullptr);
+  PdwResult result = execute(base, /*repair=*/false);
   resolve_state_->base = base;
   resolve_state_->primed = true;
   return result;
@@ -359,39 +345,13 @@ PdwResult Pipeline::resolve(const core::ScheduleDelta& delta) {
     std::sort(blocked.begin(), blocked.end());
     blocked.erase(std::unique(blocked.begin(), blocked.end()), blocked.end());
   }
-  // A removal renumbered the dense task ids; the memo's use lists and
-  // targets embed the old ids, so per-cell reuse would splice stale ids
-  // into the merged result. Drop it — the delta analysis falls back to a
-  // full re-walk and reports full_fallback.
-  if (applied.ids_renumbered) resolve_state_->memo = wash::NecessityMemo{};
 
-  wash::NecessityDeltaStats dstats;
-  PdwResult result = execute(applied.schedule, &dstats);
-
+  PdwResult result = execute(applied.schedule, /*repair=*/true);
   result.resolve.attempted = true;
   result.resolve.valid = true;
-  result.resolve.frontier_cells = dstats.frontier_cells;
-  result.resolve.reused_cells = dstats.reused_cells;
-  result.resolve.targets_recomputed = dstats.recomputed_targets;
-  result.resolve.targets_reused = dstats.reused_targets;
-  result.resolve.routes_reused = result.cache.hits;
-  result.resolve.full_fallback = dstats.full_fallback;
 
   // Re-base: later deltas apply on top of the perturbed schedule.
   resolve_state_->base = std::move(applied.schedule);
-
-  if (dstats.full_fallback)
-    reg.counter(obs::names::kResolveFullFallbacks).increment();
-  reg.counter(obs::names::kResolveCellsTotal)
-      .add(dstats.frontier_cells + dstats.reused_cells);
-  reg.counter(obs::names::kResolveFrontierCells).add(dstats.frontier_cells);
-  reg.counter(obs::names::kResolveReusedCells).add(dstats.reused_cells);
-  reg.counter(obs::names::kResolveTargetsTotal)
-      .add(dstats.recomputed_targets + dstats.reused_targets);
-  reg.counter(obs::names::kResolveTargetsRecomputed)
-      .add(dstats.recomputed_targets);
-  reg.counter(obs::names::kResolveTargetsReused).add(dstats.reused_targets);
-  reg.counter(obs::names::kResolveRoutesReused).add(result.cache.hits);
   reg.histogram(obs::names::kResolveSeconds).observe(secondsSince(t0));
   return result;
 }

@@ -60,21 +60,16 @@ struct PipelineSolverStats {
   int path_warm_hits = 0;   ///< node LPs warm-solved across path ILPs
 };
 
-/// Bookkeeping of one Pipeline::resolve() — how much of the previous
-/// solve's state the incremental path actually reused (the `pdw.resolve.*`
-/// metrics mirror these as process-wide counters).
+/// Outcome of one Pipeline::resolve(). The process-wide `pdw.resolve.*`
+/// metrics count requests, rejected deltas and successful resolve seconds.
 struct ResolveStats {
   bool attempted = false;  ///< this result came from resolve(), not run()
   bool valid = false;      ///< delta applied cleanly; the plan is meaningful
   std::string error;       ///< set when attempted && !valid
-  int frontier_cells = 0;  ///< cells re-analyzed (use list changed)
-  int reused_cells = 0;    ///< cells whose necessity carried over verbatim
-  int targets_recomputed = 0;
-  int targets_reused = 0;
-  int routes_reused = 0;   ///< wash routes served by the route cache
-  /// The necessity memo was unusable (options/horizon moved, or a task
-  /// removal renumbered ids) and every cell was re-analyzed.
-  bool full_fallback = false;
+  /// Kept only so perfbench/pdw_perfbench.cpp still builds: every cell the
+  /// necessity analysis walked, and 0 (resolve() re-analyzes every cell).
+  int frontier_cells = 0;
+  int reused_cells = 0;
 };
 
 /// Consolidated result of one Pipeline::run().
@@ -92,7 +87,7 @@ struct PdwResult {
   int threads = 1;             ///< execution lanes used
   int wash_operations = 0;     ///< clustered wash operations routed
   int unroutable_operations = 0;  ///< dropped (malformed chip; logged)
-  /// Incremental-solve bookkeeping (attempted == false for run() results).
+  /// resolve() outcome (attempted == false for run() results).
   ResolveStats resolve;
 
   /// Convenience: the washed schedule.
@@ -112,24 +107,24 @@ class Pipeline {
 
   /// Run the four PDW stages on `base`. Reentrant with respect to distinct
   /// Pipeline instances; one instance must not be run() from two threads.
-  /// Also (re)primes the incremental-solve state consumed by resolve():
-  /// the base schedule is copied, so the caller's graph/chip must outlive
-  /// later resolve() calls, and any blocked cells from earlier deltas are
-  /// forgotten.
+  /// Also (re)primes the state resolve() consumes: the base schedule is
+  /// copied, so the caller's graph/chip must outlive later resolve() calls,
+  /// and any blocked cells from earlier deltas are forgotten.
   PdwResult run(const assay::AssaySchedule& base);
 
-  /// Incremental delta-solve (DESIGN.md §15): apply `delta` to the last
-  /// solved base schedule, re-analyze wash necessity only on the
-  /// contamination frontier the delta touched, route through the (warm)
-  /// route cache with the delta's blocked cells excluded, and repair the
-  /// scheduling MILP in fix-and-optimize mode instead of the cold two-phase
-  /// solve. The wash plan equals what run() on the perturbed schedule would
-  /// produce up to schedule re-timing: necessity, clustering and routing are
-  /// bit-identical, so N_wash/L_wash match exactly. Requires a prior
-  /// successful run(); deltas compose (each resolve() re-bases on the
-  /// perturbed schedule it produced). An invalid delta (unknown id,
-  /// transport removal, blocked target cell) leaves the state untouched and
-  /// returns result.resolve.valid == false with the error message.
+  /// Delta-solve (DESIGN.md §15): apply `delta` to the last solved base
+  /// schedule and run the same four stages as run() on the perturbed
+  /// schedule, with two differences: routing excludes every cell blocked by
+  /// this and earlier deltas, and scheduling runs phase A only
+  /// (ScheduleIlpOptions::repair_mode). Routes of unchanged operations come
+  /// from the route cache, warm from earlier solves. Necessity, clustering
+  /// and routing therefore equal a cold run() of the perturbed schedule
+  /// with the same avoid-cells, so N_wash/L_wash match exactly; only the
+  /// re-timing may differ. Requires a prior successful run(); deltas
+  /// compose (each resolve() re-bases on the perturbed schedule it
+  /// produced). An invalid delta (unknown id, transport removal, cell
+  /// outside the chip) leaves the state untouched and returns
+  /// result.resolve.valid == false with the error message.
   PdwResult resolve(const core::ScheduleDelta& delta);
 
   /// True once run() has primed the state resolve() needs.
@@ -145,10 +140,9 @@ class Pipeline {
  private:
   struct ResolveState;
 
-  /// Shared stage driver behind run() and resolve(). `delta_stats` != null
-  /// selects the incremental path (memoized necessity + repair scheduling).
-  PdwResult execute(const assay::AssaySchedule& base,
-                    wash::NecessityDeltaStats* delta_stats);
+  /// The four stages behind run() and resolve(); `repair` selects
+  /// phase-A-only scheduling.
+  PdwResult execute(const assay::AssaySchedule& base, bool repair);
 
   core::PdwOptions options_;
   /// Owned by this Pipeline unless the options injected shared instances

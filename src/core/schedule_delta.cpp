@@ -193,20 +193,15 @@ AppliedDelta applyDelta(const AssaySchedule& base, const ScheduleDelta& delta) {
   AppliedDelta out;
   out.valid = true;
   out.schedule = AssaySchedule(&base.graph(), &base.chip());
-  OpId max_op = -1;
-  for (const assay::OpSchedule& s : ops) max_op = std::max(max_op, s.op);
-  out.op_shift.assign(static_cast<std::size_t>(max_op + 1), 0.0);
   for (std::size_t i = 0; i < ops.size(); ++i) {
     assay::OpSchedule copy = ops[i];
     copy.start = op_start[i];
     copy.end = op_end[i];
     out.schedule.addOpSchedule(copy);
-    out.op_shift[static_cast<std::size_t>(ops[i].op)] =
-        op_start[i] - ops[i].start;
   }
-  out.task_shift.assign(tasks.size(), 0.0);
-  out.task_remap.assign(tasks.size(), -1);
-  out.removed.assign(removed.begin(), removed.end());
+  // Ids are dense, so a removal renumbers the tail: map each surviving
+  // task's matching transport to its new id.
+  std::vector<TaskId> task_remap(tasks.size(), -1);
   for (std::size_t t = 0; t < tasks.size(); ++t) {
     if (removed.count(tasks[t].id)) continue;
     FluidTask copy = tasks[t];
@@ -214,11 +209,8 @@ AppliedDelta applyDelta(const AssaySchedule& base, const ScheduleDelta& delta) {
     copy.end = task_end[t];
     if (copy.matching_transport >= 0)
       copy.matching_transport =
-          out.task_remap[static_cast<std::size_t>(copy.matching_transport)];
-    const TaskId new_id = out.schedule.addTask(copy);
-    out.task_remap[t] = new_id;
-    out.task_shift[t] = task_start[t] - tasks[t].start;
-    if (new_id != tasks[t].id) out.ids_renumbered = true;
+          task_remap[static_cast<std::size_t>(copy.matching_transport)];
+    task_remap[t] = out.schedule.addTask(copy);
   }
   return out;
 }

@@ -6,18 +6,17 @@
 // valves jammed and must be avoided by wash routing, and waste-bound tasks
 // that were cancelled. applyDelta() turns the previous base schedule plus a
 // delta into the *perturbed* base schedule — the exact input a from-scratch
-// re-solve would receive — together with the per-item shift bookkeeping the
-// incremental pipeline (Pipeline::resolve) uses to bound the contamination
-// frontier.
+// re-solve would receive; Pipeline::resolve runs the same four stages on it
+// that Pipeline::run does.
 //
 // Shift propagation: delayed items push their structural successors
 // (operation dependencies, producer -> transport -> consumer chains,
 // removal-after-transport edges, same-device exclusivity in base order)
-// forward just enough to stay consistent; everything untouched keeps its
-// base start bit-for-bit, which is what makes per-cell necessity reuse
-// possible. Spatial (path-overlap) conflicts are deliberately NOT
-// re-serialized here: the scheduling stage re-times everything anyway, and
-// both the cold and the incremental path see the same perturbed schedule.
+// forward just enough to stay consistent; everything else keeps its base
+// start. Spatial (path-overlap) and shared-cell conflicts are NOT
+// re-serialized here, so a delayed base can overlap two tasks in space and
+// time (ROADMAP item 1); the scheduling stage re-times everything, and the
+// cold and the resolve path see the same perturbed schedule.
 #pragma once
 
 #include <string>
@@ -60,23 +59,11 @@ struct AppliedDelta {
   std::string error;  ///< set when !valid (unknown id, transport removal...)
   /// The perturbed base schedule (same graph/chip as the input).
   assay::AssaySchedule schedule;
-  /// Start-time shift per op id (seconds; 0 = untouched). Indexed by OpId.
-  std::vector<double> op_shift;
-  /// Start-time shift per ORIGINAL task id; removed tasks carry shift 0 but
-  /// appear in `removed`. Indexed by the input schedule's TaskId.
-  std::vector<double> task_shift;
-  std::vector<assay::TaskId> removed;  ///< validated removed task ids
-  /// Original task id -> perturbed task id (-1 for removed tasks). Identity
-  /// unless tasks were removed (AssaySchedule ids are dense).
-  std::vector<assay::TaskId> task_remap;
-  /// True when any task id changed (a removal renumbered the tail): per-cell
-  /// necessity reuse is then unsound for uses referencing shifted ids.
-  bool ids_renumbered = false;
 };
 
 /// Validate `delta` against `base` and produce the perturbed schedule.
 /// Deterministic: the same (base, delta) always yields the same schedule,
-/// so an incremental resolve and a cold re-solve start from identical input.
+/// so Pipeline::resolve and a cold re-solve start from identical input.
 AppliedDelta applyDelta(const assay::AssaySchedule& base,
                         const ScheduleDelta& delta);
 

@@ -95,10 +95,6 @@ class Builder {
         options_.repair_mode
             ? options_.solver.time_limit_seconds
             : std::max(0.5, options_.solver.time_limit_seconds * 0.4);
-    // Repair solves re-enter with a warm point projected from the previous
-    // plan; clamp it into the (slightly moved) variable box so it survives
-    // the incumbent-seeding feasibility check.
-    params_a.warm_clamp = options_.repair_mode;
     Model fixed = model_;
     for (const OrderBinary& ob : order_binaries_) {
       const double v = warm[static_cast<std::size_t>(ob.var)];

@@ -39,13 +39,14 @@ struct ScheduleIlpOptions {
   /// Optional runtime (non-owning): accelerates the greedy warm start's
   /// conflict precomputation. nullptr = sequential.
   util::ThreadPool* pool = nullptr;
-  /// Incremental repair (Pipeline::resolve): run only the fix-and-optimize
-  /// phase — order binaries pinned to the greedy order, warm point clamped
-  /// into the perturbed model's box (ilp::SolveParams::warm_clamp) — and
-  /// skip the free-order Phase B entirely. The pinned model's disjunctions
-  /// collapse to plain precedences, so a repair solve costs a small
-  /// fraction of a cold two-phase solve; the result is never reported
-  /// proven_optimal (optimality holds only for the pinned order).
+  /// Phase A only (Pipeline::resolve): run the fix-and-optimize phase —
+  /// every order binary pinned to the order of the greedy insertion
+  /// (wash::rescheduleWithWashes) of the input schedule, which also seeds
+  /// the warm start — and skip the free-order Phase B. Nothing of a
+  /// previous solve is reused. The pinned model's disjunctions collapse to
+  /// plain precedences, so this costs a small fraction of a cold two-phase
+  /// solve; the result is never reported proven_optimal (optimality holds
+  /// only for the pinned order).
   bool repair_mode = false;
 
   ScheduleIlpOptions() {

@@ -151,15 +151,6 @@ class BranchAndBound {
       for (VarId v : integer_vars_)
         warm[static_cast<std::size_t>(v)] =
             std::round(warm[static_cast<std::size_t>(v)]);
-      if (params_.warm_clamp) {
-        // Warm re-entry: project the point into the variable box first
-        // (stale-by-epsilon values from a previous solve of a perturbed
-        // model); the full feasibility check below still decides.
-        for (VarId v = 0; v < model_.numVars(); ++v) {
-          double& value = warm[static_cast<std::size_t>(v)];
-          value = std::clamp(value, model_.var(v).lower, model_.var(v).upper);
-        }
-      }
       const std::string violation = model_.firstViolation(warm, 1e-5);
       if (!violation.empty()) {
         PDW_LOG(Info, "ilp") << "warm start rejected: " << violation;

@@ -17,8 +17,12 @@
 // fractional part f0 of the basic variable). A cover cut `sum_{j in C} z_j
 // <= |C| - 1` is valid whenever the complemented row proves the cover items
 // cannot all be 1 simultaneously. Both families only ever remove fractional
-// LP points, never integer ones, so plans are unchanged — only the tree
-// shrinks.
+// LP points, never integer ones, so the integer-feasible set is unchanged.
+// Plans are not: the cuts move the LP bounds, the branching and so the
+// incumbent a node- or time-capped search stops at. They changed the plan
+// on 7 of the 8 Table-II benchmarks when measured, and skipping the loop
+// moves perfbench cold-large's N_wash/L_wash/T_assay sums from
+// 68/2532/709.2 to 68/2529/703.3 (ROADMAP items 3-4).
 #pragma once
 
 #include <cstdint>

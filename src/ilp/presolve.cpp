@@ -10,6 +10,14 @@ namespace pdw::ilp {
 
 namespace {
 
+constexpr double kFeasibilityTol = 1e-7;
+/// Rounds of propagation + coefficient strengthening before probing.
+constexpr int kMaxRounds = 10;
+/// Probing work caps: binaries probed (both directions each), and row
+/// relaxations (worklist pops) per probe.
+constexpr int kProbeVarLimit = 2000;
+constexpr int kProbeRowLimit = 20000;
+
 /// Scratch bounds presolve operates on; written back to the model once at
 /// the end (and thrown away entirely for probe branches).
 struct Bounds {
@@ -240,9 +248,9 @@ std::vector<int> allRows(const Model& model) {
 
 }  // namespace
 
-PresolveResult presolve(Model& model, const PresolveOptions& options) {
+PresolveResult presolve(Model& model) {
   PresolveResult result;
-  const double tol = options.feasibility_tol;
+  const double tol = kFeasibilityTol;
 
   Bounds bounds;
   bounds.lower.resize(static_cast<std::size_t>(model.numVars()));
@@ -262,7 +270,7 @@ PresolveResult presolve(Model& model, const PresolveOptions& options) {
   // Alternate propagation and coefficient strengthening to a joint
   // fixpoint: each strengthening changes activities, which can unlock more
   // bound tightening, and vice versa.
-  for (int round = 0; round < options.max_rounds; ++round) {
+  for (int round = 0; round < kMaxRounds; ++round) {
     result.rounds = round + 1;
     int tightened = 0;
     if (!propagate(model, rows_of_var, bounds, allRows(model), tol,
@@ -273,11 +281,9 @@ PresolveResult presolve(Model& model, const PresolveOptions& options) {
     result.bounds_tightened += tightened;
 
     int strengthened = 0;
-    if (options.coef_tightening) {
-      for (int ci = 0; ci < model.numConstraints(); ++ci)
-        strengthened += strengthenRow(model, ci, bounds, tol);
-      result.coefficients_tightened += strengthened;
-    }
+    for (int ci = 0; ci < model.numConstraints(); ++ci)
+      strengthened += strengthenRow(model, ci, bounds, tol);
+    result.coefficients_tightened += strengthened;
     if (tightened == 0 && strengthened == 0) break;
     if (strengthened > 0) rows_of_var = buildAdjacency(model);
   }
@@ -285,14 +291,13 @@ PresolveResult presolve(Model& model, const PresolveOptions& options) {
   // Probing: fix each binary both ways, propagate each branch in scratch
   // bounds, and harvest permanent fixings (one side infeasible) and
   // branch-joined bounds (both sides feasible).
-  if (options.probing && !result.infeasible) {
+  {
     Bounds probe0, probe1;
     int probed = 0;
     bool any_probe_change = false;
     for (VarId v = 0; v < model.numVars(); ++v) {
       if (!isUnfixedBinary(model, bounds, v, tol)) continue;
-      if (options.probe_var_limit > 0 && probed >= options.probe_var_limit)
-        break;
+      if (probed >= kProbeVarLimit) break;
       ++probed;
       const std::size_t vi = static_cast<std::size_t>(v);
       const std::vector<int>& seed = rows_of_var[vi];
@@ -300,12 +305,12 @@ PresolveResult presolve(Model& model, const PresolveOptions& options) {
       probe0 = bounds;
       probe0.lower[vi] = probe0.upper[vi] = 0.0;
       const bool feasible0 = propagate(model, rows_of_var, probe0, seed, tol,
-                                       options.probe_row_limit, nullptr,
+                                       kProbeRowLimit, nullptr,
                                        scratch);
       probe1 = bounds;
       probe1.lower[vi] = probe1.upper[vi] = 1.0;
       const bool feasible1 = propagate(model, rows_of_var, probe1, seed, tol,
-                                       options.probe_row_limit, nullptr,
+                                       kProbeRowLimit, nullptr,
                                        scratch);
 
       if (!feasible0 && !feasible1) {
@@ -378,17 +383,6 @@ PresolveResult presolve(Model& model, const PresolveOptions& options) {
                         << result.rows_removed << " redundant rows in "
                         << result.rounds << " rounds";
   return result;
-}
-
-PresolveResult presolve(Model& model, double feasibility_tol, int max_rounds) {
-  PresolveOptions options;
-  options.feasibility_tol = feasibility_tol;
-  options.max_rounds = max_rounds;
-  // The legacy entry point is pure activity propagation (pre-PR-6
-  // behaviour); the solver path opts into probing/strengthening explicitly.
-  options.probing = false;
-  options.coef_tightening = false;
-  return presolve(model, options);
 }
 
 }  // namespace pdw::ilp

@@ -26,21 +26,6 @@
 
 namespace pdw::ilp {
 
-struct PresolveOptions {
-  double feasibility_tol = 1e-7;
-  int max_rounds = 10;
-  /// Enable the probing pass (always on in ilp::solve; tests switch it off
-  /// to isolate the other reductions).
-  bool probing = true;
-  /// Enable big-M coefficient strengthening (always on in ilp::solve).
-  bool coef_tightening = true;
-  /// Probing work cap: maximum binaries probed (both directions each).
-  /// <= 0 disables the cap.
-  int probe_var_limit = 2000;
-  /// Per-probe propagation cap in row relaxations (worklist pops).
-  int probe_row_limit = 20000;
-};
-
 struct PresolveResult {
   bool infeasible = false;
   int bounds_tightened = 0;
@@ -56,11 +41,8 @@ struct PresolveResult {
 
 /// Tighten bounds, strengthen coefficients, probe binaries and drop
 /// redundant rows in place. Returns infeasible=true when any step proves
-/// the model unsatisfiable.
-PresolveResult presolve(Model& model, const PresolveOptions& options);
-
-/// Back-compat convenience overload (activity propagation defaults).
-PresolveResult presolve(Model& model, double feasibility_tol = 1e-7,
-                        int max_rounds = 10);
+/// the model unsatisfiable. Tolerance, round count and probing work caps
+/// are fixed constants (presolve.cpp), like every other solver setting.
+PresolveResult presolve(Model& model);
 
 }  // namespace pdw::ilp

@@ -18,7 +18,7 @@ std::string fingerprint(const SolveParams& params) {
 Solution solve(const Model& model, const SolveParams& params,
                const LazyRows& lazy) {
   Model reduced = model;
-  const PresolveResult pre = presolve(reduced, PresolveOptions{});
+  const PresolveResult pre = presolve(reduced);
   if (pre.infeasible) {
     Solution result;
     result.status = SolveStatus::Infeasible;

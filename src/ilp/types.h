@@ -176,15 +176,6 @@ struct SolveParams {
   /// anything worse than this point (the paper's "best-effort within the
   /// time limit" semantics).
   std::vector<double> warm_start;
-  /// Warm re-entry repair (the delta-solve path): clamp each warm-start
-  /// value into its variable's bounds before the feasibility check. A warm
-  /// point projected from a previous solve of a *perturbed* model (slightly
-  /// widened horizon, re-pinned binaries) often sits epsilon outside the new
-  /// box while remaining structurally sound; clamping lets it seed the
-  /// incumbent instead of being rejected wholesale. Never loosens the
-  /// feasibility check itself — a clamped-but-violating point is still
-  /// rejected.
-  bool warm_clamp = false;
   /// Iteration count after which pricing switches to Bland's rule inside one
   /// LP solve (anti-cycling). 0 = automatic (scales with model size); tests
   /// set 1 to exercise the Bland path directly.

@@ -43,28 +43,11 @@ inline constexpr const char* kScheduleIlpPsiVars =
     "pdw.schedule_ilp.psi_vars";
 inline constexpr const char* kScheduleIlpGreedyFallbacks =
     "pdw.schedule_ilp.greedy_fallbacks";
-// Incremental re-wash (Pipeline::resolve). Exact partition invariants,
-// reconciled by tools/obs_check --resolve: cells_total == frontier_cells +
-// reused_cells, targets_total == targets_recomputed + targets_reused, and
-// full_fallbacks <= requests. errors counts rejected deltas (they bump
-// requests too but contribute nothing to the partitions).
+// Re-wash (Pipeline::resolve), reconciled by tools/obs_check --resolve:
+// errors counts rejected deltas (they bump requests too), and the seconds
+// histogram observes each successful resolve once (requests - errors).
 inline constexpr const char* kResolveRequests = "pdw.resolve.requests";
 inline constexpr const char* kResolveErrors = "pdw.resolve.errors";
-inline constexpr const char* kResolveFullFallbacks =
-    "pdw.resolve.full_fallbacks";
-inline constexpr const char* kResolveCellsTotal = "pdw.resolve.cells_total";
-inline constexpr const char* kResolveFrontierCells =
-    "pdw.resolve.frontier_cells";
-inline constexpr const char* kResolveReusedCells =
-    "pdw.resolve.reused_cells";
-inline constexpr const char* kResolveTargetsTotal =
-    "pdw.resolve.targets_total";
-inline constexpr const char* kResolveTargetsRecomputed =
-    "pdw.resolve.targets_recomputed";
-inline constexpr const char* kResolveTargetsReused =
-    "pdw.resolve.targets_reused";
-inline constexpr const char* kResolveRoutesReused =
-    "pdw.resolve.routes_reused";
 inline constexpr const char* kResolveSeconds = "pdw.resolve.seconds";
 inline constexpr const char* kStageAnalysisSeconds =
     "pdw.stage.analysis_seconds";

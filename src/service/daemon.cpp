@@ -57,10 +57,10 @@ struct Daemon::BenchContext {
   std::uint64_t schedule_fingerprint = 0;
 };
 
-/// Resident incremental pipeline of one benchmark (resolve requests). The
-/// pipeline carries the solved-base state deltas compose on, so all resolve
-/// traffic for a benchmark serializes on `mutex` — the point of resolve is
-/// that each request is a cheap repair, not a parallel cold solve.
+/// Resident pipeline of one benchmark (resolve requests). The pipeline
+/// carries the solved-base state deltas compose on, so all resolve traffic
+/// for a benchmark serializes on `mutex` — the point of resolve is that each
+/// request is a cheap phase-A re-solve, not a parallel cold solve.
 struct Daemon::ResolveContext {
   std::mutex mutex;
   std::unique_ptr<Pipeline> pipeline;  ///< created + primed on first use
@@ -355,7 +355,6 @@ SolveReply Daemon::solveRequest(const Request& req, double remaining_s,
 
 SolveReply Daemon::resolveRequest(const Request& req, std::string* error) {
   SolveReply reply;
-  reply.is_resolve = true;
   std::shared_ptr<BenchContext> ctx = benchContext(req.benchmark, error);
   if (!ctx) return reply;
 
@@ -410,10 +409,6 @@ SolveReply Daemon::resolveRequest(const Request& req, std::string* error) {
   reply.wash_time_s = schedule.totalWashTime();
   reply.proven_optimal = result.plan.proven_optimal;
   reply.plan = canonicalPlan(schedule);
-  reply.frontier_cells = result.resolve.frontier_cells;
-  reply.reused_cells = result.resolve.reused_cells;
-  reply.routes_reused = result.resolve.routes_reused;
-  reply.full_fallback = result.resolve.full_fallback;
   return reply;
 }
 

@@ -154,7 +154,7 @@ class Daemon {
   mutable std::mutex bench_mutex_;
   std::map<std::string, std::shared_ptr<BenchContext>> bench_;
 
-  /// Resident incremental pipelines, one per benchmark (resolve requests).
+  /// Resident pipelines, one per benchmark (resolve requests).
   /// Each context serializes its own pipeline; the map mutex only guards
   /// creation/lookup.
   std::mutex resolve_mutex_;

@@ -246,12 +246,6 @@ std::string solveResponse(const std::string& id, const std::string& trace,
   if (reply.status == "error")
     out << ",\"code\":" << obs::json::quote(reply.code)
         << ",\"error\":" << obs::json::quote(reply.error);
-  if (reply.is_resolve)
-    out << ",\"resolve\":{\"frontier_cells\":" << reply.frontier_cells
-        << ",\"reused_cells\":" << reply.reused_cells
-        << ",\"routes_reused\":" << reply.routes_reused
-        << ",\"full_fallback\":" << (reply.full_fallback ? "true" : "false")
-        << "}";
   out << ",\"wall_ms\":" << formatDouble(reply.wall_ms)
       << ",\"queue_ms\":" << formatDouble(reply.queue_ms) << "}";
   return out.str();

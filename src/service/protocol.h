@@ -29,16 +29,15 @@
 //
 // Resolve requests (type "resolve") describe an online perturbation of the
 // named benchmark's last solved schedule and are served by the daemon's
-// resident per-benchmark incremental pipeline (DESIGN.md §15). Fields
+// resident per-benchmark pipeline (DESIGN.md §15). Fields
 // (benchmark required; at least one perturbation required):
 //   delay_op:    operation id to delay by delay_s seconds
 //   delay_task:  fluid-task id to delay by delay_s seconds
 //   delay_s:     required (> 0) with delay_op / delay_task
 //   block_cell:  "x:y" cell wash routing must avoid from now on
 //   remove_task: waste-bound task id to cancel
-// The response carries warm:true when a primed pipeline served the delta
-// incrementally, plus a "resolve" object with the reuse bookkeeping
-// (frontier_cells, reused_cells, routes_reused, full_fallback).
+// The response carries warm:true when an already primed pipeline served
+// the delta.
 //
 // Response statuses: ok | budget_hit (plan present, solver budget-capped) |
 // rejected (admission queue full) | deadline (expired before running) |
@@ -113,7 +112,8 @@ std::string errorResponse(const std::string& id, const std::string& code,
 /// cached CachedPlan is exactly this minus the per-request fields).
 struct SolveReply {
   std::string status;  ///< "ok" | "budget_hit" | "rejected" | "deadline"
-  bool warm = false;   ///< served from the shared plan cache
+  bool warm = false;   ///< served from the plan cache (resolve: by an
+                       ///< already primed pipeline)
   int n_wash = 0;
   double l_wash_mm = 0.0;
   double t_assay = 0.0;
@@ -124,13 +124,6 @@ struct SolveReply {
   double queue_ms = 0.0; ///< time spent waiting for a lane
   std::string error;     ///< message when status == "error"
   std::string code;      ///< error class when status == "error"
-  // Resolve-only bookkeeping (serialized as a "resolve" object when
-  // is_resolve; mirrors pdw::ResolveStats).
-  bool is_resolve = false;
-  int frontier_cells = 0;
-  int reused_cells = 0;
-  int routes_reused = 0;
-  bool full_fallback = false;
 };
 
 /// Serialize a solve response line (no trailing newline).

@@ -13,8 +13,9 @@
 //   * path well-formedness: connected, port-terminated, valid payload span.
 //
 // Contamination safety (no cross-fluid reuse without an intervening wash) is
-// checked by wash::ContaminationTracker and exposed through
-// validateWashedSchedule() once a wash plan is applied.
+// not checked: a plan that leaves a wash target unwashed passes. Re-running
+// the necessity analysis (wash/necessity.h) on the washed plan is the open
+// plan gate of ROADMAP item 1.
 #pragma once
 
 #include <string>

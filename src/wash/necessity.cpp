@@ -29,26 +29,12 @@ bool isInputOf(const assay::SequencingGraph& graph, assay::FluidId fluid,
   return false;
 }
 
-bool sameUse(const CellUse& a, const CellUse& b) {
-  return a.start == b.start && a.end == b.end && a.fluid == b.fluid &&
-         a.critical == b.critical && a.deposits == b.deposits &&
-         a.task == b.task && a.op == b.op;
-}
-
-bool sameUses(const std::vector<CellUse>& a, const std::vector<CellUse>& b) {
-  if (a.size() != b.size()) return false;
-  for (std::size_t i = 0; i < a.size(); ++i)
-    if (!sameUse(a[i], b[i])) return false;
-  return true;
-}
-
-/// The per-cell walk of eqs. 9-11: a pure function of the cell's use list
-/// (and the horizon, only when Type 1 is disabled) — the invariant the
-/// incremental path relies on to reuse unchanged cells verbatim.
-CellNecessity analyzeCell(const assay::AssaySchedule& schedule,
-                          arch::Cell cell, const std::vector<CellUse>& uses,
-                          double horizon, const NecessityOptions& options) {
-  CellNecessity out;
+/// The per-cell walk of eqs. 9-11 over one cell's chronological use list,
+/// appending the cell's targets and counts to `out`. `horizon` is the open
+/// deadline of Type-1 residues when that exemption is disabled.
+void analyzeCell(const assay::AssaySchedule& schedule, arch::Cell cell,
+                 const std::vector<CellUse>& uses, double horizon,
+                 const NecessityOptions& options, NecessityResult& out) {
   const assay::FluidRegistry& fluids = schedule.graph().fluids();
 
   const auto emitTarget = [&](const Residue& residue, double deadline,
@@ -120,24 +106,6 @@ CellNecessity analyzeCell(const assay::AssaySchedule& schedule,
       emitTarget(*residue, horizon, -1);
     }
   }
-  return out;
-}
-
-void accumulate(NecessityResult& result, const CellNecessity& cell) {
-  result.targets.insert(result.targets.end(), cell.targets.begin(),
-                        cell.targets.end());
-  result.stats.contaminated_cell_states +=
-      cell.stats.contaminated_cell_states;
-  result.stats.skipped_type1 += cell.stats.skipped_type1;
-  result.stats.skipped_type2 += cell.stats.skipped_type2;
-  result.stats.skipped_type3 += cell.stats.skipped_type3;
-  result.stats.targets += cell.stats.targets;
-}
-
-bool sameOptions(const NecessityOptions& a, const NecessityOptions& b) {
-  return a.enable_type1 == b.enable_type1 &&
-         a.enable_type2 == b.enable_type2 &&
-         a.enable_type3 == b.enable_type3;
 }
 
 }  // namespace
@@ -150,68 +118,13 @@ std::string NecessityStats::describe() const {
 }
 
 NecessityResult analyzeWashNecessity(const ContaminationTracker& tracker,
-                                     const NecessityOptions& options,
-                                     NecessityMemo* memo) {
+                                     const NecessityOptions& options) {
   NecessityResult result;
   const assay::AssaySchedule& schedule = tracker.schedule();
   const double horizon = schedule.completionTime();
-  if (memo != nullptr) {
-    memo->cells.clear();
-    memo->horizon = horizon;
-    memo->options = options;
-    memo->valid = true;
-  }
-  for (const arch::Cell& cell : tracker.usedCells()) {
-    CellNecessity analysis =
-        analyzeCell(schedule, cell, tracker.usesOf(cell), horizon, options);
-    accumulate(result, analysis);
-    if (memo != nullptr) {
-      analysis.uses = tracker.usesOf(cell);
-      memo->cells.emplace(cell, std::move(analysis));
-    }
-  }
-  return result;
-}
-
-NecessityResult analyzeWashNecessityDelta(const ContaminationTracker& tracker,
-                                          NecessityMemo& memo,
-                                          const NecessityOptions& options,
-                                          NecessityDeltaStats* delta_stats) {
-  const assay::AssaySchedule& schedule = tracker.schedule();
-  const double horizon = schedule.completionTime();
-  // With Type 1 disabled, trailing residues embed the horizon in their
-  // open deadline, so a moved completion time invalidates every memoized
-  // cell, not just the frontier.
-  const bool memo_usable =
-      memo.valid && sameOptions(memo.options, options) &&
-      (options.enable_type1 || memo.horizon == horizon);
-
-  NecessityResult result;
-  NecessityDeltaStats stats;
-  stats.full_fallback = !memo_usable;
-  std::map<arch::Cell, CellNecessity> fresh;
-  for (const arch::Cell& cell : tracker.usedCells()) {
-    const std::vector<CellUse>& uses = tracker.usesOf(cell);
-    const auto prev = memo_usable ? memo.cells.find(cell) : memo.cells.end();
-    CellNecessity analysis;
-    if (prev != memo.cells.end() && sameUses(prev->second.uses, uses)) {
-      analysis = prev->second;
-      ++stats.reused_cells;
-      stats.reused_targets += static_cast<int>(analysis.targets.size());
-    } else {
-      analysis = analyzeCell(schedule, cell, uses, horizon, options);
-      analysis.uses = uses;
-      ++stats.frontier_cells;
-      stats.recomputed_targets += static_cast<int>(analysis.targets.size());
-    }
-    accumulate(result, analysis);
-    fresh.emplace(cell, std::move(analysis));
-  }
-  memo.cells = std::move(fresh);
-  memo.horizon = horizon;
-  memo.options = options;
-  memo.valid = true;
-  if (delta_stats != nullptr) *delta_stats = stats;
+  for (const arch::Cell& cell : tracker.usedCells())
+    analyzeCell(schedule, cell, tracker.usesOf(cell), horizon, options,
+                result);
   return result;
 }
 

@@ -10,7 +10,6 @@
 // Each exemption can be disabled individually for the ablation study.
 #pragma once
 
-#include <map>
 #include <string>
 #include <vector>
 
@@ -54,56 +53,12 @@ struct NecessityResult {
   NecessityStats stats;
 };
 
-/// Per-cell walk result: the memoizable unit of incremental re-analysis.
-/// `uses` is the chronological use list the walk saw — a later delta
-/// analysis reuses `targets`/`stats` verbatim iff the cell's use list is
-/// unchanged (the walk is a pure function of it, plus the horizon when
-/// Type 1 is disabled).
-struct CellNecessity {
-  std::vector<CellUse> uses;
-  std::vector<WashTarget> targets;
-  NecessityStats stats;  ///< this cell's contribution only
-};
-
-/// Memoized per-cell analysis of one schedule, consumed and refreshed by
-/// analyzeWashNecessityDelta. Keyed row-major like
-/// ContaminationTracker::usedCells(), so merged results replay in the exact
-/// order of a full analysis.
-struct NecessityMemo {
-  std::map<arch::Cell, CellNecessity> cells;
-  double horizon = 0.0;  ///< completionTime() the walk used (Type-1-off only)
-  NecessityOptions options;
-  bool valid = false;
-};
-
-/// Reuse accounting of one incremental re-analysis.
-struct NecessityDeltaStats {
-  int frontier_cells = 0;    ///< cells whose use list changed (recomputed)
-  int reused_cells = 0;      ///< cells carried over from the memo
-  int recomputed_targets = 0;
-  int reused_targets = 0;
-  bool full_fallback = false;  ///< memo unusable (options/horizon changed)
-};
-
-/// Analyze a (wash-free) base schedule. With an exemption disabled, the
-/// corresponding residues become targets: Type-1 residues get the schedule
-/// end as deadline, Type-2/3 residues the start of their next use.
-/// When `memo` is non-null it is filled for later incremental reuse.
+/// Analyze a (wash-free) base schedule: one walk over each used cell's
+/// chronological use list, in ContaminationTracker::usedCells() order.
+/// With an exemption disabled, the corresponding residues become targets:
+/// Type-1 residues get the schedule end as deadline, Type-2/3 residues the
+/// start of their next use.
 NecessityResult analyzeWashNecessity(const ContaminationTracker& tracker,
-                                     const NecessityOptions& options = {},
-                                     NecessityMemo* memo = nullptr);
-
-/// Incremental re-analysis: walk only the contamination frontier — cells
-/// whose use list differs from `memo` — and copy every other cell's targets
-/// straight from it. Returns exactly what analyzeWashNecessity(tracker,
-/// options) would (same targets, same order, same stats); `memo` is updated
-/// in place to describe `tracker`. A memo recorded under different options
-/// (or, with Type 1 disabled, a different horizon — open-deadline targets
-/// embed it) forces a full recompute, reported via
-/// NecessityDeltaStats::full_fallback.
-NecessityResult analyzeWashNecessityDelta(const ContaminationTracker& tracker,
-                                          NecessityMemo& memo,
-                                          const NecessityOptions& options,
-                                          NecessityDeltaStats* delta_stats);
+                                     const NecessityOptions& options = {});
 
 }  // namespace pdw::wash

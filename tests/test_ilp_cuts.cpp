@@ -380,8 +380,7 @@ TEST(Probing, FixesBinaryWhoseBranchPropagatesInfeasible) {
   m.setObjective(-1.0 * LinExpr(x) - 1.0 * LinExpr(y));
 
   Model probed = m;
-  PresolveOptions options;
-  const PresolveResult r = presolve(probed, options);
+  const PresolveResult r = presolve(probed);
   EXPECT_FALSE(r.infeasible);
   EXPECT_GE(r.probed_fixings, 1);
   EXPECT_DOUBLE_EQ(probed.var(x).upper, 0.0) << "x must be fixed to 0";
@@ -408,8 +407,7 @@ TEST(Probing, DetectsInfeasibleModel) {
   m.addGreaterEqual(LinExpr(x), 1.0);  // forces x = 1: contradiction
 
   Model probed = m;
-  PresolveOptions options;
-  const PresolveResult r = presolve(probed, options);
+  const PresolveResult r = presolve(probed);
   EXPECT_TRUE(r.infeasible);
 
   const Solution s = solve(m, SolveParams{});
@@ -428,8 +426,7 @@ TEST(Probing, JoinedBoundsTightenAcrossBranches) {
   m.addGreaterEqual(LinExpr(w) - 3.0 * LinExpr(x), 0.0);
 
   Model probed = m;
-  PresolveOptions options;
-  const PresolveResult r = presolve(probed, options);
+  const PresolveResult r = presolve(probed);
   EXPECT_FALSE(r.infeasible);
   EXPECT_GE(probed.var(w).lower, 2.0 - 1e-9);
   EXPECT_GE(r.probed_bounds, 1);
@@ -447,9 +444,7 @@ TEST(CoefStrengthening, ShrinksPositiveBigM) {
   m.setObjective(-1.0 * LinExpr(y) - 0.1 * LinExpr(x));
 
   Model tight = m;
-  PresolveOptions options;
-  options.probing = false;
-  const PresolveResult r = presolve(tight, options);
+  const PresolveResult r = presolve(tight);
   EXPECT_FALSE(r.infeasible);
   EXPECT_GE(r.coefficients_tightened, 1);
   EXPECT_NEAR(tight.constraint(row).expr.coefficient(x), 3.0, 1e-9);
@@ -473,9 +468,7 @@ TEST(CoefStrengthening, ShrinksNegativeBigMIndicator) {
   m.setObjective(-1.0 * LinExpr(y) + 0.5 * LinExpr(x));
 
   Model tight = m;
-  PresolveOptions options;
-  options.probing = false;
-  const PresolveResult r = presolve(tight, options);
+  const PresolveResult r = presolve(tight);
   EXPECT_FALSE(r.infeasible);
   EXPECT_GE(r.coefficients_tightened, 1);
   EXPECT_NEAR(tight.constraint(row).expr.coefficient(x), -5.0, 1e-9);

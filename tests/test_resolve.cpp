@@ -1,22 +1,23 @@
-// Online re-wash (DESIGN.md §15): ScheduleDelta application, incremental
-// necessity re-analysis, and Pipeline::resolve() end to end.
+// Online re-wash (DESIGN.md §15): ScheduleDelta application and
+// Pipeline::resolve() end to end.
 //
 // Suites:
 //   ScheduleDeltaApply    applyDelta validation + shift propagation (every
-//                         rejected delta names its reason; untouched items
-//                         keep their base times bit-for-bit)
-//   IncrementalNecessity  the delta analysis returns exactly what a full
-//                         recompute on the perturbed schedule would
-//   PipelineResolve       resolve(delta) vs a cold run() on the perturbed
-//                         schedule: identical N_wash / L_wash, blocked
-//                         cells excluded from wash routes, invalid deltas
-//                         leave the resident state usable
+//                         rejected delta names its reason; a delay moves
+//                         only forward; a removal keeps ids dense)
+//   ResolveVsCold         resolve(delta) vs a cold run() of the same
+//                         applyDelta schedule, for each delta kind:
+//                         identical necessity, wash routes, N_wash, L_wash
+//   PipelineResolve       deltas compose, blocked cells are excluded from
+//                         wash routes, invalid deltas leave the resident
+//                         state usable
 //
 // Budgets are node/iteration-bound (never wall-clock) so the cold-vs-warm
 // comparisons are deterministic under sanitizers and load.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 #include <set>
 #include <string>
 #include <vector>
@@ -112,39 +113,47 @@ TEST(ScheduleDeltaApply, RejectsUnknownIdsAndBadRemovals) {
 TEST(ScheduleDeltaApply, DelayPropagatesOnlyForward) {
   const BaseBundle bundle = makeBundle(BenchmarkId::Pcr);
   const assay::AssaySchedule& base = bundle.synth.schedule;
-  const assay::OpId delayed = base.opSchedules().front().op;
+  const std::vector<assay::OpSchedule>& ops = base.opSchedules();
+  const assay::OpSchedule& delayed = ops[ops.size() / 2];
+  const double delay = 7.5;
 
   ScheduleDelta delta;
-  delta.op_delays.push_back({delayed, 7.5});
+  delta.op_delays.push_back({delayed.op, delay});
   const core::AppliedDelta applied = core::applyDelta(base, delta);
   ASSERT_TRUE(applied.valid) << applied.error;
-  EXPECT_FALSE(applied.ids_renumbered);
-  ASSERT_EQ(applied.schedule.opSchedules().size(), base.opSchedules().size());
+  ASSERT_EQ(applied.schedule.opSchedules().size(), ops.size());
   ASSERT_EQ(applied.schedule.tasks().size(), base.tasks().size());
 
-  // The delayed op moved by exactly the delay; nothing moved backwards, and
-  // items with zero shift kept their base times bit-for-bit.
-  for (std::size_t i = 0; i < base.opSchedules().size(); ++i) {
-    const assay::OpSchedule& b = base.opSchedules()[i];
+  // The delayed op starts exactly `delay` later; nothing moves backwards,
+  // durations are kept, and everything that started before the delayed op
+  // (no successor of it can) keeps its base start.
+  int earlier = 0;
+  for (std::size_t i = 0; i < ops.size(); ++i) {
+    const assay::OpSchedule& b = ops[i];
     const assay::OpSchedule& p = applied.schedule.opSchedules()[i];
     ASSERT_EQ(b.op, p.op);
-    EXPECT_GE(p.start, b.start);
-    const double shift = applied.op_shift[static_cast<std::size_t>(b.op)];
-    if (b.op == delayed) EXPECT_DOUBLE_EQ(shift, 7.5);
-    if (shift == 0.0) {
-      EXPECT_EQ(p.start, b.start);
-      EXPECT_EQ(p.end, b.end);
+    if (b.op == delayed.op) {
+      EXPECT_DOUBLE_EQ(p.start, b.start + delay);
     }
-    // Durations are preserved.
+    EXPECT_GE(p.start, b.start);
     EXPECT_DOUBLE_EQ(p.end - p.start, b.end - b.start);
+    if (b.start < delayed.start) {
+      EXPECT_EQ(p.start, b.start);
+      ++earlier;
+    }
   }
   for (std::size_t i = 0; i < base.tasks().size(); ++i) {
     const assay::FluidTask& b = base.tasks()[i];
     const assay::FluidTask& p = applied.schedule.tasks()[i];
+    EXPECT_EQ(p.id, b.id);
     EXPECT_GE(p.start, b.start);
-    if (applied.task_shift[i] == 0.0) EXPECT_EQ(p.start, b.start);
     EXPECT_DOUBLE_EQ(p.end - p.start, b.end - b.start);
+    if (b.start < delayed.start) {
+      EXPECT_EQ(p.start, b.start);
+      ++earlier;
+    }
   }
+  EXPECT_GT(earlier, 0) << "no item precedes the delayed op";
 }
 
 TEST(ScheduleDeltaApply, RemovalRenumbersAndRemaps) {
@@ -152,88 +161,41 @@ TEST(ScheduleDeltaApply, RemovalRenumbersAndRemaps) {
   const assay::AssaySchedule& base = bundle.synth.schedule;
   const assay::TaskId removable = findRemovableTask(base);
   ASSERT_GE(removable, 0);
+  ASSERT_LT(removable, static_cast<assay::TaskId>(base.tasks().size()) - 1)
+      << "the removal must renumber a tail";
 
   ScheduleDelta delta;
   delta.removed_tasks.push_back(removable);
   const core::AppliedDelta applied = core::applyDelta(base, delta);
   ASSERT_TRUE(applied.valid) << applied.error;
-  EXPECT_EQ(applied.schedule.tasks().size(), base.tasks().size() - 1);
-  EXPECT_EQ(applied.task_remap[static_cast<std::size_t>(removable)], -1);
-  // Ids are dense, so removing any task but the last renumbers the tail.
-  const bool was_last =
-      removable == static_cast<assay::TaskId>(base.tasks().size()) - 1;
-  EXPECT_EQ(applied.ids_renumbered, !was_last);
-  // Every surviving task is found at its remapped id with the same kind.
-  for (std::size_t t = 0; t < base.tasks().size(); ++t) {
-    const assay::TaskId mapped = applied.task_remap[t];
-    if (mapped < 0) continue;
-    EXPECT_EQ(applied.schedule.tasks()[static_cast<std::size_t>(mapped)].kind,
-              base.tasks()[t].kind);
+  const std::vector<assay::FluidTask>& survivors = applied.schedule.tasks();
+  ASSERT_EQ(survivors.size(), base.tasks().size() - 1);
+
+  // Survivors keep their base order with dense ids: base task t lands at
+  // t, or t - 1 past the removed one. Each keeps its kind, times and path,
+  // and its matching transport is the same transport under its new id.
+  const auto newId = [&](assay::TaskId t) {
+    return t < removable ? t : t - 1;
+  };
+  int remapped = 0;
+  for (const assay::FluidTask& b : base.tasks()) {
+    if (b.id == removable) continue;
+    const assay::FluidTask& p =
+        survivors[static_cast<std::size_t>(newId(b.id))];
+    EXPECT_EQ(p.id, newId(b.id));
+    EXPECT_EQ(p.kind, b.kind);
+    EXPECT_EQ(p.start, b.start);
+    EXPECT_EQ(p.end, b.end);
+    EXPECT_EQ(p.path.cells(), b.path.cells());
+    if (b.matching_transport < 0) {
+      EXPECT_LT(p.matching_transport, 0);
+      continue;
+    }
+    ASSERT_NE(b.matching_transport, removable);
+    EXPECT_EQ(p.matching_transport, newId(b.matching_transport));
+    if (p.matching_transport != b.matching_transport) ++remapped;
   }
-}
-
-// ---- IncrementalNecessity ------------------------------------------------
-
-TEST(IncrementalNecessity, DeltaAnalysisMatchesFullRecompute) {
-  const BaseBundle bundle = makeBundle(BenchmarkId::Ivd);
-  const assay::AssaySchedule& base = bundle.synth.schedule;
-
-  wash::NecessityMemo memo;
-  const wash::ContaminationTracker tracker(base);
-  analyzeWashNecessity(tracker, {}, &memo);
-  ASSERT_TRUE(memo.valid);
-
-  ScheduleDelta delta;
-  delta.op_delays.push_back({base.opSchedules().front().op, 4.0});
-  const core::AppliedDelta applied = core::applyDelta(base, delta);
-  ASSERT_TRUE(applied.valid) << applied.error;
-
-  const wash::ContaminationTracker perturbed(applied.schedule);
-  wash::NecessityDeltaStats dstats;
-  const wash::NecessityResult incremental =
-      analyzeWashNecessityDelta(perturbed, memo, {}, &dstats);
-  const wash::NecessityResult full = analyzeWashNecessity(perturbed);
-
-  EXPECT_FALSE(dstats.full_fallback);
-  EXPECT_GT(dstats.reused_cells, 0);
-  ASSERT_EQ(incremental.targets.size(), full.targets.size());
-  for (std::size_t i = 0; i < full.targets.size(); ++i) {
-    const wash::WashTarget& a = incremental.targets[i];
-    const wash::WashTarget& b = full.targets[i];
-    EXPECT_EQ(a.cell, b.cell);
-    EXPECT_EQ(a.residue, b.residue);
-    EXPECT_EQ(a.ready, b.ready);
-    EXPECT_EQ(a.deadline, b.deadline);
-    EXPECT_EQ(a.contaminating_task, b.contaminating_task);
-    EXPECT_EQ(a.contaminating_op, b.contaminating_op);
-    EXPECT_EQ(a.blocking_task, b.blocking_task);
-  }
-  EXPECT_EQ(incremental.stats.targets, full.stats.targets);
-  EXPECT_EQ(incremental.stats.skipped_type1, full.stats.skipped_type1);
-  EXPECT_EQ(incremental.stats.skipped_type2, full.stats.skipped_type2);
-  EXPECT_EQ(incremental.stats.skipped_type3, full.stats.skipped_type3);
-  EXPECT_EQ(incremental.stats.contaminated_cell_states,
-            full.stats.contaminated_cell_states);
-}
-
-TEST(IncrementalNecessity, OptionChangeForcesFullFallback) {
-  const BaseBundle bundle = makeBundle(BenchmarkId::Pcr);
-  const wash::ContaminationTracker tracker(bundle.synth.schedule);
-
-  wash::NecessityMemo memo;
-  analyzeWashNecessity(tracker, {}, &memo);
-
-  wash::NecessityOptions no_type2;
-  no_type2.enable_type2 = false;
-  wash::NecessityDeltaStats dstats;
-  const wash::NecessityResult incremental =
-      analyzeWashNecessityDelta(tracker, memo, no_type2, &dstats);
-  EXPECT_TRUE(dstats.full_fallback);
-  EXPECT_EQ(dstats.reused_cells, 0);
-
-  const wash::NecessityResult full = analyzeWashNecessity(tracker, no_type2);
-  EXPECT_EQ(incremental.targets.size(), full.targets.size());
-  EXPECT_EQ(incremental.stats.targets, full.stats.targets);
+  EXPECT_GT(remapped, 0) << "no matching_transport was renumbered";
 }
 
 // ---- PipelineResolve -----------------------------------------------------
@@ -249,42 +211,105 @@ TEST(PipelineResolve, RequiresPriorRun) {
   EXPECT_FALSE(r.resolve.error.empty());
 }
 
-class ResolveVsCold : public ::testing::TestWithParam<BenchmarkId> {};
+/// Cells a blocked-cell delta can take without blocking a wash target:
+/// cells on `plan`'s wash routes that `base` never uses.
+std::vector<arch::Cell> transitCells(const assay::AssaySchedule& base,
+                                     const assay::AssaySchedule& plan) {
+  std::set<arch::Cell> used;
+  for (const arch::Cell& cell : wash::ContaminationTracker(base).usedCells())
+    used.insert(cell);
+  std::vector<arch::Cell> cells;
+  for (const assay::FluidTask& task : plan.tasks()) {
+    if (task.kind != TaskKind::Wash) continue;
+    for (const arch::Cell& c : task.path.cells())
+      if (!used.count(c)) cells.push_back(c);
+  }
+  return cells;
+}
+
+std::vector<std::vector<arch::Cell>> washRoutes(
+    const assay::AssaySchedule& plan) {
+  std::vector<std::vector<arch::Cell>> routes;
+  for (const assay::FluidTask& task : plan.tasks())
+    if (task.kind == TaskKind::Wash) routes.push_back(task.path.cells());
+  return routes;
+}
+
+class ResolveVsCold : public ::testing::TestWithParam<BenchmarkId> {
+ protected:
+  void SetUp() override {
+    bundle_ = makeBundle(GetParam());
+    warm_ = std::make_unique<Pipeline>(fastOptions());
+    first_ = warm_->run(base());
+    ASSERT_TRUE(warm_->canResolve());
+  }
+
+  const assay::AssaySchedule& base() const { return bundle_.synth.schedule; }
+
+  /// resolve(delta) on the primed pipeline against a cold run() of the
+  /// same applyDelta schedule, told to avoid the delta's blocked cells:
+  /// the same wash targets, operations and routes, so the same N_wash and
+  /// L_wash (only the phase-A-only re-timing may differ).
+  PdwResult expectMatchesCold(const ScheduleDelta& delta) {
+    const core::AppliedDelta applied = core::applyDelta(base(), delta);
+    EXPECT_TRUE(applied.valid) << applied.error;
+    const PdwResult incremental = warm_->resolve(delta);
+    EXPECT_TRUE(incremental.resolve.valid) << incremental.resolve.error;
+
+    core::PdwOptions cold_options = fastOptions();
+    cold_options.path.avoid_cells = delta.blocked_cells;
+    const PdwResult scratch = Pipeline(cold_options).run(applied.schedule);
+
+    EXPECT_EQ(incremental.plan.necessity.describe(),
+              scratch.plan.necessity.describe());
+    EXPECT_EQ(incremental.wash_operations, scratch.wash_operations);
+    EXPECT_EQ(incremental.unroutable_operations,
+              scratch.unroutable_operations);
+    EXPECT_EQ(washRoutes(incremental.schedule()),
+              washRoutes(scratch.schedule()));
+    const sim::WashMetrics mi =
+        sim::computeMetrics(incremental.schedule(), base());
+    const sim::WashMetrics mc = sim::computeMetrics(scratch.schedule(), base());
+    EXPECT_EQ(mi.n_wash, mc.n_wash);
+    EXPECT_DOUBLE_EQ(mi.l_wash_mm, mc.l_wash_mm);
+    return incremental;
+  }
+
+  BaseBundle bundle_;
+  std::unique_ptr<Pipeline> warm_;
+  PdwResult first_;
+};
 
 TEST_P(ResolveVsCold, DelayDeltaMatchesColdResolve) {
-  const BaseBundle bundle = makeBundle(GetParam());
-  const assay::AssaySchedule& base = bundle.synth.schedule;
-
-  Pipeline warm(fastOptions());
-  const PdwResult first = warm.run(base);
-  ASSERT_TRUE(warm.canResolve());
-
   ScheduleDelta delta;
-  delta.op_delays.push_back({base.opSchedules().front().op, 6.0});
-  const core::AppliedDelta applied = core::applyDelta(base, delta);
-  ASSERT_TRUE(applied.valid) << applied.error;
-
-  const PdwResult incremental = warm.resolve(delta);
-  ASSERT_TRUE(incremental.resolve.valid) << incremental.resolve.error;
-
-  Pipeline cold(fastOptions());
-  const PdwResult scratch = cold.run(applied.schedule);
-
-  // The tentpole's correctness bar: the wash set is identical to a
-  // from-scratch re-solve on the perturbed schedule (necessity, clustering
-  // and routing are bit-identical; only the repair-mode re-timing differs).
-  const sim::WashMetrics mi = sim::computeMetrics(incremental.schedule(), base);
-  const sim::WashMetrics mc = sim::computeMetrics(scratch.schedule(), base);
-  EXPECT_EQ(mi.n_wash, mc.n_wash);
-  EXPECT_DOUBLE_EQ(mi.l_wash_mm, mc.l_wash_mm);
-  EXPECT_EQ(incremental.wash_operations, scratch.wash_operations);
-
-  // Reuse accounting: the partitions hold and the frontier is partial.
-  const ResolveStats& rs = incremental.resolve;
-  EXPECT_GT(rs.reused_cells, 0);
-  EXPECT_FALSE(rs.full_fallback);
-  EXPECT_EQ(first.wash_operations > 0, rs.routes_reused > 0)
+  delta.op_delays.push_back({base().opSchedules().front().op, 6.0});
+  const PdwResult incremental = expectMatchesCold(delta);
+  EXPECT_EQ(first_.wash_operations > 0, incremental.cache.hits > 0)
       << "unchanged wash routes should be served by the warm route cache";
+}
+
+TEST_P(ResolveVsCold, TaskDelayDeltaMatchesColdResolve) {
+  ScheduleDelta delta;
+  delta.task_delays.push_back(
+      {static_cast<assay::TaskId>(base().tasks().size() / 2), 4.0});
+  expectMatchesCold(delta);
+}
+
+TEST_P(ResolveVsCold, BlockedCellDeltaMatchesColdResolve) {
+  const std::vector<arch::Cell> cells =
+      transitCells(base(), first_.schedule());
+  if (cells.empty()) GTEST_SKIP() << "no blockable transit cell";
+  ScheduleDelta delta;
+  delta.blocked_cells.push_back(cells.front());
+  expectMatchesCold(delta);
+}
+
+TEST_P(ResolveVsCold, RemovalDeltaMatchesColdResolve) {
+  const assay::TaskId removable = findRemovableTask(base());
+  ASSERT_GE(removable, 0);
+  ScheduleDelta delta;
+  delta.removed_tasks.push_back(removable);
+  expectMatchesCold(delta);
 }
 
 INSTANTIATE_TEST_SUITE_P(SmallBenchmarks, ResolveVsCold,
@@ -336,33 +361,6 @@ TEST(PipelineResolve, DeltasComposeAndInvalidDeltaLeavesStateUsable) {
   EXPECT_DOUBLE_EQ(mi.l_wash_mm, mc.l_wash_mm);
 }
 
-TEST(PipelineResolve, RemovalFallsBackToFullRecompute) {
-  const BaseBundle bundle = makeBundle(BenchmarkId::Pcr);
-  const assay::AssaySchedule& base = bundle.synth.schedule;
-  const assay::TaskId removable = findRemovableTask(base);
-  ASSERT_GE(removable, 0);
-
-  Pipeline pipeline(fastOptions());
-  pipeline.run(base);
-
-  ScheduleDelta delta;
-  delta.removed_tasks.push_back(removable);
-  const core::AppliedDelta applied = core::applyDelta(base, delta);
-  ASSERT_TRUE(applied.valid) << applied.error;
-
-  const PdwResult r = pipeline.resolve(delta);
-  ASSERT_TRUE(r.resolve.valid) << r.resolve.error;
-  // Renumbered ids invalidate the memo — correctness over reuse.
-  EXPECT_EQ(r.resolve.full_fallback, applied.ids_renumbered);
-
-  Pipeline cold(fastOptions());
-  const PdwResult scratch = cold.run(applied.schedule);
-  const sim::WashMetrics mi = sim::computeMetrics(r.schedule(), base);
-  const sim::WashMetrics mc = sim::computeMetrics(scratch.schedule(), base);
-  EXPECT_EQ(mi.n_wash, mc.n_wash);
-  EXPECT_DOUBLE_EQ(mi.l_wash_mm, mc.l_wash_mm);
-}
-
 TEST(PipelineResolve, BlockedCellExcludedFromWashRoutes) {
   const BaseBundle bundle = makeBundle(BenchmarkId::Ivd);
   const assay::AssaySchedule& base = bundle.synth.schedule;
@@ -370,22 +368,11 @@ TEST(PipelineResolve, BlockedCellExcludedFromWashRoutes) {
   Pipeline pipeline(fastOptions());
   const PdwResult first = pipeline.run(base);
 
-  // Pick a wash-route transit cell the base schedule never uses: blocking
-  // it cannot invalidate a wash *target*, only force a different route.
-  std::set<arch::Cell> used;
-  for (const arch::Cell& cell : wash::ContaminationTracker(base).usedCells())
-    used.insert(cell);
-  arch::Cell blocked{-1, -1};
-  for (const assay::FluidTask& task : first.schedule().tasks()) {
-    if (task.kind != TaskKind::Wash) continue;
-    for (const arch::Cell& c : task.path.cells())
-      if (!used.count(c)) {
-        blocked = c;
-        break;
-      }
-    if (blocked.x >= 0) break;
-  }
-  if (blocked.x < 0) GTEST_SKIP() << "no blockable transit cell";
+  // A wash-route transit cell the base schedule never uses: blocking it
+  // cannot invalidate a wash *target*, only force a different route.
+  const std::vector<arch::Cell> cells = transitCells(base, first.schedule());
+  if (cells.empty()) GTEST_SKIP() << "no blockable transit cell";
+  const arch::Cell blocked = cells.front();
 
   ScheduleDelta delta;
   delta.blocked_cells.push_back(blocked);

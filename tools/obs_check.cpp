@@ -6,11 +6,10 @@
 //   obs_check --pdwd scrape.json [--expect-solves N] [--expect-warm-solves]
 //   obs_check --resolve m.json
 //
-// Resolve checks: the incremental `pdw.resolve.*` counters (raw export or
-// scrape line). Enforces the partition invariants from obs/metric_names.h —
-// cells_total == frontier + reused, targets_total == recomputed + reused,
-// full_fallbacks/errors <= requests, and the latency histogram count equals
-// the successful resolves.
+// Resolve checks: the `pdw.resolve.*` metrics (raw export or scrape line),
+// as documented in obs/metric_names.h — at least one request, errors <=
+// requests, and the latency histogram count equals the successful resolves
+// (requests - errors).
 //
 // Pdwd checks: the daemon's `pdwd.*` request-accounting counters, read from
 // a raw pdw-metrics-1 export or straight from a `pdw-resp-1` metrics-scrape
@@ -476,14 +475,12 @@ void checkPdwd(const std::string& path, long long expect_solves,
                requests, ok, budget, deadline, rejected, hits, hits + misses);
 }
 
-// ---- incremental resolve counters (`pdw.resolve.*`) ----------------------
+// ---- resolve counters (`pdw.resolve.*`) ----------------------------------
 
-/// Validate the resolve partition invariants documented in
-/// obs/metric_names.h against a pdw-metrics-1 export (raw, or embedded in a
-/// `pdw-resp-1` metrics-scrape line, same as --pdwd). Every counted cell is
-/// either frontier or reused, every target recomputed or reused, a full
-/// fallback consumes one request, and the latency histogram observes each
-/// successful resolve exactly once (errors bump requests but nothing else).
+/// Validate the resolve metrics documented in obs/metric_names.h against a
+/// pdw-metrics-1 export (raw, or embedded in a `pdw-resp-1` metrics-scrape
+/// line, same as --pdwd): the latency histogram observes each successful
+/// resolve exactly once (errors bump requests but nothing else).
 void checkResolve(const std::string& path) {
   const std::string text = slurp(path);
   if (text.empty()) return fail("resolve file empty or unreadable: " + path);
@@ -508,8 +505,7 @@ void checkResolve(const std::string& path) {
     return fail("resolve export has no 'metrics' object");
 
   // Counters register lazily on first increment, so a clean run never
-  // materializes the error/fallback counters — missing means zero for
-  // those; the partition counters must be present once a resolve ran.
+  // materializes the error counter — missing means zero there.
   const auto counter = [&](const char* name, bool required = true) -> double {
     const Value* entry = metrics->find(name);
     const Value* v = entry ? entry->find("value") : nullptr;
@@ -524,31 +520,12 @@ void checkResolve(const std::string& path) {
 
   const double requests = counter("pdw.resolve.requests");
   const double errors = counter("pdw.resolve.errors", false);
-  const double fallbacks = counter("pdw.resolve.full_fallbacks", false);
-  const double cells = counter("pdw.resolve.cells_total");
-  const double frontier = counter("pdw.resolve.frontier_cells", false);
-  const double reused = counter("pdw.resolve.reused_cells", false);
-  const double targets = counter("pdw.resolve.targets_total");
-  const double recomputed = counter("pdw.resolve.targets_recomputed", false);
-  const double targets_reused = counter("pdw.resolve.targets_reused", false);
 
   if (requests <= 0)
     fail("pdw.resolve.requests is zero (no resolve was ever attempted)");
   if (errors > requests)
     fail("pdw.resolve.errors " + std::to_string(errors) +
          " exceeds pdw.resolve.requests " + std::to_string(requests));
-  if (fallbacks > requests)
-    fail("pdw.resolve.full_fallbacks " + std::to_string(fallbacks) +
-         " exceeds pdw.resolve.requests " + std::to_string(requests));
-  if (cells != frontier + reused)
-    fail("resolve cell partition broken: cells_total " +
-         std::to_string(cells) + " != frontier " + std::to_string(frontier) +
-         " + reused " + std::to_string(reused));
-  if (targets != recomputed + targets_reused)
-    fail("resolve target partition broken: targets_total " +
-         std::to_string(targets) + " != recomputed " +
-         std::to_string(recomputed) + " + reused " +
-         std::to_string(targets_reused));
 
   const Value* seconds = metrics->find("pdw.resolve.seconds");
   const Value* count = seconds ? seconds->find("count") : nullptr;
@@ -556,12 +533,8 @@ void checkResolve(const std::string& path) {
   if (observed != requests - errors)
     fail("pdw.resolve.seconds count " + std::to_string(observed) +
          " != successful resolves " + std::to_string(requests - errors));
-  std::fprintf(stderr,
-               "obs_check: resolve requests %.0f (errors %.0f, full "
-               "fallbacks %.0f); cells %.0f = frontier %.0f + reused %.0f; "
-               "targets %.0f = recomputed %.0f + reused %.0f\n",
-               requests, errors, fallbacks, cells, frontier, reused, targets,
-               recomputed, targets_reused);
+  std::fprintf(stderr, "obs_check: resolve requests %.0f (errors %.0f)\n",
+               requests, errors);
 }
 
 void checkBench(const std::string& path, bool expect_warm_hits) {
