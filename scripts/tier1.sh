@@ -20,11 +20,12 @@
 # rewash-quick-baseline label), the ILP numerics (LU and pivot-row pricing bit-identity
 # differentials, LinExpr building, half-bounded LP differential and the
 # engine's wall-clock stops included), root cuts, lazy rows, probing
-# presolve and pseudocost branching, JSON decoder and grid-router tests (the
-# router's path-identity differential included) under ASan+UBSan, then
-# the parallel-runtime + obs + daemon-concurrency tests (determinism, route
-# cache + epochs, tracing/metrics/logging, byte-identical concurrent pdwd
-# plans, rescheduler thread-count determinism, invalidate coherence) under
+# presolve and pseudocost branching, JSON decoder, grid-router tests (the
+# router's path-identity differential included) and the delta re-timing
+# tests (rescheduler release times, the delay sweep slice) under
+# ASan+UBSan, then the parallel-runtime + obs + daemon-concurrency tests
+# (determinism, route cache + epochs, tracing/metrics/logging,
+# byte-identical concurrent pdwd plans, invalidate coherence) under
 # ThreadSanitizer.
 #
 #   scripts/tier1.sh            # all stages
@@ -147,7 +148,7 @@ cat "$obs_dir/rewash_runs.jsonl" >> "$obs_dir/rewash_store.jsonl"
 if [[ "${PDW_SKIP_ASAN:-0}" == "1" ]]; then
   echo "== tier-1: ASan/UBSan stage skipped (PDW_SKIP_ASAN=1) =="
 else
-  echo "== tier-1: ASan/UBSan build + ILP numerics / cuts / JSON decoder / grid router tests =="
+  echo "== tier-1: ASan/UBSan build + ILP numerics / cuts / JSON decoder / grid router / delta re-timing tests =="
   # The router's flat arrays index y * width + x: out-of-grid cells must be
   # filtered before any access, which the router differential suite probes.
   # The LP engine's per-row devex weights grow with every cut row, and its
@@ -158,12 +159,14 @@ else
   # branching (cuts.cpp, presolve.cpp, solver.cpp) run under the cut,
   # presolve and branching suites. Lazy rows grow the engine's CSC/CSR and
   # devex weights between node LPs of one search (LazyRows suite, and the
-  # wash-path ILP's connectivity cuts under WashPathFixture).
+  # wash-path ILP's connectivity cuts under WashPathFixture). applyDelta
+  # hands the rescheduler one release time per op and per task, indexed by
+  # id (ScheduleDeltaApply and ReschedulerFixture suites).
   cmake -B build-asan -S . -DPDW_ASAN=ON >/dev/null
   cmake --build build-asan -j --target pdw_tests
   ASAN_OPTIONS="halt_on_error=1" UBSAN_OPTIONS="print_stacktrace=1" \
     ./build-asan/tests/pdw_tests \
-    --gtest_filter='BasisLu.*:LuDifferential.*:PricingDifferential.*:BackendDifferential.*:ReferenceLp.*:ArtificialBound.*:WarmPath.*:EngineDeadline.*:GmiCuts.*:Simplex.*:Mip.*:WarmStart.*:Model.*:Presolve.*:LinExpr.*:ObsJson.*:RouterDifferential.*:RouterFixture.*:WashPathFixture.*:ChipLayout.*:CellSet.*:CutsSolve.*:CoverCuts.*:CutPoolTest.*:CoefStrengthening.*:Probing.*:PseudocostBranching.*:LazyRows.*'
+    --gtest_filter='BasisLu.*:LuDifferential.*:PricingDifferential.*:BackendDifferential.*:ReferenceLp.*:ArtificialBound.*:WarmPath.*:EngineDeadline.*:GmiCuts.*:Simplex.*:Mip.*:WarmStart.*:Model.*:Presolve.*:LinExpr.*:ObsJson.*:RouterDifferential.*:RouterFixture.*:WashPathFixture.*:ChipLayout.*:CellSet.*:CutsSolve.*:CoverCuts.*:CutPoolTest.*:CoefStrengthening.*:Probing.*:PseudocostBranching.*:LazyRows.*:ScheduleDeltaApply.*:ReschedulerFixture.*'
 fi
 
 if [[ "${PDW_SKIP_TSAN:-0}" == "1" ]]; then
@@ -176,6 +179,6 @@ cmake -B build-tsan -S . -DPDW_TSAN=ON >/dev/null
 cmake --build build-tsan -j --target pdw_tests
 TSAN_OPTIONS="halt_on_error=1" \
   ./build-tsan/tests/pdw_tests \
-  --gtest_filter='*ParallelDeterminism*:*IlpPathDeterminism*:RouteCache.*:ObsTrace.*:ObsMetrics.*:ObsLogging.*:PdwdConcurrency.*:RouteCacheEpoch.*:*ByteIdenticalAcrossThreadCounts*'
+  --gtest_filter='*ParallelDeterminism*:*IlpPathDeterminism*:RouteCache.*:ObsTrace.*:ObsMetrics.*:ObsLogging.*:PdwdConcurrency.*:RouteCacheEpoch.*'
 
 echo "== tier-1: OK =="

@@ -24,13 +24,10 @@ bool FlowPath::contains(Cell c) const {
 }
 
 bool FlowPath::overlaps(const FlowPath& other) const {
-  // Quadratic scan is fine: paths are tens of cells. Iterate the shorter.
-  const FlowPath& small = size() <= other.size() ? *this : other;
-  const FlowPath& large = size() <= other.size() ? other : *this;
-  std::set<Cell> cells(large.cells_.begin(), large.cells_.end());
-  for (const Cell& c : small.cells_)
-    if (cells.count(c)) return true;
-  return false;
+  // Quadratic scan is fine: paths are tens of cells.
+  return std::find_first_of(cells_.begin(), cells_.end(),
+                            other.cells_.begin(),
+                            other.cells_.end()) != cells_.end();
 }
 
 bool FlowPath::covers(const FlowPath& other) const {

@@ -112,7 +112,7 @@ struct PdwOptions {
   SolverConfig solver;
 
   /// Execution lanes for the parallel runtime (per-operation wash-path
-  /// routing, rescheduler precomputation).
+  /// routing; every other stage runs on the calling thread).
   /// 0 = hardware concurrency; 1 = fully sequential, reproducing the
   /// pre-runtime behavior bit-for-bit. Results are identical for every
   /// value — only wall-clock changes.

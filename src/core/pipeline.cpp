@@ -180,6 +180,22 @@ PdwResult Pipeline::execute(const assay::AssaySchedule& base, bool repair) {
       .add(necessity.stats.skipped_type3);
   result.timings.analysis_s = secondsSince(stage_start);
 
+  // A target on an avoided cell (a blocked valve) cannot be washed. Drop it
+  // before clustering, so the operation it would have joined still washes
+  // its other targets.
+  const std::vector<arch::Cell>& avoid = solve_options.path.avoid_cells;
+  const auto unwashable = std::remove_if(
+      necessity.targets.begin(), necessity.targets.end(),
+      [&](const wash::WashTarget& t) {
+        return std::find(avoid.begin(), avoid.end(), t.cell) != avoid.end();
+      });
+  if (unwashable != necessity.targets.end()) {
+    PDW_LOG(Error, "pdw") << "wash targets on avoided cells; dropping "
+                          << (necessity.targets.end() - unwashable)
+                          << " targets";
+    necessity.targets.erase(unwashable, necessity.targets.end());
+  }
+
   if (necessity.targets.empty()) {
     result.plan.schedule = base;
     result.plan.proven_optimal = true;
@@ -258,7 +274,6 @@ PdwResult Pipeline::execute(const assay::AssaySchedule& base, bool repair) {
     ilp_options.order_horizon_s = options_.order_horizon_s;
     ilp_options.enable_integration = options_.enable_integration;
     ilp_options.solver = options_.solver.schedule;
-    ilp_options.pool = pool_.get();
     ilp_options.repair_mode = repair;
     core::ScheduleIlpResult ilp =
         solveWashSchedule(base, routed, ilp_options);
@@ -279,7 +294,7 @@ PdwResult Pipeline::execute(const assay::AssaySchedule& base, bool repair) {
     result.solver.schedule_greedy_fallback = true;
     reg.counter(obs::names::kScheduleIlpGreedyFallbacks).increment();
     result.plan.schedule =
-        wash::rescheduleWithWashes(base, routed, options_.wash, pool_.get());
+        wash::rescheduleWithWashes(base, routed, options_.wash);
   }
   }
   result.timings.scheduling_s = secondsSince(stage_start);

@@ -9,14 +9,15 @@
 // re-solve would receive; Pipeline::resolve runs the same four stages on it
 // that Pipeline::run does.
 //
-// Shift propagation: delayed items push their structural successors
-// (operation dependencies, producer -> transport -> consumer chains,
-// removal-after-transport edges, same-device exclusivity in base order)
-// forward just enough to stay consistent; everything else keeps its base
-// start. Spatial (path-overlap) and shared-cell conflicts are NOT
-// re-serialized here, so a delayed base can overlap two tasks in space and
-// time (ROADMAP item 1); the scheduling stage re-times everything, and the
-// cold and the resolve path see the same perturbed schedule.
+// Re-timing: every operation and task is released at its base start plus
+// its own delay, then re-timed in base order by the wash-insertion sweep
+// (wash::rescheduleWithWashes, with no washes). A delay pushes every later
+// item that depends on the delayed one, shares its device, crosses its
+// device cell or shares a path cell with it, each just far enough; pairs
+// that share a cell and are not reorder-safe keep their base use order.
+// The perturbed base is therefore valid by construction (it passes
+// sim::validateSchedule), no item starts before its base start, and a delta
+// without delays (blocked cells, removals) leaves every start unchanged.
 #pragma once
 
 #include <string>
@@ -49,8 +50,6 @@ struct ScheduleDelta {
     return op_delays.empty() && task_delays.empty() &&
            blocked_cells.empty() && removed_tasks.empty();
   }
-  /// Compact human-readable summary for logs ("2 op delays, 1 blocked cell").
-  std::string describe() const;
 };
 
 /// Result of applying a delta to a base schedule.

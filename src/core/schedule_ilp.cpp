@@ -53,8 +53,7 @@ class Builder {
     for (const WashOperation& w : washes_)
       wash_total += w.duration(options_.wash, base_.chip().pitchMm());
     horizon_ = base_.completionTime() + wash_total + 20.0;
-    greedy_ = wash::rescheduleWithWashes(base_, washes_, options_.wash,
-                                         options_.pool);
+    greedy_ = wash::rescheduleWithWashes(base_, washes_, options_.wash);
     horizon_ = std::max(horizon_, greedy_.completionTime() + 5.0);
   }
 

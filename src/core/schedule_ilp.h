@@ -36,8 +36,8 @@ struct ScheduleIlpOptions {
   double order_horizon_s = 12.0;
   bool enable_integration = true;
   ilp::SolveParams solver;
-  /// Optional runtime (non-owning): accelerates the greedy warm start's
-  /// conflict precomputation. nullptr = sequential.
+  /// No effect: the greedy warm start runs on the calling thread. Kept only
+  /// because perfbench/pdw_perfbench.cpp sets it.
   util::ThreadPool* pool = nullptr;
   /// Phase A only (Pipeline::resolve): run the fix-and-optimize phase —
   /// every order binary pinned to the order of the greedy insertion

@@ -6,8 +6,6 @@
 #include <map>
 #include <set>
 
-#include "util/thread_pool.h"
-
 namespace pdw::wash {
 
 namespace {
@@ -27,8 +25,8 @@ struct Item {
 class Engine {
  public:
   Engine(const AssaySchedule& base, const std::vector<WashOperation>& washes,
-         const WashParams& params, util::ThreadPool* pool)
-      : base_(base), washes_(washes), params_(params), pool_(pool) {}
+         const WashParams& params, const ReleaseTimes& release)
+      : base_(base), washes_(washes), params_(params), release_(release) {}
 
   AssaySchedule run() {
     buildItems();
@@ -59,7 +57,8 @@ class Engine {
       switch (item.kind) {
         case Item::Kind::Op: {
           assay::OpSchedule& s = out.opSchedule(item.index);
-          double lb = device_free[s.device];
+          double lb = std::max(device_free[s.device],
+                               releaseOf(release_.op, item.index));
           for (const FluidTask& t : out.tasks())
             if (assigned_tasks_.count(t.id) && t.consumer == item.index &&
                 t.kind != TaskKind::Wash)
@@ -74,7 +73,8 @@ class Engine {
         }
         case Item::Kind::Task: {
           FluidTask& t = out.task(item.index);
-          double lb = taskLowerBound(out, t);
+          double lb = std::max(taskLowerBound(out, t),
+                               releaseOf(release_.task, t.id));
           const auto floor_it = wash_floor.find(t.id);
           if (floor_it != wash_floor.end())
             lb = std::max(lb, floor_it->second);
@@ -118,28 +118,25 @@ class Engine {
   }
 
  private:
+  static double releaseOf(const std::vector<double>& release, int index) {
+    return release.empty() ? 0.0 : release[static_cast<std::size_t>(index)];
+  }
+
   /// Path-overlap and device-crossing predicates are pure functions of the
   /// (immutable) task paths, but the sweep below queries them O(T) times
-  /// per placement. Precompute both tables once — rows are independent, so
-  /// the pool fans them out; every worker writes only its own row, keeping
-  /// the result identical for any thread count.
+  /// per placement. Precompute both tables once.
   void precomputeConflicts(const AssaySchedule& out) {
     const std::size_t n_tasks = out.tasks().size();
     const std::size_t n_devices = base_.chip().devices().size();
     overlap_.assign(n_tasks, std::vector<char>(n_tasks, 0));
     crosses_.assign(n_tasks, std::vector<char>(n_devices, 0));
-    const auto fill_row = [&](std::size_t a) {
+    for (std::size_t a = 0; a < n_tasks; ++a) {
       const arch::FlowPath& path = out.tasks()[a].path;
       for (std::size_t b = 0; b < n_tasks; ++b)
         overlap_[a][b] = path.overlaps(out.tasks()[b].path) ? 1 : 0;
       for (std::size_t d = 0; d < n_devices; ++d)
         crosses_[a][d] =
             path.contains(base_.chip().devices()[d].cell) ? 1 : 0;
-    };
-    if (pool_ != nullptr) {
-      pool_->parallelFor(n_tasks, fill_row);
-    } else {
-      for (std::size_t a = 0; a < n_tasks; ++a) fill_row(a);
     }
   }
 
@@ -169,7 +166,7 @@ class Engine {
     // order stable_sort produced from the push sequence above (ops, then
     // tasks, then washes, each ascending) — so equal-key items never depend
     // on container iteration order and rescheduled plans are byte-identical
-    // across thread counts.
+    // from call to call.
     std::sort(items_.begin(), items_.end(), [](const Item& a, const Item& b) {
       if (a.order_key != b.order_key) return a.order_key < b.order_key;
       if (a.kind != b.kind) return a.kind < b.kind;
@@ -298,7 +295,7 @@ class Engine {
   const AssaySchedule& base_;
   const std::vector<WashOperation>& washes_;
   const WashParams& params_;
-  util::ThreadPool* pool_;
+  const ReleaseTimes& release_;
   std::vector<Item> items_;
   std::vector<std::vector<char>> overlap_;  ///< [task][task] path overlap
   std::vector<std::vector<char>> crosses_;  ///< [task][device] cell crossing
@@ -311,8 +308,8 @@ class Engine {
 AssaySchedule rescheduleWithWashes(const AssaySchedule& base,
                                    const std::vector<WashOperation>& washes,
                                    const WashParams& params,
-                                   util::ThreadPool* pool) {
-  Engine engine(base, washes, params, pool);
+                                   const ReleaseTimes& release) {
+  Engine engine(base, washes, params, release);
   return engine.run();
 }
 

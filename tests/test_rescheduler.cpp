@@ -1,12 +1,12 @@
-// Greedy rescheduler (wash insertion engine shared by DAWO's sweep-line and
-// PDW's fallback): precedence preservation, wash windows, cascading delays.
+// Greedy rescheduler (wash insertion engine shared by DAWO's sweep-line,
+// PDW's fallback and applyDelta's re-timing): precedence preservation, wash
+// windows, cascading delays, release times.
 #include <gtest/gtest.h>
 
 #include <string>
 #include <vector>
 
 #include "sim/validator.h"
-#include "util/thread_pool.h"
 #include "wash/rescheduler.h"
 
 namespace pdw::wash {
@@ -94,6 +94,22 @@ TEST_F(ReschedulerFixture, NoWashesReproducesBase) {
     EXPECT_DOUBLE_EQ(t.start, base.task(t.id).start);
 }
 
+TEST_F(ReschedulerFixture, ReleaseTimeShiftsEverythingThatSharesItsCells) {
+  // t1 released 1 s late: op1 waits for its input, t2 (same corridor,
+  // crossing the mixer) waits for op1, and op2 for t2.
+  const auto base = makeBase();
+  ReleaseTimes release;
+  release.op = {2.0, 7.0};
+  release.task = {1.0, 5.0};
+  const auto out = rescheduleWithWashes(base, {}, {}, release);
+  EXPECT_DOUBLE_EQ(out.task(t1_).start, 1.0);
+  EXPECT_DOUBLE_EQ(out.opSchedule(op1_).start, 3.0);
+  EXPECT_DOUBLE_EQ(out.task(t2_).start, 6.0);
+  EXPECT_DOUBLE_EQ(out.opSchedule(op2_).start, 8.0);
+  const auto v = sim::validateSchedule(out);
+  EXPECT_TRUE(v.ok()) << v.summary();
+}
+
 TEST_F(ReschedulerFixture, WashInsertedBetweenContaminatorAndBlocker) {
   const auto base = makeBase();
   const auto out =
@@ -132,22 +148,17 @@ TEST_F(ReschedulerFixture, WashDurationFollowsParams) {
   EXPECT_NEAR(wash.duration(), 3.5, 1e-9);
 }
 
-TEST_F(ReschedulerFixture, ByteIdenticalAcrossThreadCounts) {
+TEST_F(ReschedulerFixture, TiedOrderKeysGiveByteIdenticalPlans) {
   // Several washes sharing one blocker get the same order_key, so the
-  // sweep's total order rests entirely on the (kind, index) tie-break.
-  // The parallel precomputation must not leak thread scheduling into the
-  // result: 1 thread, 8 threads, and no pool all describe() byte-equal.
+  // sweep's total order rests entirely on the (kind, index) tie-break:
+  // repeated calls must describe() byte-equal.
   const auto base = makeBase();
   std::vector<WashOperation> washes;
   for (int i = 0; i < 4; ++i) washes.push_back(makeWash(2.0, t1_, t2_));
-  const std::string serial =
+  const std::string first =
       rescheduleWithWashes(base, washes, {}).describe();
-  util::ThreadPool one(1);
-  util::ThreadPool eight(8);
-  EXPECT_EQ(rescheduleWithWashes(base, washes, {}, &one).describe(), serial);
   for (int round = 0; round < 3; ++round)
-    EXPECT_EQ(rescheduleWithWashes(base, washes, {}, &eight).describe(),
-              serial);
+    EXPECT_EQ(rescheduleWithWashes(base, washes, {}).describe(), first);
 }
 
 TEST_F(ReschedulerFixture, TwoWashesSerializeOnSharedPath) {

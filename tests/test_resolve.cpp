@@ -2,9 +2,12 @@
 // Pipeline::resolve() end to end.
 //
 // Suites:
-//   ScheduleDeltaApply    applyDelta validation + shift propagation (every
+//   ScheduleDeltaApply    applyDelta validation + re-timing (every
 //                         rejected delta names its reason; a delay moves
-//                         only forward; a removal keeps ids dense)
+//                         only forward; a removal keeps ids dense; a slice
+//                         of the single-delay sweep and seeded delay chains
+//                         give bases the validator accepts, with unsafe
+//                         shared-cell pairs in their base order)
 //   ResolveVsCold         resolve(delta) vs a cold run() of the same
 //                         applyDelta schedule, for each delta kind:
 //                         identical necessity, wash routes, N_wash, L_wash
@@ -17,7 +20,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <memory>
+#include <random>
 #include <set>
 #include <string>
 #include <vector>
@@ -26,6 +31,7 @@
 #include "core/pipeline.h"
 #include "core/schedule_delta.h"
 #include "sim/metrics.h"
+#include "sim/validator.h"
 #include "synth/placer.h"
 #include "synth/synthesizer.h"
 #include "wash/contamination.h"
@@ -196,6 +202,158 @@ TEST(ScheduleDeltaApply, RemovalRenumbersAndRemaps) {
     if (p.matching_transport != b.matching_transport) ++remapped;
   }
   EXPECT_GT(remapped, 0) << "no matching_transport was renumbered";
+}
+
+/// The assays of the delta sweep slice.
+constexpr BenchmarkId kSweepBenchmarks[] = {BenchmarkId::Pcr, BenchmarkId::Ivd,
+                                            BenchmarkId::KinaseAct1};
+
+/// The first property that `after` = applyDelta(`before`, `delta`) breaks,
+/// or "" when it has them all: the validator accepts it, nothing starts
+/// earlier than in `before`, each delayed item starts at least its delay
+/// later, and two tasks that share a cell and are not reorder-safe keep
+/// their order. `delta` holds delays only, so ids match.
+std::string retimingViolation(const assay::AssaySchedule& before,
+                              const ScheduleDelta& delta,
+                              const assay::AssaySchedule& after) {
+  const sim::ValidationResult v = sim::validateSchedule(after);
+  if (!v.ok()) return "rejected by the validator: " + v.summary();
+  for (std::size_t i = 0; i < before.opSchedules().size(); ++i)
+    if (after.opSchedules()[i].start < before.opSchedules()[i].start)
+      return "op " + std::to_string(before.opSchedules()[i].op) +
+             " starts early";
+  for (const assay::FluidTask& b : before.tasks())
+    if (after.task(b.id).start < b.start)
+      return "task " + std::to_string(b.id) + " starts early";
+  for (const ScheduleDelta::OpDelay& d : delta.op_delays)
+    if (after.opSchedule(d.op).start <
+        before.opSchedule(d.op).start + d.delay_s - 1e-9)
+      return "delayed op " + std::to_string(d.op) + " starts too soon";
+  for (const ScheduleDelta::TaskDelay& d : delta.task_delays)
+    if (after.task(d.task).start <
+        before.task(d.task).start + d.delay_s - 1e-9)
+      return "delayed task " + std::to_string(d.task) + " starts too soon";
+  const assay::FluidRegistry& fluids = before.graph().fluids();
+  for (const assay::FluidTask& a : before.tasks())
+    for (const assay::FluidTask& b : before.tasks()) {
+      if (a.end > b.start + 1e-9 || a.duration() <= 1e-9 ||
+          b.duration() <= 1e-9 || !a.path.overlaps(b.path) ||
+          wash::reorderSafe(fluids, a, b))
+        continue;
+      if (after.task(a.id).end > after.task(b.id).start + 1e-9)
+        return "tasks " + std::to_string(a.id) + " and " +
+               std::to_string(b.id) + " swapped their use order";
+    }
+  return "";
+}
+
+TEST(ScheduleDeltaApply, EverySingleDelayGivesAValidRetimedBase) {
+  // A slice of the delay sweep: every op and every task of three assays,
+  // delayed by 1 s and by 5 s.
+  int deltas = 0;
+  int violations = 0;
+  std::string first;
+  for (const BenchmarkId id : kSweepBenchmarks) {
+    const BaseBundle bundle = makeBundle(id);
+    const assay::AssaySchedule& base = bundle.synth.schedule;
+    for (const double delay : {1.0, 5.0}) {
+      std::vector<ScheduleDelta> sweep;
+      for (const assay::OpSchedule& s : base.opSchedules()) {
+        sweep.emplace_back();
+        sweep.back().op_delays.push_back({s.op, delay});
+      }
+      for (const assay::FluidTask& t : base.tasks()) {
+        sweep.emplace_back();
+        sweep.back().task_delays.push_back({t.id, delay});
+      }
+      for (const ScheduleDelta& delta : sweep) {
+        ++deltas;
+        const core::AppliedDelta applied = core::applyDelta(base, delta);
+        ASSERT_TRUE(applied.valid) << applied.error;
+        const std::string v =
+            retimingViolation(base, delta, applied.schedule);
+        if (!v.empty() && violations++ == 0)
+          first = bundle.benchmark.name + ": " + v;
+      }
+    }
+  }
+  EXPECT_EQ(deltas, 262);
+  EXPECT_EQ(violations, 0) << "first: " << first;
+}
+
+TEST(ScheduleDeltaApply, SeededDelayChainsGiveValidRetimedBases) {
+  // Three random op or task delays of 0.5..5 s applied one on top of the
+  // other, each checked against the base it was applied to.
+  int violations = 0;
+  std::string first;
+  for (const BenchmarkId id : kSweepBenchmarks) {
+    const BaseBundle bundle = makeBundle(id);
+    std::mt19937 rng(20261018u + static_cast<std::uint32_t>(id));
+    for (int chain = 0; chain < 20; ++chain) {
+      assay::AssaySchedule current = bundle.synth.schedule;
+      for (int step = 0; step < 3; ++step) {
+        ScheduleDelta delta;
+        const double delay = 0.5 * static_cast<double>(1 + rng() % 10);
+        if (rng() % 2 == 0) {
+          const auto& ops = current.opSchedules();
+          delta.op_delays.push_back({ops[rng() % ops.size()].op, delay});
+        } else {
+          delta.task_delays.push_back(
+              {static_cast<assay::TaskId>(rng() % current.tasks().size()),
+               delay});
+        }
+        core::AppliedDelta applied = core::applyDelta(current, delta);
+        ASSERT_TRUE(applied.valid) << applied.error;
+        const std::string v =
+            retimingViolation(current, delta, applied.schedule);
+        if (!v.empty() && violations++ == 0)
+          first = bundle.benchmark.name + " chain " + std::to_string(chain) +
+                  " step " + std::to_string(step) + ": " + v;
+        current = std::move(applied.schedule);
+      }
+    }
+  }
+  EXPECT_EQ(violations, 0) << "first: " << first;
+}
+
+TEST(ScheduleDeltaApply, BlockedCellsAndRemovalsKeepEveryStart) {
+  for (const BenchmarkId id : kSweepBenchmarks) {
+    const BaseBundle bundle = makeBundle(id);
+    const assay::AssaySchedule& base = bundle.synth.schedule;
+    std::vector<ScheduleDelta> deltas(1);
+    for (const assay::FluidTask& t : base.tasks())
+      deltas.front().blocked_cells.push_back(t.path.cells()[1]);
+    for (const assay::FluidTask& t : base.tasks())
+      if (t.isWasteBound()) {
+        deltas.emplace_back();
+        deltas.back().removed_tasks.push_back(t.id);
+      }
+    ASSERT_GT(deltas.size(), 1u);
+    for (const ScheduleDelta& delta : deltas) {
+      const core::AppliedDelta applied = core::applyDelta(base, delta);
+      ASSERT_TRUE(applied.valid) << applied.error;
+      SCOPED_TRACE(bundle.benchmark.name +
+                   (delta.removed_tasks.empty()
+                        ? std::string(" blocked cells")
+                        : " removal of task " +
+                              std::to_string(delta.removed_tasks.front())));
+      for (std::size_t i = 0; i < base.opSchedules().size(); ++i) {
+        EXPECT_EQ(applied.schedule.opSchedules()[i].start,
+                  base.opSchedules()[i].start);
+        EXPECT_EQ(applied.schedule.opSchedules()[i].end,
+                  base.opSchedules()[i].end);
+      }
+      std::size_t kept = 0;
+      for (const assay::FluidTask& t : base.tasks()) {
+        if (!delta.removed_tasks.empty() && t.id == delta.removed_tasks[0])
+          continue;
+        const assay::FluidTask& p = applied.schedule.tasks()[kept++];
+        EXPECT_EQ(p.start, t.start);
+        EXPECT_EQ(p.end, t.end);
+      }
+      EXPECT_EQ(kept, applied.schedule.tasks().size());
+    }
+  }
 }
 
 // ---- PipelineResolve -----------------------------------------------------
@@ -396,10 +554,17 @@ TEST(PipelineResolve, BlockedCellExcludedFromWashRoutes) {
   EXPECT_EQ(mi.n_wash, mc.n_wash);
 }
 
+/// Wash targets a re-analysis of `plan` still finds.
+std::vector<wash::WashTarget> targetsLeft(const assay::AssaySchedule& plan) {
+  const wash::ContaminationTracker tracker(plan);
+  return wash::analyzeWashNecessity(tracker, fastOptions().necessity).targets;
+}
+
 TEST(PipelineResolve, BlockedTargetCellDropsItsWashNotTheProcess) {
-  // Blocking a cell that itself needs washing makes that wash physically
-  // impossible: the operation must be dropped as unroutable (loud log,
-  // unroutable_operations count) — regression for a map::at crash when a
+  // Blocking a cell that itself needs washing makes that cell unwashable:
+  // its own targets are dropped before clustering (loud log), and every
+  // other target, including those it would have shared an operation with,
+  // is still routed and washed. Regression for a map::at crash when a
   // blocked target survived into the path ILP's region-excluded model.
   const BaseBundle bundle = makeBundle(BenchmarkId::Pcr);
   const assay::AssaySchedule& base = bundle.synth.schedule;
@@ -419,20 +584,26 @@ TEST(PipelineResolve, BlockedTargetCellDropsItsWashNotTheProcess) {
   delta.blocked_cells.push_back(target);
   const PdwResult r = pipeline.resolve(delta);
   ASSERT_TRUE(r.resolve.valid) << r.resolve.error;
-  EXPECT_GT(r.unroutable_operations, 0);
-  EXPECT_LT(r.schedule().washCount(), first.schedule().washCount());
+  EXPECT_EQ(r.unroutable_operations, 0);
+  EXPECT_GT(r.schedule().washCount(), 0);
   for (const assay::FluidTask& task : r.schedule().tasks()) {
     if (task.kind != TaskKind::Wash) continue;
     for (const arch::Cell& c : task.path.cells()) EXPECT_FALSE(c == target);
   }
+  // Only the blocked cell's own targets stay unwashed.
+  const std::vector<wash::WashTarget> left = targetsLeft(r.schedule());
+  EXPECT_FALSE(left.empty());
+  for (const wash::WashTarget& t : left) EXPECT_TRUE(t.cell == target);
 
   // Both routing modes agree on the semantics (ILP path mode too).
   core::PdwOptions ilp_options = fastOptions();
   ilp_options.use_ilp_paths = true;
   ilp_options.path.avoid_cells.push_back(target);
   const PdwResult scratch = Pipeline(ilp_options).run(base);
-  EXPECT_GT(scratch.unroutable_operations, 0);
+  EXPECT_EQ(scratch.unroutable_operations, 0);
   EXPECT_EQ(scratch.schedule().washCount(), r.schedule().washCount());
+  for (const wash::WashTarget& t : targetsLeft(scratch.schedule()))
+    EXPECT_TRUE(t.cell == target);
 }
 
 }  // namespace
