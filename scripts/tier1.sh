@@ -24,8 +24,8 @@
 # router's path-identity differential included) and the delta re-timing
 # tests (rescheduler release times, the delay sweep slice) under
 # ASan+UBSan, then the parallel-runtime + obs + daemon-concurrency tests
-# (determinism, route cache + epochs, tracing/metrics/logging,
-# byte-identical concurrent pdwd plans, invalidate coherence) under
+# (determinism, concurrent route-cache lookups and inserts,
+# tracing/metrics/logging, byte-identical concurrent pdwd plans) under
 # ThreadSanitizer.
 #
 #   scripts/tier1.sh            # all stages
@@ -179,6 +179,6 @@ cmake -B build-tsan -S . -DPDW_TSAN=ON >/dev/null
 cmake --build build-tsan -j --target pdw_tests
 TSAN_OPTIONS="halt_on_error=1" \
   ./build-tsan/tests/pdw_tests \
-  --gtest_filter='*ParallelDeterminism*:*IlpPathDeterminism*:RouteCache.*:ObsTrace.*:ObsMetrics.*:ObsLogging.*:PdwdConcurrency.*:RouteCacheEpoch.*'
+  --gtest_filter='*ParallelDeterminism*:*IlpPathDeterminism*:RouteCache.*:ObsTrace.*:ObsMetrics.*:ObsLogging.*:PdwdConcurrency.*'
 
 echo "== tier-1: OK =="

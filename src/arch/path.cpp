@@ -46,12 +46,6 @@ double FlowPath::lengthMm(double pitch_mm) const {
   return static_cast<double>(cells_.size() - 1) * pitch_mm;
 }
 
-CellSet FlowPath::toCellSet(int width, int height) const {
-  CellSet set(width, height);
-  for (const Cell& c : cells_) set.insert(c);
-  return set;
-}
-
 std::string FlowPath::toString(const ChipLayout* chip) const {
   std::string out;
   for (std::size_t i = 0; i < cells_.size(); ++i) {

@@ -48,9 +48,6 @@ class FlowPath {
   /// Channel length in millimetres: (#edges) * pitch.
   double lengthMm(double pitch_mm) const;
 
-  /// Membership set over the given grid extent.
-  CellSet toCellSet(int width, int height) const;
-
   /// "in1 -> (2,3) -> ..." style rendering; device/port names are resolved
   /// against the layout when provided.
   std::string toString(const ChipLayout* chip = nullptr) const;

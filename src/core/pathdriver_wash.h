@@ -125,9 +125,8 @@ struct PdwOptions {
   /// Shared-runtime injection (the pdwd service): when set, the Pipeline
   /// uses this route cache instead of constructing its own, so several
   /// concurrent Pipelines serve repeat traffic from one warm cache
-  /// (`route_cache_capacity` is ignored). The cache's epoch guard
-  /// (RouteCache::invalidate) keeps concurrent readers safe across version
-  /// bumps. Lookup/insert are thread-safe; sharing never changes results.
+  /// (`route_cache_capacity` is ignored). The cache is content-addressed
+  /// and lookup/insert are thread-safe, so sharing never changes results.
   std::shared_ptr<RouteCache> shared_route_cache;
 
   /// When set, the Pipeline multiplexes its parallel stages onto this

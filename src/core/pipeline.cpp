@@ -38,12 +38,7 @@ RouteOutcome routeOperation(const arch::ChipLayout& chip,
                             core::RouteCache* cache) {
   RouteOutcome out;
   core::RouteKey key;
-  std::uint64_t epoch = 0;
   if (cache != nullptr) {
-    // Capture the epoch before the miss: if a shared cache is invalidated
-    // while we route, the epoch-guarded insert below drops our (stale)
-    // result instead of repopulating the new epoch with it.
-    epoch = cache->epoch();
     key = core::RouteCache::makeKey(chip, targets, options.use_ilp_paths,
                                     options.path);
     if (auto cached = cache->lookup(key)) {
@@ -61,7 +56,7 @@ RouteOutcome routeOperation(const arch::ChipLayout& chip,
     out.path = core::routeWashPathHeuristic(chip, targets,
                                             options.path.avoid_cells);
   }
-  if (cache != nullptr) cache->insert(key, out.path, epoch);
+  if (cache != nullptr) cache->insert(key, out.path);
   return out;
 }
 
@@ -307,9 +302,6 @@ PdwResult Pipeline::execute(const assay::AssaySchedule& base, bool repair) {
   result.cache.misses = cache_after.misses - cache_before.misses;
   result.cache.inserts = cache_after.inserts - cache_before.inserts;
   result.cache.evictions = cache_after.evictions - cache_before.evictions;
-  result.cache.stale_drops = cache_after.stale_drops - cache_before.stale_drops;
-  result.cache.invalidations =
-      cache_after.invalidations - cache_before.invalidations;
 
   finalizeMetrics(result, metrics_before);
   return result;

@@ -39,18 +39,6 @@ obs::Counter& evictionCounter() {
   return c;
 }
 
-obs::Counter& staleDropCounter() {
-  static obs::Counter& c =
-      obs::Registry::instance().counter(obs::names::kRouteCacheStaleDrops);
-  return c;
-}
-
-obs::Counter& invalidationCounter() {
-  static obs::Counter& c = obs::Registry::instance().counter(
-      obs::names::kRouteCacheInvalidations);
-  return c;
-}
-
 using util::hash::combine;
 using util::hash::combineDouble;
 
@@ -108,11 +96,6 @@ std::optional<std::optional<arch::FlowPath>> RouteCache::lookup(
 void RouteCache::insert(const RouteKey& key,
                         std::optional<arch::FlowPath> path) {
   std::lock_guard<std::mutex> lock(mutex_);
-  insertLocked(key, std::move(path));
-}
-
-void RouteCache::insertLocked(const RouteKey& key,
-                              std::optional<arch::FlowPath> path) {
   const auto it = map_.find(key);
   if (it != map_.end()) {
     it->second->path = std::move(path);
@@ -131,36 +114,6 @@ void RouteCache::insertLocked(const RouteKey& key,
   }
 }
 
-bool RouteCache::insert(const RouteKey& key,
-                        std::optional<arch::FlowPath> path,
-                        std::uint64_t epoch) {
-  // Checked and inserted under one critical section: an invalidate()
-  // serializes either before (stale, dropped) or after (entry cleared with
-  // the rest of its epoch) — a stale result can never land in a newer epoch.
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (epoch != epoch_) {
-    ++stats_.stale_drops;
-    staleDropCounter().increment();
-    return false;
-  }
-  insertLocked(key, std::move(path));
-  return true;
-}
-
-std::uint64_t RouteCache::epoch() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return epoch_;
-}
-
-void RouteCache::invalidate() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  ++epoch_;
-  map_.clear();
-  lru_.clear();
-  ++stats_.invalidations;
-  invalidationCounter().increment();
-}
-
 std::size_t RouteCache::size() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return map_.size();
@@ -169,12 +122,6 @@ std::size_t RouteCache::size() const {
 RouteCacheStats RouteCache::stats() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return stats_;
-}
-
-void RouteCache::clear() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  map_.clear();
-  lru_.clear();
 }
 
 RouteKey RouteCache::makeKey(const arch::ChipLayout& chip,

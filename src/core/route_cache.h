@@ -11,8 +11,11 @@
 // from), the sorted target-cell set, a hash of the blocked cells (devices
 // not in the target set, which both routers avoid on their first pass), and
 // the routing options (ILP on/off, solver budgets: the only path-solver
-// settings, so every setting that can change a path is in the key). Lookups
-// and inserts are thread-safe; the parallel routing stage shares one cache.
+// settings, so every setting that can change a path is in the key). The
+// cache is content-addressed: an entry is reachable only through the exact
+// problem it answers, so no entry can go stale and the cache is a plain
+// bounded LRU. Lookups and inserts are thread-safe; the parallel routing
+// stage and every pdwd lane share one cache.
 #pragma once
 
 #include <cstdint>
@@ -56,12 +59,6 @@ struct RouteCacheStats {
   std::int64_t misses = 0;
   std::int64_t inserts = 0;
   std::int64_t evictions = 0;
-  /// Epoch-guarded inserts dropped because invalidate() ran between the
-  /// caller's lookup and its insert (the result was computed against stale
-  /// chip/schedule state and must not repopulate the new epoch).
-  std::int64_t stale_drops = 0;
-  /// invalidate() calls over the cache lifetime.
-  std::int64_t invalidations = 0;
   double hitRate() const {
     const std::int64_t lookups = hits + misses;
     return lookups == 0 ? 0.0 : static_cast<double>(hits) /
@@ -82,29 +79,9 @@ class RouteCache {
   /// full. Re-inserting an existing key refreshes its recency.
   void insert(const RouteKey& key, std::optional<arch::FlowPath> path);
 
-  /// Epoch-guarded insert for shared use: memoize only when the cache is
-  /// still in `epoch` (as captured via epoch() before the miss that
-  /// triggered the computation). A concurrent invalidate() between the
-  /// lookup and this call makes the result stale — it is dropped and false
-  /// is returned, so pre-bump work can never leak into the post-bump cache.
-  bool insert(const RouteKey& key, std::optional<arch::FlowPath> path,
-              std::uint64_t epoch);
-
-  /// The current cache epoch. Entries only ever belong to the current
-  /// epoch; invalidate() starts the next one.
-  std::uint64_t epoch() const;
-
-  /// Version bump: drop every entry and advance the epoch, atomically with
-  /// respect to concurrent lookup()/insert() (readers either see the old
-  /// fully-populated cache or the new empty one, never a mix). In-flight
-  /// computations that captured the previous epoch will have their inserts
-  /// dropped (see the epoch-guarded insert overload).
-  void invalidate();
-
   std::size_t size() const;
   std::size_t capacity() const { return capacity_; }
   RouteCacheStats stats() const;
-  void clear();
 
   /// Build the key for routing `targets` on `chip` under `options`.
   /// `use_ilp` distinguishes ILP routing from the pure BFS heuristic.
@@ -118,12 +95,8 @@ class RouteCache {
     std::optional<arch::FlowPath> path;
   };
 
-  /// Insert body shared by both public overloads; mutex_ must be held.
-  void insertLocked(const RouteKey& key, std::optional<arch::FlowPath> path);
-
   mutable std::mutex mutex_;
   std::size_t capacity_;
-  std::uint64_t epoch_ = 0;  ///< guarded by mutex_; bumped by invalidate()
   std::list<Entry> lru_;  ///< front = most recently used
   std::unordered_map<RouteKey, std::list<Entry>::iterator, RouteKeyHash> map_;
   RouteCacheStats stats_;

@@ -22,7 +22,7 @@
 // incumbent a node- or time-capped search stops at. They changed the plan
 // on 7 of the 8 Table-II benchmarks when measured, and skipping the loop
 // moves perfbench cold-large's N_wash/L_wash/T_assay sums from
-// 68/2532/709.2 to 68/2529/703.3 (ROADMAP items 3-4).
+// 68/2532/709.2 to 68/2529/703.3 (ROADMAP item 6).
 #pragma once
 
 #include <cstdint>

@@ -31,10 +31,6 @@ inline constexpr const char* kRouteCacheMisses = "pdw.route_cache.misses";
 inline constexpr const char* kRouteCacheInserts = "pdw.route_cache.inserts";
 inline constexpr const char* kRouteCacheEvictions =
     "pdw.route_cache.evictions";
-inline constexpr const char* kRouteCacheStaleDrops =
-    "pdw.route_cache.stale_drops";
-inline constexpr const char* kRouteCacheInvalidations =
-    "pdw.route_cache.invalidations";
 inline constexpr const char* kRoutingUnroutableOperations =
     "pdw.routing.unroutable_operations";
 inline constexpr const char* kScheduleIlpOrderBinaries =
@@ -101,10 +97,6 @@ inline constexpr const char* kPdwdRejectedQueueFull =
 inline constexpr const char* kPdwdErrors = "pdwd.errors";
 inline constexpr const char* kPdwdPlanCacheHits = "pdwd.plan_cache.hits";
 inline constexpr const char* kPdwdPlanCacheMisses = "pdwd.plan_cache.misses";
-inline constexpr const char* kPdwdPlanCacheStaleDrops =
-    "pdwd.plan_cache.stale_drops";
-inline constexpr const char* kPdwdCacheInvalidations =
-    "pdwd.cache_invalidations";
 inline constexpr const char* kPdwdQueueDepth = "pdwd.queue_depth";
 inline constexpr const char* kPdwdRequestSeconds = "pdwd.request_seconds";
 inline constexpr const char* kPdwdQueueWaitSeconds =

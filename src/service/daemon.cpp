@@ -110,21 +110,16 @@ std::string Daemon::handleLine(std::string_view line) {
 
   switch (req.type) {
     case RequestType::Ping:
-      return ackResponse(RequestType::Ping, req.id, trace,
-                         plan_cache_.version());
+      return ackResponse(RequestType::Ping, req.id, trace);
     case RequestType::Metrics:
       return metricsResponse(req.id, trace,
                              obs::Registry::instance().exportJson());
-    case RequestType::Invalidate:
-      return ackResponse(RequestType::Invalidate, req.id, trace,
-                         invalidateCaches());
     case RequestType::Shutdown: {
       {
         std::lock_guard<std::mutex> lock(queue_mutex_);
         shutdown_requested_ = true;
       }
-      return ackResponse(RequestType::Shutdown, req.id, trace,
-                         plan_cache_.version());
+      return ackResponse(RequestType::Shutdown, req.id, trace);
     }
     case RequestType::Solve:
     case RequestType::Resolve:
@@ -159,21 +154,6 @@ std::string Daemon::handleLine(std::string_view line) {
       SolveReply reply;
       reply.status = "rejected";
       return solveResponse(job.req.id, trace, reply);
-    }
-    // A cache-using client bumping its generation invalidates before its
-    // solve runs. Only now — a request rejected above, or one opting out of
-    // the caches, must not wipe shared state for every other client. Done
-    // under queue_mutex_ so the job cannot be dequeued before the bump, and
-    // under invalidate_mutex_ (route epoch first, then plan version) so the
-    // two caches advance as one observable step; the recheck under the lock
-    // keeps a racing same-version client from invalidating twice.
-    if (job.req.use_cache &&
-        job.req.cache_version > plan_cache_.version()) {
-      std::lock_guard<std::mutex> invalidate_lock(invalidate_mutex_);
-      if (job.req.cache_version > plan_cache_.version()) {
-        route_cache_->invalidate();
-        plan_cache_.bumpTo(job.req.cache_version);
-      }
     }
     queue_.push_back(&job);
     obs::Registry::instance()
@@ -311,9 +291,7 @@ SolveReply Daemon::solveRequest(const Request& req, double remaining_s,
                                config.size());
 
   const bool use_plan_cache = req.use_cache && !deadline_capped;
-  std::uint64_t version = 0;
   if (use_plan_cache) {
-    version = plan_cache_.version();
     if (std::optional<CachedPlan> cached = plan_cache_.lookup(key)) {
       reply.status = cached->status;
       reply.warm = true;
@@ -348,7 +326,7 @@ SolveReply Daemon::solveRequest(const Request& req, double remaining_s,
     cached.wash_time_s = reply.wash_time_s;
     cached.proven_optimal = reply.proven_optimal;
     cached.plan = reply.plan;
-    plan_cache_.insert(key, std::move(cached), version);
+    plan_cache_.insert(key, std::move(cached));
   }
   return reply;
 }
@@ -458,33 +436,6 @@ void Daemon::shutdown() {
     if (lane.joinable()) lane.join();
   lanes_.clear();
   PDW_LOG(Info, "pdwd") << "daemon down";
-}
-
-std::uint64_t Daemon::invalidateCaches() {
-  // Route epoch first, then plan version, under invalidate_mutex_: a client
-  // that observes the new plan-cache version is guaranteed the route cache
-  // has already turned its epoch over (and the admission bumpTo path holds
-  // the same mutex, so the two bumps never interleave).
-  std::lock_guard<std::mutex> lock(invalidate_mutex_);
-  route_cache_->invalidate();
-  return plan_cache_.invalidate();
-}
-
-std::uint64_t Daemon::cacheVersion() const { return plan_cache_.version(); }
-
-std::uint64_t Daemon::routeCacheEpoch() const { return route_cache_->epoch(); }
-
-DaemonStats Daemon::stats() const {
-  DaemonStats stats;
-  stats.requests = counterOf(obs::names::kPdwdRequests).value();
-  stats.solve_ok = counterOf(obs::names::kPdwdSolveOk).value();
-  stats.budget_hits = counterOf(obs::names::kPdwdBudgetHits).value();
-  stats.deadline_expired =
-      counterOf(obs::names::kPdwdDeadlineExpired).value();
-  stats.rejected_queue_full =
-      counterOf(obs::names::kPdwdRejectedQueueFull).value();
-  stats.errors = counterOf(obs::names::kPdwdErrors).value();
-  return stats;
 }
 
 }  // namespace pdw::service

@@ -1,7 +1,7 @@
 // pdwd core: a resident wash-optimization service.
 //
 // The daemon owns the shared runtime — one work-stealing thread pool, one
-// epoch-guarded route cache, one versioned plan cache, one lazily-built
+// route cache, one plan cache (both content-addressed LRUs), one lazily-built
 // synthesis context per Table-II benchmark — and runs N solver lanes over a
 // bounded admission queue. handleLine() is the whole protocol surface: any
 // transport (unix socket, stdio, an in-process test) feeds it one request
@@ -15,7 +15,7 @@
 //         -> plan-cache lookup (warm hit skips the entire pipeline)
 //         -> Pipeline::run() on the shared pool, budget capped by the
 //            remaining deadline
-//         -> epoch-guarded plan-cache insert, response.
+//         -> plan-cache insert, response.
 //
 // Every request gets a process-unique trace id ("t-<n>"), stamped into the
 // response, the tracing span and the slow-request log line. Outcomes are
@@ -78,15 +78,6 @@ struct DaemonOptions {
   obs::FlightConfig flight;
 };
 
-struct DaemonStats {
-  std::int64_t requests = 0;
-  std::int64_t solve_ok = 0;
-  std::int64_t budget_hits = 0;
-  std::int64_t deadline_expired = 0;
-  std::int64_t rejected_queue_full = 0;
-  std::int64_t errors = 0;
-};
-
 class Daemon {
  public:
   explicit Daemon(DaemonOptions options = {});
@@ -109,21 +100,6 @@ class Daemon {
   /// Idempotent.
   void shutdown();
 
-  /// Invalidate the shared plan + route caches as one observable step and
-  /// return the new version: by the time cacheVersion() reports it, the
-  /// route-cache epoch has already advanced (see invalidate_mutex_).
-  std::uint64_t invalidateCaches();
-
-  /// Current plan-cache version (generation).
-  std::uint64_t cacheVersion() const;
-
-  /// Current route-cache epoch. Coherence contract with cacheVersion():
-  /// any observer that reads cacheVersion() first and routeCacheEpoch()
-  /// second sees epoch advances >= version advances — the route epoch
-  /// always bumps before the plan version under invalidate_mutex_.
-  std::uint64_t routeCacheEpoch() const;
-
-  DaemonStats stats() const;
   const DaemonOptions& options() const { return options_; }
 
  private:
@@ -136,7 +112,10 @@ class Daemon {
   SolveReply solveRequest(const Request& req, double remaining_s,
                           std::string* error);
   /// Incremental delta-solve against the benchmark's resident pipeline
-  /// (created and cold-primed on first use).
+  /// (created and cold-primed on first use). The resident pipeline runs
+  /// with the daemon's default budgets and the shared route cache, so the
+  /// request's budget_s and cache are ignored, and its deadline_ms only
+  /// expires it in the queue (runJob).
   SolveReply resolveRequest(const Request& req, std::string* error);
   void laneLoop();
   std::shared_ptr<BenchContext> benchContext(const std::string& name,
@@ -146,10 +125,6 @@ class Daemon {
   std::shared_ptr<util::ThreadPool> pool_;
   std::shared_ptr<core::RouteCache> route_cache_;
   PlanCache plan_cache_;
-  /// Held across the plan-cache version bump AND the route-cache epoch bump
-  /// (route first), in every invalidation path — so no observer can see one
-  /// cache invalidated while the other still serves the old generation.
-  std::mutex invalidate_mutex_;
 
   mutable std::mutex bench_mutex_;
   std::map<std::string, std::shared_ptr<BenchContext>> bench_;

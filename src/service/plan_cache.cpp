@@ -22,12 +22,6 @@ obs::Counter& missCounter() {
   return c;
 }
 
-obs::Counter& staleDropCounter() {
-  static obs::Counter& c =
-      obs::Registry::instance().counter(obs::names::kPdwdPlanCacheStaleDrops);
-  return c;
-}
-
 }  // namespace
 
 std::size_t PlanKeyHash::operator()(const PlanKey& key) const {
@@ -54,22 +48,8 @@ std::optional<CachedPlan> PlanCache::lookup(const PlanKey& key) {
   return it->second->plan;
 }
 
-bool PlanCache::insert(const PlanKey& key, CachedPlan plan,
-                       std::uint64_t version) {
-  // Version check and insert share one critical section so an invalidation
-  // can only land wholly before (entry dropped as stale) or wholly after
-  // (entry cleared along with its generation).
+void PlanCache::insert(const PlanKey& key, CachedPlan plan) {
   std::lock_guard<std::mutex> lock(mutex_);
-  if (version != version_) {
-    ++stats_.stale_drops;
-    staleDropCounter().increment();
-    return false;
-  }
-  insertLocked(key, std::move(plan));
-  return true;
-}
-
-void PlanCache::insertLocked(const PlanKey& key, CachedPlan plan) {
   const auto it = map_.find(key);
   if (it != map_.end()) {
     it->second->plan = std::move(plan);
@@ -84,41 +64,6 @@ void PlanCache::insertLocked(const PlanKey& key, CachedPlan plan) {
     lru_.pop_back();
     ++stats_.evictions;
   }
-}
-
-std::uint64_t PlanCache::version() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return version_;
-}
-
-std::uint64_t PlanCache::invalidate() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  ++version_;
-  map_.clear();
-  lru_.clear();
-  ++stats_.invalidations;
-  obs::Registry::instance()
-      .counter(obs::names::kPdwdCacheInvalidations)
-      .increment();
-  return version_;
-}
-
-std::uint64_t PlanCache::bumpTo(std::uint64_t target) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (target <= version_) return version_;
-  version_ = target;
-  map_.clear();
-  lru_.clear();
-  ++stats_.invalidations;
-  obs::Registry::instance()
-      .counter(obs::names::kPdwdCacheInvalidations)
-      .increment();
-  return version_;
-}
-
-std::size_t PlanCache::size() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return map_.size();
 }
 
 PlanCacheStats PlanCache::stats() const {

@@ -1,4 +1,4 @@
-// Versioned plan cache for the pdwd service.
+// Plan cache for the pdwd service.
 //
 // Memoizes the full solved outcome of a request — wash plan metrics plus
 // the canonical plan serialization — keyed by everything that determines
@@ -13,11 +13,9 @@
 // as a proven-optimal one, and budget-heavy benchmarks would otherwise
 // never warm up.
 //
-// Versioning: the cache carries a monotonically increasing version.
-// invalidate() (or a request with cache_version above the current value)
-// empties the cache and bumps the version; inserts carry the version they
-// were computed under and are dropped as stale if it no longer matches —
-// the same epoch discipline as core::RouteCache.
+// Like core::RouteCache, the cache is content-addressed: the key holds every
+// input of the solve, so no entry can go stale, and the cache is a plain
+// bounded LRU.
 #pragma once
 
 #include <cstdint>
@@ -62,8 +60,6 @@ struct PlanCacheStats {
   std::int64_t misses = 0;
   std::int64_t inserts = 0;
   std::int64_t evictions = 0;
-  std::int64_t stale_drops = 0;
-  std::int64_t invalidations = 0;
 };
 
 class PlanCache {
@@ -72,24 +68,10 @@ class PlanCache {
 
   std::optional<CachedPlan> lookup(const PlanKey& key);
 
-  /// Memoize `plan` if the cache is still at `version` (as captured before
-  /// the solve). Returns false and drops the entry when a concurrent
-  /// invalidation made it stale.
-  bool insert(const PlanKey& key, CachedPlan plan, std::uint64_t version);
+  /// Memoize `plan` for `key`, evicting the least-recently-used entry when
+  /// full. Re-inserting an existing key refreshes its recency.
+  void insert(const PlanKey& key, CachedPlan plan);
 
-  /// Current cache version (generation). Starts at 0.
-  std::uint64_t version() const;
-
-  /// Drop everything and advance the version. Returns the new version.
-  std::uint64_t invalidate();
-
-  /// Invalidate only if `target` is above the current version; the version
-  /// then becomes exactly `target` (so repeated client bumps converge).
-  /// Returns the (possibly unchanged) current version.
-  std::uint64_t bumpTo(std::uint64_t target);
-
-  std::size_t size() const;
-  std::size_t capacity() const { return capacity_; }
   PlanCacheStats stats() const;
 
  private:
@@ -98,12 +80,9 @@ class PlanCache {
     CachedPlan plan;
   };
 
-  void insertLocked(const PlanKey& key, CachedPlan plan);
-
   mutable std::mutex mutex_;
   std::size_t capacity_;
-  std::uint64_t version_ = 0;  ///< guarded by mutex_
-  std::list<Entry> lru_;       ///< front = most recently used
+  std::list<Entry> lru_;  ///< front = most recently used
   std::unordered_map<PlanKey, std::list<Entry>::iterator, PlanKeyHash> map_;
   PlanCacheStats stats_;
 };

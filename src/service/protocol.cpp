@@ -111,7 +111,6 @@ const char* toString(RequestType type) {
     case RequestType::Resolve: return "resolve";
     case RequestType::Metrics: return "metrics";
     case RequestType::Ping: return "ping";
-    case RequestType::Invalidate: return "invalidate";
     case RequestType::Shutdown: return "shutdown";
   }
   return "?";
@@ -143,8 +142,6 @@ ParsedRequest parseRequest(std::string_view line) {
     req.type = RequestType::Metrics;
   } else if (type_name == "ping") {
     req.type = RequestType::Ping;
-  } else if (type_name == "invalidate") {
-    req.type = RequestType::Invalidate;
   } else if (type_name == "shutdown") {
     req.type = RequestType::Shutdown;
   } else {
@@ -173,18 +170,6 @@ ParsedRequest parseRequest(std::string_view line) {
     return fail(err->message, err->code);
   if (auto err = readIndex(*doc, "remove_task", &req.remove_task))
     return fail(err->message, err->code);
-  double version = 0.0;
-  if (auto err = readNumber(*doc, "cache_version", &version))
-    return fail(err->message, err->code);
-  // Bound at 2^53, the last exact double integer: beyond it the value is
-  // ambiguous, and a huge value (say 1e300) would make the uint64 cast
-  // undefined behavior — or park the cache one ++ away from wrapping to 0.
-  constexpr double kMaxCacheVersion = 9007199254740992.0;  // 2^53
-  if (version < 0.0 || version != std::floor(version) ||
-      version >= kMaxCacheVersion)
-    return fail("cache_version must be a non-negative integer below 2^53",
-                "value");
-  req.cache_version = static_cast<std::uint64_t>(version);
 
   if (req.budget_s < 0.0) return fail("budget_s must be >= 0", "value");
   if (req.deadline_ms < 0.0) return fail("deadline_ms must be >= 0", "value");
@@ -252,13 +237,12 @@ std::string solveResponse(const std::string& id, const std::string& trace,
 }
 
 std::string ackResponse(RequestType type, const std::string& id,
-                        const std::string& trace, std::uint64_t version) {
+                        const std::string& trace) {
   std::ostringstream out;
   out << "{\"schema\":\"" << kResponseSchema << "\""
       << ",\"id\":" << obs::json::quote(id)
       << ",\"trace\":" << obs::json::quote(trace) << ",\"status\":\"ok\""
-      << ",\"type\":\"" << toString(type) << "\""
-      << ",\"cache_version\":" << version << "}";
+      << ",\"type\":\"" << toString(type) << "\"}";
   return out.str();
 }
 

@@ -6,23 +6,21 @@
 // default) and the daemon always answers — malformed, truncated,
 // type-confused or oversized input yields a structured error response,
 // never a dropped connection or a crash. Unknown object keys are ignored
-// for forward compatibility — among them the retired `engine` and `cuts`
-// keys, whatever their value: the LP engine and the root-cut policy are
-// fixed (DESIGN.md §14.1).
+// for forward compatibility — among them the retired `engine`, `cuts` and
+// `cache_version` keys, whatever their value: the LP engine and the
+// root-cut policy are fixed, and both caches are content-addressed, so
+// there is no cache generation to name (DESIGN.md §14.1, §14.3).
 //
 // Request schema (fields beyond `schema` optional unless noted):
 //   {"schema":"pdw-req-1","type":"solve","id":"r1","benchmark":"PCR",
-//    "budget_s":4.0,"deadline_ms":2000,"cache":true,"cache_version":2,
-//    "sleep_ms":0}
-//   type: solve (default) | resolve | metrics | ping | invalidate | shutdown
+//    "budget_s":4.0,"deadline_ms":2000,"cache":true,"sleep_ms":0}
+//   type: solve (default) | resolve | metrics | ping | shutdown
 //   benchmark: Table-II name; required for solve unless sleep_ms > 0
 //   budget_s: scheduling-ILP budget (0 = daemon default)
 //   deadline_ms: total budget from admission; expired-in-queue requests
 //     answer status "deadline", and the remaining deadline caps the solver
 //     budget of requests that do run
-//   cache: opt out of the shared plan/route caches with false
-//   cache_version: client's cache generation; a value above the daemon's
-//     current version invalidates the shared caches before solving
+//   cache: false solves cold, bypassing the shared plan and route caches
 //   sleep_ms: load-harness aid — hold a lane for this long instead of
 //     solving (admission, queueing and deadlines behave exactly as for a
 //     real solve)
@@ -36,8 +34,11 @@
 //   delay_s:     required (> 0) with delay_op / delay_task
 //   block_cell:  "x:y" cell wash routing must avoid from now on
 //   remove_task: waste-bound task id to cancel
-// The response carries warm:true when an already primed pipeline served
-// the delta.
+// The resident pipeline runs with the daemon's default budgets and the
+// shared route cache, so a resolve request's budget_s and cache are
+// ignored, and its deadline_ms only expires it while it is still queued
+// (answer "deadline"); once on a lane it runs to completion. The response
+// carries warm:true when an already primed pipeline served the delta.
 //
 // Response statuses: ok | budget_hit (plan present, solver budget-capped) |
 // rejected (admission queue full) | deadline (expired before running) |
@@ -63,7 +64,7 @@ inline constexpr std::size_t kMaxRequestBytes = 64 * 1024;
 inline constexpr const char* kRequestSchema = "pdw-req-1";
 inline constexpr const char* kResponseSchema = "pdw-resp-1";
 
-enum class RequestType { Solve, Resolve, Metrics, Ping, Invalidate, Shutdown };
+enum class RequestType { Solve, Resolve, Metrics, Ping, Shutdown };
 
 const char* toString(RequestType type);
 
@@ -74,7 +75,6 @@ struct Request {
   double budget_s = 0.0;     ///< scheduling-ILP budget; 0 = daemon default
   double deadline_ms = 0.0;  ///< total deadline from admission; 0 = none
   bool use_cache = true;     ///< plan/route cache participation
-  std::uint64_t cache_version = 0;  ///< > daemon version => invalidate first
   double sleep_ms = 0.0;     ///< test/load aid: hold a lane, skip the solve
   // Resolve perturbation fields (type == Resolve only; -1 / "" = unset).
   int delay_op = -1;         ///< operation id delayed by delay_s
@@ -130,9 +130,9 @@ struct SolveReply {
 std::string solveResponse(const std::string& id, const std::string& trace,
                           const SolveReply& reply);
 
-/// Serialize a ping/invalidate/shutdown acknowledgement.
+/// Serialize a ping/shutdown acknowledgement.
 std::string ackResponse(RequestType type, const std::string& id,
-                        const std::string& trace, std::uint64_t version);
+                        const std::string& trace);
 
 /// Serialize a metrics-scrape response: the full `pdw-metrics-1` registry
 /// export embedded as the `metrics` member (pass Registry::exportJson()).

@@ -124,20 +124,35 @@ class Engine {
 
   /// Path-overlap and device-crossing predicates are pure functions of the
   /// (immutable) task paths, but the sweep below queries them O(T) times
-  /// per placement. Precompute both tables once.
+  /// per placement. Precompute both tables once from a per-cell task list:
+  /// two paths overlap exactly when they share a cell, and a path crosses a
+  /// device exactly when it is listed on the device's cell, so the fill
+  /// costs time in proportion to the shared cells rather than T² path
+  /// scans. Every path lies on the chip (routers emit in-grid cells only).
   void precomputeConflicts(const AssaySchedule& out) {
+    const arch::ChipLayout& chip = base_.chip();
     const std::size_t n_tasks = out.tasks().size();
-    const std::size_t n_devices = base_.chip().devices().size();
+    const std::size_t n_devices = chip.devices().size();
+    std::vector<std::vector<std::size_t>> on_cell(
+        static_cast<std::size_t>(chip.width() * chip.height()));
+    for (std::size_t a = 0; a < n_tasks; ++a)
+      for (const arch::Cell& c : out.tasks()[a].path.cells()) {
+        assert(chip.contains(c));
+        std::vector<std::size_t>& tasks =
+            on_cell[static_cast<std::size_t>(chip.cellIndex(c))];
+        // Tasks are listed in id order, so a cell the path revisits would
+        // repeat the last entry.
+        if (tasks.empty() || tasks.back() != a) tasks.push_back(a);
+      }
     overlap_.assign(n_tasks, std::vector<char>(n_tasks, 0));
     crosses_.assign(n_tasks, std::vector<char>(n_devices, 0));
-    for (std::size_t a = 0; a < n_tasks; ++a) {
-      const arch::FlowPath& path = out.tasks()[a].path;
-      for (std::size_t b = 0; b < n_tasks; ++b)
-        overlap_[a][b] = path.overlaps(out.tasks()[b].path) ? 1 : 0;
-      for (std::size_t d = 0; d < n_devices; ++d)
-        crosses_[a][d] =
-            path.contains(base_.chip().devices()[d].cell) ? 1 : 0;
-    }
+    for (const std::vector<std::size_t>& tasks : on_cell)
+      for (std::size_t a : tasks)
+        for (std::size_t b : tasks) overlap_[a][b] = 1;
+    for (std::size_t d = 0; d < n_devices; ++d)
+      for (std::size_t a : on_cell[static_cast<std::size_t>(
+               chip.cellIndex(chip.devices()[d].cell))])
+        crosses_[a][d] = 1;
   }
 
   bool pathsOverlap(TaskId a, TaskId b) const {

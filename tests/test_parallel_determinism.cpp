@@ -1,8 +1,8 @@
 // The Pipeline's determinism guarantee: for a fixed option set the wash
 // plan is identical for every thread count (parallel routing merges in
 // wash-operation index order; every MILP runs one single-threaded
-// branch-and-bound search; the rescheduler's parallel precomputation feeds
-// a sequential sweep). Plus unit tests of the LRU route cache.
+// branch-and-bound search; the rescheduler is one sequential sweep). Plus
+// unit tests of the LRU route cache.
 //
 // Wall-clock solver limits are the enemy of this comparison — a loaded
 // machine can cut the two runs at different points — so every budget here
@@ -10,6 +10,8 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "assay/benchmarks.h"
 #include "core/pipeline.h"
@@ -204,6 +206,36 @@ TEST(RouteCache, DistinctProblemsDoNotAlias) {
   b.targets.push_back({9, 9});  // same fingerprint, different target set
   cache.insert(a, pathOfLength(2));
   EXPECT_FALSE(cache.lookup(b).has_value());
+}
+
+/// Concurrent lookups and inserts on one cache (TSAN target), the pattern
+/// of parallel routing and of pdwd lanes sharing one cache. Each writer
+/// owns its keys, so every miss is followed by exactly one fresh insert;
+/// the capacity is below the key count, so evictions race the inserts too.
+TEST(RouteCache, ConcurrentLookupInsert) {
+  core::RouteCache cache(32);
+  constexpr int kWriters = 3;
+  constexpr int kOpsPerWriter = 300;
+  constexpr int kKeysPerWriter = 17;
+
+  std::vector<std::thread> threads;
+  for (int w = 0; w < kWriters; ++w)
+    threads.emplace_back([&cache, w] {
+      for (int i = 0; i < kOpsPerWriter; ++i) {
+        const core::RouteKey key = keyFor(static_cast<std::uint64_t>(
+            w * kOpsPerWriter + i % kKeysPerWriter));
+        if (!cache.lookup(key).has_value()) cache.insert(key, pathOfLength(2));
+      }
+    });
+  for (std::thread& t : threads) t.join();
+
+  const core::RouteCacheStats stats = cache.stats();
+  EXPECT_EQ(stats.hits + stats.misses, kWriters * kOpsPerWriter);
+  EXPECT_GE(stats.misses, kWriters * kKeysPerWriter);
+  EXPECT_EQ(stats.inserts, stats.misses);
+  EXPECT_EQ(stats.inserts - stats.evictions,
+            static_cast<std::int64_t>(cache.size()));
+  EXPECT_LE(cache.size(), cache.capacity());
 }
 
 TEST(RouteCache, PipelineReusesCacheAcrossRuns) {

@@ -11,16 +11,14 @@
 //                    (deterministic fuzz corpus included — an LCG, not
 //                    rand(), so failures replay)
 //   PdwdDaemon       solve -> warm hit (byte-identical plan, metrics
-//                    delta), scrape / ping / invalidate, stdio batch,
-//                    shutdown drains in-flight work
+//                    delta) -> cold re-solve (same bytes), scrape / ping,
+//                    stdio batch, shutdown drains in-flight work
 //   PdwdConcurrency  N concurrent identical requests produce byte-identical
 //                    plans (TSAN target; budgets are optimality-bound so a
 //                    10x sanitizer slowdown cannot change the answer)
 //   PdwdOverload     bounded queue rejects, queued deadlines expire,
 //                    tiny budgets answer budget_hit with a usable plan
-//   RouteCacheEpoch  epoch-guarded inserts drop stale results, concurrent
-//                    readers survive repeated invalidation (TSAN target)
-//   PlanCacheVersion versioned plan-cache unit tests (bumpTo, stale drop)
+//   PlanCache        plan-cache LRU unit test
 //   PdwdSocket       SocketServer + LineClient round trip, oversize
 //                    recovery, disconnect-before-read survival (SIGPIPE),
 //                    shutdown ends the accept loop
@@ -28,7 +26,6 @@
 
 #include <unistd.h>
 
-#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <functional>
@@ -38,8 +35,6 @@
 #include <thread>
 #include <vector>
 
-#include "arch/path.h"
-#include "core/route_cache.h"
 #include "obs/json.h"
 #include "obs/metric_names.h"
 #include "obs/metrics.h"
@@ -131,8 +126,7 @@ TEST(PdwdProtocol, ValidSolveRequestParses) {
   const auto parsed = parseRequest(
       "{\"schema\":\"pdw-req-1\",\"type\":\"solve\",\"id\":\"r1\","
       "\"benchmark\":\"PCR\",\"budget_s\":2.5,\"deadline_ms\":4000,"
-      "\"cache\":false,\"cuts\":\"gomory\","
-      "\"cache_version\":3,\"sleep_ms\":0}");
+      "\"cache\":false,\"cuts\":\"gomory\",\"sleep_ms\":0}");
   ASSERT_TRUE(parsed.ok()) << parsed.error;
   const service::Request& req = *parsed.request;
   EXPECT_EQ(req.type, service::RequestType::Solve);
@@ -141,7 +135,6 @@ TEST(PdwdProtocol, ValidSolveRequestParses) {
   EXPECT_DOUBLE_EQ(req.budget_s, 2.5);
   EXPECT_DOUBLE_EQ(req.deadline_ms, 4000.0);
   EXPECT_FALSE(req.use_cache);
-  EXPECT_EQ(req.cache_version, 3u);
 }
 
 TEST(PdwdProtocol, DefaultsAndUnknownKeysIgnored) {
@@ -157,11 +150,13 @@ TEST(PdwdProtocol, DefaultsAndUnknownKeysIgnored) {
 }
 
 TEST(PdwdProtocol, EngineKeyIsAnIgnoredUnknownKey) {
-  // There is one LP engine and one root-cut policy; an "engine" or "cuts"
-  // key left over from older clients parses like any other unknown key,
-  // whatever its value or type.
+  // There is one LP engine, one root-cut policy and no cache generation; an
+  // "engine", "cuts" or "cache_version" key left over from older clients
+  // parses like any other unknown key, whatever its value or type.
   const std::string with_key = solveLine(
-      "e1", "PCR", ",\"engine\":\"dense\",\"cuts\":\"off\",\"budget_s\":2");
+      "e1", "PCR",
+      ",\"engine\":\"dense\",\"cuts\":\"off\",\"cache_version\":3,"
+      "\"budget_s\":2");
   const auto parsed = parseRequest(with_key);
   ASSERT_TRUE(parsed.ok()) << parsed.error;
   const auto plain = parseRequest(solveLine("e1", "PCR", ",\"budget_s\":2"));
@@ -172,6 +167,13 @@ TEST(PdwdProtocol, EngineKeyIsAnIgnoredUnknownKey) {
   EXPECT_TRUE(parseRequest(solveLine("e3", "PCR", ",\"cuts\":7")).ok());
   EXPECT_TRUE(
       parseRequest(solveLine("e4", "PCR", ",\"cuts\":\"zigzag\"")).ok());
+  for (const char* version : {"1.5", "-1", "1e300", "18446744073709551615",
+                              "\"2\"", "null"})
+    EXPECT_TRUE(parseRequest(solveLine("e5", "PCR",
+                                       std::string(",\"cache_version\":") +
+                                           version))
+                    .ok())
+        << version;
 }
 
 TEST(PdwdProtocol, RejectsMalformedAndSchemaErrors) {
@@ -212,13 +214,13 @@ TEST(PdwdProtocol, RejectsValueErrors) {
                          "\"deadline_ms\":-5}")
                 .error_code,
             "value");
-  EXPECT_EQ(parseRequest("{\"schema\":\"pdw-req-1\",\"benchmark\":\"PCR\","
-                         "\"cache_version\":1.5}")
-                .error_code,
-            "value");
-  EXPECT_EQ(parseRequest("{\"schema\":\"pdw-req-1\",\"type\":\"dance\"}")
-                .error_code,
-            "value");
+  // Unknown request types, the retired "invalidate" among them.
+  for (const std::string type : {"dance", "invalidate"})
+    EXPECT_EQ(
+        parseRequest("{\"schema\":\"pdw-req-1\",\"type\":\"" + type + "\"}")
+            .error_code,
+        "value")
+        << type;
   // A solve with neither benchmark nor sleep_ms has nothing to do.
   EXPECT_EQ(parseRequest("{\"schema\":\"pdw-req-1\",\"type\":\"solve\"}")
                 .error_code,
@@ -326,30 +328,6 @@ TEST(PdwdProtocol, SurrogateEscapesOnTheWire) {
   daemon.shutdown();
 }
 
-TEST(PdwdProtocol, RejectsCacheVersionBeyondExactDoubles) {
-  // 2^53 is the last double-exact integer: a larger value is ambiguous and
-  // the uint64 cast would be UB for huge magnitudes (e.g. 1e300), while a
-  // value near UINT64_MAX would park the version one ++ away from wrapping.
-  EXPECT_EQ(parseRequest("{\"schema\":\"pdw-req-1\",\"type\":\"ping\","
-                         "\"cache_version\":1e300}")
-                .error_code,
-            "value");
-  EXPECT_EQ(parseRequest("{\"schema\":\"pdw-req-1\",\"type\":\"ping\","
-                         "\"cache_version\":9007199254740992}")
-                .error_code,
-            "value");
-  EXPECT_EQ(parseRequest("{\"schema\":\"pdw-req-1\",\"type\":\"ping\","
-                         "\"cache_version\":18446744073709551615}")
-                .error_code,
-            "value");
-  // The largest exact integer below the bound round-trips precisely.
-  const auto ok = parseRequest(
-      "{\"schema\":\"pdw-req-1\",\"type\":\"ping\","
-      "\"cache_version\":9007199254740991}");
-  ASSERT_TRUE(ok.ok()) << ok.error;
-  EXPECT_EQ(ok.request->cache_version, 9007199254740991ull);
-}
-
 TEST(PdwdProtocol, RejectsOversizedLines) {
   // One byte over the documented cap is refused before any JSON parsing.
   std::string big = "{\"schema\":\"pdw-req-1\",\"id\":\"";
@@ -386,11 +364,11 @@ TEST(PdwdProtocol, SerializersRoundTripThroughJson) {
   EXPECT_EQ(str(doc, "code"), "parse");
   EXPECT_EQ(str(doc, "error"), "bad \"x\"");
 
-  doc = parseResponse(service::ackResponse(service::RequestType::Invalidate,
-                                           "id-2", "t-9", 7));
+  doc = parseResponse(
+      service::ackResponse(service::RequestType::Ping, "id-2", "t-9"));
   EXPECT_EQ(str(doc, "status"), "ok");
-  EXPECT_EQ(str(doc, "type"), "invalidate");
-  EXPECT_DOUBLE_EQ(num(doc, "cache_version"), 7.0);
+  EXPECT_EQ(str(doc, "type"), "ping");
+  EXPECT_EQ(doc.find("cache_version"), nullptr);
 
   doc = parseResponse(service::metricsResponse(
       "id-3", "t-10", obs::Registry::instance().exportJson()));
@@ -508,27 +486,25 @@ TEST(PdwdDaemon, SolveWarmsAndInvalidates) {
   ASSERT_TRUE(values && values->isObject());
   EXPECT_TRUE(values->find(obs::names::kPdwdRequests));
 
-  // Ping reports the cache version; invalidate bumps it...
+  // Ping acknowledges without a cache generation: the caches have none,
+  // and "invalidate" is an unknown request type.
   obs::json::Value ping = parseResponse(daemon.handleLine(
       "{\"schema\":\"pdw-req-1\",\"type\":\"ping\",\"id\":\"p1\"}"));
-  const double v0 = num(ping, "cache_version");
+  EXPECT_EQ(str(ping, "status"), "ok");
+  EXPECT_EQ(ping.find("cache_version"), nullptr);
   obs::json::Value inval = parseResponse(daemon.handleLine(
       "{\"schema\":\"pdw-req-1\",\"type\":\"invalidate\",\"id\":\"i1\"}"));
-  EXPECT_EQ(num(inval, "cache_version"), v0 + 1.0);
+  EXPECT_EQ(str(inval, "code"), "value");
 
-  // ...and the next identical solve is cold again — with the same bytes
-  // (determinism across invalidation, not just across requests).
-  obs::json::Value recold =
-      parseResponse(daemon.handleLine(solveLine("c3", "Kinase act-1")));
+  // A fresh solve is asked for with cache:false: it runs the whole
+  // pipeline again and returns the same bytes (determinism across cache
+  // temperature, not just across requests).
+  obs::json::Value recold = parseResponse(
+      daemon.handleLine(solveLine("c3", "Kinase act-1", ",\"cache\":false")));
+  EXPECT_EQ(str(recold, "status"), "ok");
   EXPECT_FALSE(boolean(recold, "warm"));
   EXPECT_EQ(str(recold, "plan"), plan);
-
-  // A client cache_version above the daemon's bumps it the same way.
-  const std::uint64_t before = daemon.cacheVersion();
-  parseResponse(daemon.handleLine(
-      solveLine("c4", "Kinase act-1",
-                ",\"cache_version\":" + std::to_string(before + 5))));
-  EXPECT_EQ(daemon.cacheVersion(), before + 5);
+  EXPECT_EQ(counterDelta(baseline, obs::names::kPdwdPlanCacheHits), 1);
 
   // Unknown benchmarks are refused at admission (partition invariant).
   obs::json::Value unknown =
@@ -549,9 +525,9 @@ TEST(PdwdDaemon, SolveWarmsAndInvalidates) {
 }
 
 TEST(PdwdDaemon, EngineKeyDoesNotChangeThePlan) {
-  // The dropped "engine" and "cuts" keys are ignored end to end: the
-  // request solves cold (cache off, so nothing is replayed) to the same
-  // canonical plan as the same request without them.
+  // The dropped "engine", "cuts" and "cache_version" keys are ignored end
+  // to end: the request solves cold (cache off, so nothing is replayed) to
+  // the same status and canonical plan as the same request without them.
   DaemonOptions options;
   options.lanes = 1;
   options.threads = 1;
@@ -561,69 +537,13 @@ TEST(PdwdDaemon, EngineKeyDoesNotChangeThePlan) {
       parseResponse(daemon.handleLine(solveLine("p1", "Kinase act-1", extra)));
   const obs::json::Value keyed = parseResponse(daemon.handleLine(solveLine(
       "p2", "Kinase act-1",
-      extra + ",\"engine\":\"dense\",\"cuts\":\"off\"")));
+      extra + ",\"engine\":\"dense\",\"cuts\":\"off\",\"cache_version\":50")));
   daemon.shutdown();
   EXPECT_EQ(str(plain, "status"), "ok");
   EXPECT_EQ(str(keyed, "status"), "ok");
   EXPECT_FALSE(boolean(keyed, "warm"));
   ASSERT_FALSE(str(plain, "plan").empty());
   EXPECT_EQ(str(keyed, "plan"), str(plain, "plan"));
-}
-
-/// The cache_version bump is an admission-gated side effect: a rejected
-/// request, or one opting out of the caches, must not wipe shared state
-/// for every other client.
-TEST(PdwdDaemon, CacheVersionBumpRequiresAdmission) {
-  const obs::MetricsSnapshot baseline = obs::Registry::instance().snapshot();
-  DaemonOptions options;
-  options.lanes = 1;
-  options.queue_capacity = 1;
-  options.threads = 1;
-  Daemon daemon(options);
-  const std::uint64_t v0 = daemon.cacheVersion();
-
-  // cache:false never bumps, whatever generation it claims.
-  obs::json::Value optout = parseResponse(daemon.handleLine(
-      sleepLine("no-cache", 1, ",\"cache\":false,\"cache_version\":50")));
-  EXPECT_EQ(str(optout, "status"), "ok");
-  EXPECT_EQ(daemon.cacheVersion(), v0);
-
-  // Occupy the lane and the single queue slot (the opt-out solve above
-  // already contributed one queue-wait observation).
-  std::string reply_a, reply_b;
-  std::thread ta([&] { reply_a = daemon.handleLine(sleepLine("a", 600)); });
-  awaitTrue(
-      [&] {
-        return histCount(obs::Registry::instance().snapshot().since(baseline),
-                         obs::names::kPdwdQueueWaitSeconds) >= 2;
-      },
-      "the holder to reach the lane");
-  std::thread tb([&] { reply_b = daemon.handleLine(sleepLine("b", 5)); });
-  awaitTrue(
-      [&] {
-        return obs::Registry::instance()
-                   .snapshot()
-                   .gauge(obs::names::kPdwdQueueDepth) >= 1.0;
-      },
-      "the filler to be queued");
-
-  // Queue-full rejection happens before the bump: version is untouched.
-  obs::json::Value rejected = parseResponse(
-      daemon.handleLine(sleepLine("r", 5, ",\"cache_version\":50")));
-  EXPECT_EQ(str(rejected, "status"), "rejected");
-  EXPECT_EQ(daemon.cacheVersion(), v0);
-
-  ta.join();
-  tb.join();
-  EXPECT_EQ(str(parseResponse(reply_a), "status"), "ok");
-  EXPECT_EQ(str(parseResponse(reply_b), "status"), "ok");
-
-  // An admitted cache-using solve with a higher generation does bump.
-  obs::json::Value bumped = parseResponse(
-      daemon.handleLine(sleepLine("ok", 1, ",\"cache_version\":50")));
-  EXPECT_EQ(str(bumped, "status"), "ok");
-  EXPECT_EQ(daemon.cacheVersion(), 50u);
-  daemon.shutdown();
 }
 
 /// A deadline that caps the solver budget folds a measured wall-clock value
@@ -823,67 +743,6 @@ TEST(PdwdConcurrency, ConcurrentClientsGetByteIdenticalPlans) {
   }
 }
 
-/// The invalidate-coherence contract (TSAN target): the route-cache epoch
-/// bumps BEFORE the plan-cache version, both under invalidate_mutex_, on
-/// every invalidation path. An observer that reads the version first and
-/// the epoch second must therefore never see the version ahead of the
-/// epoch — the regression this pins was two independent bumps with a
-/// window where a lane could warm-hit a new-generation plan while route
-/// lookups still served pre-invalidation paths.
-TEST(PdwdConcurrency, InvalidateAdvancesRouteEpochBeforePlanVersion) {
-  constexpr int kInvalidators = 2;
-  constexpr int kPerThread = 50;
-  DaemonOptions options;
-  options.lanes = 2;
-  options.threads = 1;
-  Daemon daemon(options);
-  const std::uint64_t v0 = daemon.cacheVersion();
-  const std::uint64_t e0 = daemon.routeCacheEpoch();
-
-  std::atomic<bool> done{false};
-  std::atomic<int> violations{0};
-  std::vector<std::thread> threads;
-  for (int t = 0; t < 2; ++t)
-    threads.emplace_back([&] {
-      while (!done.load(std::memory_order_acquire)) {
-        // Read order matters: version first, epoch second. The writer
-        // bumps epoch first, so a coherent daemon can only over-report
-        // the epoch here, never under-report it.
-        const std::uint64_t version = daemon.cacheVersion();
-        const std::uint64_t epoch = daemon.routeCacheEpoch();
-        if (epoch - e0 < version - v0)
-          violations.fetch_add(1, std::memory_order_relaxed);
-      }
-    });
-  for (int t = 0; t < kInvalidators; ++t)
-    threads.emplace_back([&daemon, t] {
-      for (int i = 0; i < kPerThread; ++i)
-        daemon.handleLine(
-            "{\"schema\":\"pdw-req-1\",\"type\":\"invalidate\",\"id\":\"i" +
-            std::to_string(t) + "-" + std::to_string(i) + "\"}");
-    });
-  for (int t = kInvalidators; t-- > 0;) {
-    threads.back().join();
-    threads.pop_back();
-  }
-  done.store(true, std::memory_order_release);
-  for (std::thread& t : threads) t.join();
-
-  EXPECT_EQ(violations.load(), 0);
-  EXPECT_EQ(daemon.cacheVersion(), v0 + kInvalidators * kPerThread);
-  EXPECT_EQ(daemon.routeCacheEpoch(), e0 + kInvalidators * kPerThread);
-
-  // The admission bumpTo path obeys the same contract: a client-driven
-  // version jump advances the epoch exactly once, route first.
-  const std::uint64_t v1 = daemon.cacheVersion();
-  const std::uint64_t e1 = daemon.routeCacheEpoch();
-  parseResponse(daemon.handleLine(
-      sleepLine("bump", 1, ",\"cache_version\":" + std::to_string(v1 + 5))));
-  EXPECT_EQ(daemon.cacheVersion(), v1 + 5);
-  EXPECT_EQ(daemon.routeCacheEpoch(), e1 + 1);
-  daemon.shutdown();
-}
-
 // ---- PdwdOverload --------------------------------------------------------
 
 TEST(PdwdOverload, QueueFullRejects) {
@@ -975,99 +834,7 @@ TEST(PdwdOverload, TinyBudgetAnswersBudgetHitWithPlan) {
   daemon.shutdown();
 }
 
-// ---- RouteCacheEpoch (TSAN target) ---------------------------------------
-
-arch::FlowPath epochPath(int n) {
-  std::vector<arch::Cell> cells;
-  for (int i = 0; i < n; ++i) cells.push_back({i, 1});
-  return arch::FlowPath(std::move(cells));
-}
-
-core::RouteKey epochKey(std::uint64_t fingerprint) {
-  core::RouteKey key;
-  key.chip_fingerprint = fingerprint;
-  key.targets = {{5, 6}};
-  return key;
-}
-
-TEST(RouteCacheEpoch, StaleInsertIsDropped) {
-  core::RouteCache cache(8);
-  const std::uint64_t e0 = cache.epoch();
-
-  // Same-epoch insert lands.
-  EXPECT_TRUE(cache.insert(epochKey(1), epochPath(2), e0));
-  EXPECT_EQ(cache.size(), 1u);
-
-  // invalidate() clears, bumps the epoch, and counts.
-  cache.invalidate();
-  EXPECT_EQ(cache.size(), 0u);
-  EXPECT_EQ(cache.epoch(), e0 + 1);
-  EXPECT_FALSE(cache.lookup(epochKey(1)).has_value());
-
-  // An insert computed under the old epoch must not repopulate the new one.
-  EXPECT_FALSE(cache.insert(epochKey(2), epochPath(3), e0));
-  EXPECT_EQ(cache.size(), 0u);
-
-  const core::RouteCacheStats stats = cache.stats();
-  EXPECT_EQ(stats.stale_drops, 1);
-  EXPECT_EQ(stats.invalidations, 1);
-  EXPECT_EQ(stats.inserts, 1);  // only the pre-invalidation insert landed
-}
-
-TEST(RouteCacheEpoch, MemoizedFailureSurvivesEpochDiscipline) {
-  core::RouteCache cache(4);
-  // A memoized routing *failure* (inner nullopt) obeys the same epoch rule.
-  EXPECT_TRUE(cache.insert(epochKey(9), std::nullopt, cache.epoch()));
-  const auto cached = cache.lookup(epochKey(9));
-  ASSERT_TRUE(cached.has_value());
-  EXPECT_FALSE(cached->has_value());
-  cache.invalidate();
-  EXPECT_FALSE(cache.lookup(epochKey(9)).has_value());
-}
-
-/// Readers and epoch-guarded writers race a repeated invalidator. The
-/// invariants: no torn reads (TSAN), every insert either lands in its own
-/// epoch or is dropped as stale, and a final invalidation leaves the cache
-/// empty with a consistent epoch count.
-TEST(RouteCacheEpoch, ConcurrentInvalidationIsSafe) {
-  core::RouteCache cache(64);
-  constexpr int kWriters = 3;
-  constexpr int kOpsPerWriter = 300;
-  constexpr int kInvalidations = 40;
-
-  std::atomic<std::int64_t> attempted{0};
-  std::vector<std::thread> threads;
-  for (int w = 0; w < kWriters; ++w)
-    threads.emplace_back([&cache, &attempted, w] {
-      for (int i = 0; i < kOpsPerWriter; ++i) {
-        const std::uint64_t fp =
-            static_cast<std::uint64_t>(w) * kOpsPerWriter +
-            static_cast<std::uint64_t>(i % 17);
-        const std::uint64_t epoch = cache.epoch();
-        if (!cache.lookup(epochKey(fp)).has_value()) {
-          cache.insert(epochKey(fp), epochPath(2), epoch);
-          attempted.fetch_add(1, std::memory_order_relaxed);
-        }
-      }
-    });
-  threads.emplace_back([&cache] {
-    for (int i = 0; i < kInvalidations; ++i) {
-      cache.invalidate();
-      std::this_thread::yield();
-    }
-  });
-  for (std::thread& t : threads) t.join();
-
-  const core::RouteCacheStats stats = cache.stats();
-  EXPECT_EQ(stats.inserts + stats.stale_drops, attempted.load());
-  EXPECT_EQ(stats.invalidations, kInvalidations);
-  EXPECT_EQ(cache.epoch(), static_cast<std::uint64_t>(kInvalidations));
-
-  cache.invalidate();
-  EXPECT_EQ(cache.size(), 0u);
-}
-
-// ---- PlanCacheVersion ----------------------------------------------------
+// ---- PlanCache -----------------------------------------------------------
 
 service::PlanKey planKey(std::uint64_t n) {
   service::PlanKey key;
@@ -1086,51 +853,19 @@ service::CachedPlan cachedPlan(const std::string& status) {
   return plan;
 }
 
-TEST(PlanCacheVersion, VersionedInsertAndStaleDrop) {
-  service::PlanCache cache(4);
-  EXPECT_EQ(cache.version(), 0u);
-
-  // Budget-capped outcomes are first-class cacheable results.
-  EXPECT_TRUE(cache.insert(planKey(1), cachedPlan("budget_hit"), 0));
-  const auto hit = cache.lookup(planKey(1));
-  ASSERT_TRUE(hit.has_value());
-  EXPECT_EQ(hit->status, "budget_hit");
-  EXPECT_FALSE(hit->proven_optimal);
-
-  EXPECT_EQ(cache.invalidate(), 1u);
-  EXPECT_EQ(cache.size(), 0u);
-  EXPECT_FALSE(cache.lookup(planKey(1)).has_value());
-
-  // Stale insert (computed under version 0) is dropped.
-  EXPECT_FALSE(cache.insert(planKey(2), cachedPlan("ok"), 0));
-  EXPECT_EQ(cache.size(), 0u);
-  EXPECT_EQ(cache.stats().stale_drops, 1);
-}
-
-TEST(PlanCacheVersion, BumpToOnlyMovesForward) {
-  service::PlanCache cache(4);
-  ASSERT_TRUE(cache.insert(planKey(1), cachedPlan("ok"), 0));
-
-  // A bump to a higher target clears and lands exactly on the target.
-  EXPECT_EQ(cache.bumpTo(5), 5u);
-  EXPECT_EQ(cache.size(), 0u);
-
-  // Equal or lower targets are no-ops (repeated client bumps converge).
-  ASSERT_TRUE(cache.insert(planKey(2), cachedPlan("ok"), 5));
-  EXPECT_EQ(cache.bumpTo(5), 5u);
-  EXPECT_EQ(cache.bumpTo(3), 5u);
-  EXPECT_EQ(cache.size(), 1u);
-}
-
-TEST(PlanCacheVersion, LruEvictsBeyondCapacity) {
+TEST(PlanCache, LruEvictsBeyondCapacity) {
   service::PlanCache cache(2);
-  EXPECT_TRUE(cache.insert(planKey(1), cachedPlan("ok"), 0));
-  EXPECT_TRUE(cache.insert(planKey(2), cachedPlan("ok"), 0));
+  cache.insert(planKey(1), cachedPlan("ok"));
+  cache.insert(planKey(2), cachedPlan("ok"));
   ASSERT_TRUE(cache.lookup(planKey(1)).has_value());  // refresh 1's recency
-  EXPECT_TRUE(cache.insert(planKey(3), cachedPlan("ok"), 0));
+  // Budget-capped outcomes are first-class cacheable results.
+  cache.insert(planKey(3), cachedPlan("budget_hit"));
   EXPECT_FALSE(cache.lookup(planKey(2)).has_value());  // 2 was the LRU
   EXPECT_TRUE(cache.lookup(planKey(1)).has_value());
-  EXPECT_TRUE(cache.lookup(planKey(3)).has_value());
+  const std::optional<service::CachedPlan> capped = cache.lookup(planKey(3));
+  ASSERT_TRUE(capped.has_value());
+  EXPECT_EQ(capped->status, "budget_hit");
+  EXPECT_FALSE(capped->proven_optimal);
   EXPECT_EQ(cache.stats().evictions, 1);
 }
 
