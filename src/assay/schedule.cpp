@@ -23,7 +23,7 @@ std::string FluidTask::describe(const arch::ChipLayout* chip) const {
                       path.toString(chip).c_str());
 }
 
-std::vector<arch::Cell> FluidTask::payloadCells() const {
+std::span<const arch::Cell> FluidTask::payloadSpan() const {
   const auto& cells = path.cells();
   if (cells.empty()) return {};
   const std::size_t begin = static_cast<std::size_t>(
@@ -33,8 +33,12 @@ std::vector<arch::Cell> FluidTask::payloadCells() const {
                               : static_cast<std::size_t>(std::clamp<int>(
                                     payload_end, static_cast<int>(begin),
                                     static_cast<int>(cells.size()) - 1));
-  return std::vector<arch::Cell>(cells.begin() + static_cast<std::ptrdiff_t>(begin),
-                                 cells.begin() + static_cast<std::ptrdiff_t>(end) + 1);
+  return std::span<const arch::Cell>(cells).subspan(begin, end - begin + 1);
+}
+
+std::vector<arch::Cell> FluidTask::payloadCells() const {
+  const std::span<const arch::Cell> span = payloadSpan();
+  return std::vector<arch::Cell>(span.begin(), span.end());
 }
 
 std::vector<arch::Cell> FluidTask::payloadInterior() const {

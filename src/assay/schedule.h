@@ -5,6 +5,7 @@
 #pragma once
 
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -57,6 +58,8 @@ struct FluidTask {
 
   double duration() const { return end - start; }
 
+  /// Resolved payload span: a view into path.cells().
+  std::span<const arch::Cell> payloadSpan() const;
   /// Resolved payload span as cell list.
   std::vector<arch::Cell> payloadCells() const;
   /// Payload cells excluding ports and the span's first/last device cells —

@@ -1,6 +1,7 @@
 #include "wash/contamination.h"
 
 #include <algorithm>
+#include <span>
 
 namespace pdw::wash {
 
@@ -14,11 +15,10 @@ bool depositsOnCritical(const assay::FluidRegistry& fluids,
                         const assay::FluidTask& crit) {
   if (crit.kind != TaskKind::Transport) return false;  // non-critical
   if (!fluids.contaminates(dep.fluid, crit.fluid)) return false;
-  const auto dep_cells = dep.payloadCells();
-  const auto crit_cells = crit.payloadCells();
-  for (const arch::Cell& c : dep_cells)
-    for (const arch::Cell& d : crit_cells)
-      if (c == d) return true;
+  const std::span<const arch::Cell> crit_cells = crit.payloadSpan();
+  for (const arch::Cell& c : dep.payloadSpan())
+    if (std::find(crit_cells.begin(), crit_cells.end(), c) != crit_cells.end())
+      return true;
   return false;
 }
 

@@ -4,7 +4,6 @@
 #include <cassert>
 #include <limits>
 #include <map>
-#include <set>
 
 namespace pdw::wash {
 
@@ -49,6 +48,8 @@ class Engine {
     }
 
     precomputeConflicts(out);
+    op_placed_.assign(static_cast<std::size_t>(base_.graph().numOps()), 0);
+    task_placed_.assign(out.tasks().size(), 0);
 
     std::map<arch::DeviceId, double> device_free;
     std::map<TaskId, double> wash_floor;  // blocking task -> min start
@@ -60,7 +61,7 @@ class Engine {
           double lb = std::max(device_free[s.device],
                                releaseOf(release_.op, item.index));
           for (const FluidTask& t : out.tasks())
-            if (assigned_tasks_.count(t.id) && t.consumer == item.index &&
+            if (taskPlaced(t.id) && t.consumer == item.index &&
                 t.kind != TaskKind::Wash)
               lb = std::max(lb, t.end);
           const double dur = base_.graph().op(item.index).duration_s;
@@ -68,7 +69,7 @@ class Engine {
           s.start = start;
           s.end = start + dur;
           device_free[s.device] = s.end;
-          assigned_ops_.insert(item.index);
+          op_placed_[static_cast<std::size_t>(item.index)] = 1;
           break;
         }
         case Item::Kind::Task: {
@@ -82,7 +83,7 @@ class Engine {
           const double start = taskSlot(out, t.id, lb, dur, &t);
           t.start = start;
           t.end = start + dur;
-          assigned_tasks_.insert(t.id);
+          task_placed_[static_cast<std::size_t>(t.id)] = 1;
           break;
         }
         case Item::Kind::Wash: {
@@ -93,17 +94,17 @@ class Engine {
           double lb = w.ready;  // base-schedule floor if a source lags
           for (const WashTarget& target : w.targets) {
             if (target.contaminating_task >= 0 &&
-                assigned_tasks_.count(target.contaminating_task))
+                taskPlaced(target.contaminating_task))
               lb = std::max(lb, out.task(target.contaminating_task).end);
             if (target.contaminating_op >= 0 &&
-                assigned_ops_.count(target.contaminating_op))
+                opPlaced(target.contaminating_op))
               lb = std::max(lb, out.opSchedule(target.contaminating_op).end);
           }
           const double dur = w.duration(params_, base_.chip().pitchMm());
           const double start = taskSlot(out, t.id, lb, dur, nullptr);
           t.start = start;
           t.end = start + dur;
-          assigned_tasks_.insert(t.id);
+          task_placed_[static_cast<std::size_t>(t.id)] = 1;
           // Blocking tasks must wait for the wash to finish.
           for (const WashTarget& target : w.targets)
             if (target.blocking_task >= 0) {
@@ -118,6 +119,14 @@ class Engine {
   }
 
  private:
+  bool opPlaced(OpId op) const {
+    return op_placed_[static_cast<std::size_t>(op)] != 0;
+  }
+
+  bool taskPlaced(TaskId task) const {
+    return task_placed_[static_cast<std::size_t>(task)] != 0;
+  }
+
   static double releaseOf(const std::vector<double>& release, int index) {
     return release.empty() ? 0.0 : release[static_cast<std::size_t>(index)];
   }
@@ -193,19 +202,18 @@ class Engine {
   /// the validator's rules).
   double taskLowerBound(const AssaySchedule& out, const FluidTask& t) const {
     double lb = 0.0;
-    if (t.producer >= 0 && assigned_ops_.count(t.producer))
+    if (t.producer >= 0 && opPlaced(t.producer))
       lb = std::max(lb, out.opSchedule(t.producer).end);
     if (t.kind == TaskKind::ExcessRemoval) {
       // After its matching transport.
       if (t.matching_transport >= 0 &&
-          assigned_tasks_.count(t.matching_transport)) {
+          taskPlaced(t.matching_transport)) {
         lb = std::max(lb, out.task(t.matching_transport).end);
       } else {
         for (const FluidTask& other : out.tasks())
           if (other.kind == TaskKind::Transport &&
               other.producer == t.producer &&
-              other.consumer == t.consumer &&
-              assigned_tasks_.count(other.id))
+              other.consumer == t.consumer && taskPlaced(other.id))
             lb = std::max(lb, other.end);
       }
     }
@@ -213,7 +221,7 @@ class Engine {
       // After every outgoing transport of the producing op.
       for (const FluidTask& other : out.tasks())
         if (other.kind == TaskKind::Transport &&
-            other.producer == t.producer && assigned_tasks_.count(other.id))
+            other.producer == t.producer && taskPlaced(other.id))
           lb = std::max(lb, other.end);
     }
     return lb;
@@ -231,7 +239,7 @@ class Engine {
     double start = lb;
     // Hard floors first: assignment-order preservation.
     for (const FluidTask& other : out.tasks()) {
-      if (!assigned_tasks_.count(other.id)) continue;
+      if (!taskPlaced(other.id)) continue;
       if (other.duration() <= 1e-9) continue;
       if (!pathsOverlap(path_task, other.id)) continue;
       const bool safe =
@@ -241,7 +249,7 @@ class Engine {
     }
     if (self != nullptr) {
       for (const assay::OpSchedule& o : out.opSchedules()) {
-        if (!assigned_ops_.count(o.op)) continue;
+        if (!opPlaced(o.op)) continue;
         if (self->consumer == o.op) continue;  // own consumer comes later
         if (pathCrossesDevice(path_task, o.device))
           start = std::max(start, o.end);
@@ -252,7 +260,7 @@ class Engine {
       moved = false;
       const double end = start + dur;
       for (const FluidTask& other : out.tasks()) {
-        if (!assigned_tasks_.count(other.id)) continue;
+        if (!taskPlaced(other.id)) continue;
         if (other.end <= start + 1e-9 || other.start >= end - 1e-9) continue;
         if (other.duration() <= 1e-9) continue;
         if (pathsOverlap(path_task, other.id)) {
@@ -263,7 +271,7 @@ class Engine {
       }
       if (moved) continue;
       for (const assay::OpSchedule& o : out.opSchedules()) {
-        if (!assigned_ops_.count(o.op)) continue;
+        if (!opPlaced(o.op)) continue;
         if (o.end <= start + 1e-9 || o.start >= end - 1e-9) continue;
         if (pathCrossesDevice(path_task, o.device)) {
           start = o.end;
@@ -283,7 +291,7 @@ class Engine {
                 double dur, assay::OpId self) const {
     double start = lb;
     for (const FluidTask& other : out.tasks()) {
-      if (!assigned_tasks_.count(other.id)) continue;
+      if (!taskPlaced(other.id)) continue;
       if (other.duration() <= 1e-9) continue;
       if (other.consumer == self) continue;  // own inputs end before us
       if (pathCrossesDevice(other.id, device))
@@ -294,7 +302,7 @@ class Engine {
       moved = false;
       const double end = start + dur;
       for (const FluidTask& other : out.tasks()) {
-        if (!assigned_tasks_.count(other.id)) continue;
+        if (!taskPlaced(other.id)) continue;
         if (other.end <= start + 1e-9 || other.start >= end - 1e-9) continue;
         if (other.duration() <= 1e-9) continue;
         if (pathCrossesDevice(other.id, device)) {
@@ -314,8 +322,8 @@ class Engine {
   std::vector<Item> items_;
   std::vector<std::vector<char>> overlap_;  ///< [task][task] path overlap
   std::vector<std::vector<char>> crosses_;  ///< [task][device] cell crossing
-  std::set<OpId> assigned_ops_;
-  std::set<TaskId> assigned_tasks_;
+  std::vector<char> op_placed_;    ///< [op] already assigned a time
+  std::vector<char> task_placed_;  ///< [task] already assigned a time
 };
 
 }  // namespace
