@@ -12,6 +12,11 @@
 // single path — the standard exact completion of the formulation
 // (DESIGN.md §6).
 //
+// One target builds no ILP. Its shortest simple flow port -> target -> waste
+// port path is two vertex-disjoint paths out of the target: one min-cost
+// flow on the node-split cell graph (Suurballe & Tarjan, Networks 1984),
+// exact in polynomial time (DESIGN.md §6).
+//
 // A BFS nearest-port chaining heuristic (the wash-path method of the DAWO
 // baseline [10]) is provided both as a fallback and for the ablation bench.
 #pragma once
@@ -26,7 +31,8 @@
 namespace pdw::core {
 
 struct WashPathStats {
-  int ilp_solves = 0;         ///< path-ILP searches: at most one per pass
+  int ilp_solves = 0;         ///< path-ILP searches: at most one per pass,
+                              ///< none for one target
   int connectivity_cuts = 0;  ///< lazy rows those searches added
   bool used_fallback = false;
 };
@@ -46,15 +52,28 @@ struct WashPathOptions {
   }
 };
 
-/// Route a wash path covering `targets` on `chip` via the ILP, first over
-/// the targets' neighbourhood (their bounding box grown toward the two
-/// nearest flow and waste ports, inflated by 2 cells), then over the whole
-/// grid; a region above 140 cells is not modelled. Each pass is one search
-/// under `options.solver`'s budgets, so a call spends at most two. The BFS
-/// heuristic (routeWashPathHeuristic) always runs as well: the shorter path
-/// wins, and when the ILP finds none the heuristic's path is returned and
-/// counted as a fallback. nullopt means neither router reached every
-/// target.
+/// Route a wash path covering `targets` on `chip`.
+///
+/// One target: a min-cost flow sends two units out of the target over the
+/// node-split cell graph (every cell capacity 1, cost 1), one into a sink
+/// fed by the cells next to usable flow ports and one into a sink fed by
+/// the cells next to usable waste ports; the two legs read back as
+/// flow port -> ... -> target -> ... -> waste port, the shortest simple
+/// path. It runs the BFS heuristic's two passes over the whole grid (no
+/// region, no cell cap): ports, blocked cells and foreign devices excluded,
+/// then idle devices admitted. Ties break by cell index, so the path is the
+/// same on every call. No ILP runs; only when neither pass has a simple
+/// path does the BFS heuristic's path come back, counted as a fallback.
+///
+/// Several targets: the ILP, first over the targets' neighbourhood (their
+/// bounding box grown toward the two nearest flow and waste ports, inflated
+/// by 2 cells), then over the whole grid; a region above 140 cells is not
+/// modelled. Each pass is one search under `options.solver`'s budgets, so a
+/// call spends at most two. The BFS heuristic (routeWashPathHeuristic)
+/// always runs as well: the shorter path wins, and when the ILP finds none
+/// the heuristic's path is returned and counted as a fallback.
+///
+/// nullopt means no router reached every target.
 std::optional<arch::FlowPath> routeWashPathIlp(
     const arch::ChipLayout& chip, const std::vector<arch::Cell>& targets,
     const WashPathOptions& options = {}, WashPathStats* stats = nullptr);

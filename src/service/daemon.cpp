@@ -263,9 +263,10 @@ SolveReply Daemon::solveRequest(const Request& req, double remaining_s,
   double path_budget_s = options_.path_budget_s;
   // When the remaining deadline caps a budget, the solver config absorbs a
   // measured wall-clock value — a near-unique fingerprint that would
-  // pollute the plan-cache key space (never warm-hitting, LRU-evicting
+  // pollute both caches' key spaces (never warm-hitting, LRU-evicting
   // useful entries) and could memoize a deadline-truncated result. Such
-  // requests bypass the plan cache entirely; the deadline still binds.
+  // requests bypass the plan cache and route through a route cache of
+  // their own, as with "cache":false; the deadline still binds.
   bool deadline_capped = false;
   if (remaining_s >= 0.0) {
     if (remaining_s < budget_s) {
@@ -278,9 +279,10 @@ SolveReply Daemon::solveRequest(const Request& req, double remaining_s,
     }
   }
 
+  const bool use_cache = req.use_cache && !deadline_capped;
   core::PdwOptions options =
       pipelineOptions(options_, pool_, budget_s, path_budget_s);
-  if (req.use_cache) options.withSharedRouteCache(route_cache_);
+  if (use_cache) options.withSharedRouteCache(route_cache_);
 
   PlanKey key;
   key.chip_fingerprint = ctx->chip_fingerprint;
@@ -290,8 +292,7 @@ SolveReply Daemon::solveRequest(const Request& req, double remaining_s,
       util::hash::combineBytes(0x70647764u /* 'pdwd' */, config.data(),
                                config.size());
 
-  const bool use_plan_cache = req.use_cache && !deadline_capped;
-  if (use_plan_cache) {
+  if (use_cache) {
     if (std::optional<CachedPlan> cached = plan_cache_.lookup(key)) {
       reply.status = cached->status;
       reply.warm = true;
@@ -317,7 +318,7 @@ SolveReply Daemon::solveRequest(const Request& req, double remaining_s,
   reply.proven_optimal = result.plan.proven_optimal;
   reply.plan = canonicalPlan(schedule);
 
-  if (use_plan_cache) {
+  if (use_cache) {
     CachedPlan cached;
     cached.status = reply.status;
     cached.n_wash = reply.n_wash;

@@ -89,18 +89,19 @@ TEST_P(PivotPin, WorkAndPlanMatchRecordedRun) {
   EXPECT_EQ(fnv1a(service::canonicalPlan(result.schedule())), pin.plan_fnv);
 }
 
-// Recorded with the wash-path connectivity cuts as lazy rows of one search
-// per routing pass (one simplex method, dual devex pricing, row-wise pivot
+// Recorded with one-target wash paths routed by min-cost flow (no path
+// ILP), the multi-target connectivity cuts as lazy rows of one search per
+// routing pass (one simplex method, dual devex pricing, row-wise pivot
 // rows).
 INSTANTIATE_TEST_SUITE_P(
     TableII, PivotPin,
     ::testing::Values(
-        Pin{BenchmarkId::Pcr, 8, 290, 4240, 3940, 80, 262, 686, 24, 5, 168.0,
-            92.800000000000026, 15074450502523479373ull},
-        Pin{BenchmarkId::Ivd, 26, 483, 8246, 6810, 161, 440, 1899, 90, 22,
-            699.0, 242.10000000000002, 12864213706153772276ull},
-        Pin{BenchmarkId::KinaseAct1, 12, 276, 3546, 3033, 66, 212, 682, 37,
-            11, 312.0, 146.40000000000006, 4596107480925008240ull}),
+        Pin{BenchmarkId::Pcr, 7, 289, 4219, 3940, 79, 262, 665, 23, 5, 168.0,
+            92.800000000000026, 12166687235468700995ull},
+        Pin{BenchmarkId::Ivd, 15, 327, 6145, 5163, 109, 270, 1186, 54, 22,
+            699.0, 239.09999999999999, 4472995087637284315ull},
+        Pin{BenchmarkId::KinaseAct1, 8, 264, 3260, 2870, 59, 148, 514, 23, 11,
+            312.0, 146.40000000000006, 7402754005147453550ull}),
     [](const ::testing::TestParamInfo<Pin>& info) {
       std::string name = assay::toString(info.param.id);
       for (char& c : name)

@@ -582,6 +582,42 @@ TEST(PdwdDaemon, DeadlineCappedSolvesBypassPlanCache) {
   daemon.shutdown();
 }
 
+/// A deadline-capped solve also keeps out of the shared route cache: its
+/// route keys hold the capped path time limit, so its entries could never
+/// be hit again and would LRU-evict the routes of uncapped solves.
+TEST(PdwdDaemon, DeadlineCappedSolvesKeepOutOfTheRouteCache) {
+  const obs::MetricsSnapshot baseline = obs::Registry::instance().snapshot();
+  DaemonOptions options;
+  options.lanes = 1;
+  options.threads = 1;
+  options.route_cache_capacity = 8;
+  Daemon daemon(options);
+
+  // Kinase act-1 routes 5 operations; the uncapped solve caches them.
+  const obs::json::Value first = parseResponse(daemon.handleLine(
+      solveLine("r1", "Kinase act-1", ",\"budget_s\":60")));
+  EXPECT_EQ(str(first, "status"), "ok");
+  EXPECT_GT(counterDelta(baseline, obs::names::kRouteCacheInserts), 0);
+
+  // Capped solves (an 800 ms deadline caps the 1.5 s path budget) would
+  // add 5 near-unique keys each: three of them overflow the capacity.
+  for (const char* id : {"r2", "r3", "r4"})
+    parseResponse(daemon.handleLine(
+        solveLine(id, "Kinase act-1", ",\"deadline_ms\":800")));
+
+  // A different schedule budget misses the plan cache but asks for the
+  // same routes, which must still be in the shared cache.
+  const obs::MetricsSnapshot before_last =
+      obs::Registry::instance().snapshot();
+  const obs::json::Value last = parseResponse(daemon.handleLine(
+      solveLine("r5", "Kinase act-1", ",\"budget_s\":59")));
+  daemon.shutdown();
+  EXPECT_EQ(str(last, "status"), "ok");
+  EXPECT_FALSE(boolean(last, "warm"));
+  EXPECT_GT(counterDelta(before_last, obs::names::kRouteCacheHits), 0);
+  EXPECT_EQ(counterDelta(before_last, obs::names::kRouteCacheMisses), 0);
+}
+
 std::string resolveLine(const std::string& id, const std::string& benchmark,
                         const std::string& perturbation) {
   return "{\"schema\":\"pdw-req-1\",\"type\":\"resolve\",\"id\":\"" + id +
