@@ -21,7 +21,8 @@
 # differentials, LinExpr building, half-bounded LP differential and the
 # engine's wall-clock stops included), root cuts, lazy rows, probing
 # presolve and pseudocost branching, JSON decoder, grid-router tests (the
-# router's path-identity differential included) and the delta re-timing
+# router's path-identity differential included), the one-target wash-path
+# router's exhaustive-search differential and the delta re-timing
 # tests (rescheduler release times, the delay sweep slice) under
 # ASan+UBSan, then the parallel-runtime + obs + daemon-concurrency tests
 # (determinism, concurrent route-cache lookups and inserts,
@@ -161,12 +162,14 @@ else
   # devex weights between node LPs of one search (LazyRows suite, and the
   # wash-path ILP's connectivity cuts under WashPathFixture). applyDelta
   # hands the rescheduler one release time per op and per task, indexed by
-  # id (ScheduleDeltaApply and ReschedulerFixture suites).
+  # id (ScheduleDeltaApply and ReschedulerFixture suites). The one-target
+  # wash-path router indexes flat per-cell node and arc arrays
+  # (OneTargetRoute suite: exhaustive-search differential on random chips).
   cmake -B build-asan -S . -DPDW_ASAN=ON >/dev/null
   cmake --build build-asan -j --target pdw_tests
   ASAN_OPTIONS="halt_on_error=1" UBSAN_OPTIONS="print_stacktrace=1" \
     ./build-asan/tests/pdw_tests \
-    --gtest_filter='BasisLu.*:LuDifferential.*:PricingDifferential.*:BackendDifferential.*:ReferenceLp.*:ArtificialBound.*:WarmPath.*:EngineDeadline.*:GmiCuts.*:Simplex.*:Mip.*:WarmStart.*:Model.*:Presolve.*:LinExpr.*:ObsJson.*:RouterDifferential.*:RouterFixture.*:WashPathFixture.*:ChipLayout.*:CellSet.*:CutsSolve.*:CoverCuts.*:CutPoolTest.*:CoefStrengthening.*:Probing.*:PseudocostBranching.*:LazyRows.*:ScheduleDeltaApply.*:ReschedulerFixture.*'
+    --gtest_filter='BasisLu.*:LuDifferential.*:PricingDifferential.*:BackendDifferential.*:ReferenceLp.*:ArtificialBound.*:WarmPath.*:EngineDeadline.*:GmiCuts.*:Simplex.*:Mip.*:WarmStart.*:Model.*:Presolve.*:LinExpr.*:ObsJson.*:RouterDifferential.*:RouterFixture.*:WashPathFixture.*:ChipLayout.*:CellSet.*:CutsSolve.*:CoverCuts.*:CutPoolTest.*:CoefStrengthening.*:Probing.*:PseudocostBranching.*:LazyRows.*:ScheduleDeltaApply.*:ReschedulerFixture.*:OneTargetRoute.*'
 fi
 
 if [[ "${PDW_SKIP_TSAN:-0}" == "1" ]]; then
