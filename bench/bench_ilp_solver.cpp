@@ -210,7 +210,8 @@ constexpr std::int64_t kPathNodeCap = 20;
 
 /// Run one Table-II benchmark through the full single-threaded pipeline and
 /// charge the per-run `ilp.*` registry delta to the record — this covers
-/// every MIP the stage solvers issue (schedule phases A/B + path ILPs).
+/// every MIP the stage solvers issue (schedule phase A, the order search's
+/// pinned re-solves, path ILPs).
 BenchRecord runPipelineBenchmark(assay::BenchmarkId id) {
   obs::Registry& reg = obs::Registry::instance();
   const obs::MetricsSnapshot before = reg.snapshot();

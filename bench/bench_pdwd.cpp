@@ -130,9 +130,8 @@ int main(int argc, char** argv) {
   clients = std::max(1, clients);
   obs_args.applyStartup();
 
-  // --quick keeps to the three benchmarks whose scheduling ILPs prove
-  // optimality within ~a second, so the smoke stage measures cache
-  // behavior, not solver tails.
+  // --quick keeps to three benchmarks whose cold solves finish fast, so
+  // the smoke stage measures cache behavior, not solver tails.
   std::vector<std::string> mix;
   for (pdw::assay::BenchmarkId id : pdw::assay::allBenchmarks())
     mix.push_back(pdw::assay::toString(id));

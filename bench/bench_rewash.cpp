@@ -5,8 +5,8 @@
 //                [--expect-speedup X] [--run-store FILE] [--label NAME]
 //                [--metrics-out FILE] [--trace-out FILE]
 //
-// For each Table-II benchmark (--quick: the three that prove optimality in
-// ~a second), solves the base schedule once to prime a resident pipeline,
+// For each Table-II benchmark (--quick: three whose cold solves finish
+// fast), solves the base schedule once to prime a resident pipeline,
 // then replays a seeded stream of `--deltas` schedule perturbations
 // (op/task delays from an LCG — deterministic, so a failure replays from
 // the benchmark name and delta index alone). Every perturbation is solved

@@ -22,9 +22,10 @@
 # engine's wall-clock stops included), root cuts, lazy rows, probing
 # presolve and pseudocost branching, JSON decoder, grid-router tests (the
 # router's path-identity differential included), the one-target wash-path
-# router's exhaustive-search differential and the delta re-timing
-# tests (rescheduler release times, the delay sweep slice) under
-# ASan+UBSan, then the parallel-runtime + obs + daemon-concurrency tests
+# router's exhaustive-search differential, the delta re-timing
+# tests (rescheduler release times, the delay sweep slice) and the
+# scheduling order search (longest-path scoring over flat per-item arrays)
+# under ASan+UBSan, then the parallel-runtime + obs + daemon-concurrency tests
 # (determinism, concurrent route-cache lookups and inserts,
 # tracing/metrics/logging, byte-identical concurrent pdwd plans) under
 # ThreadSanitizer.
@@ -149,7 +150,7 @@ cat "$obs_dir/rewash_runs.jsonl" >> "$obs_dir/rewash_store.jsonl"
 if [[ "${PDW_SKIP_ASAN:-0}" == "1" ]]; then
   echo "== tier-1: ASan/UBSan stage skipped (PDW_SKIP_ASAN=1) =="
 else
-  echo "== tier-1: ASan/UBSan build + ILP numerics / cuts / JSON decoder / grid router / delta re-timing tests =="
+  echo "== tier-1: ASan/UBSan build + ILP numerics / cuts / JSON decoder / grid router / delta re-timing / order search tests =="
   # The router's flat arrays index y * width + x: out-of-grid cells must be
   # filtered before any access, which the router differential suite probes.
   # The LP engine's per-row devex weights grow with every cut row, and its
@@ -165,11 +166,16 @@ else
   # id (ScheduleDeltaApply and ReschedulerFixture suites). The one-target
   # wash-path router indexes flat per-cell node and arc arrays
   # (OneTargetRoute suite: exhaustive-search differential on random chips).
+  # The scheduling order search's longest-path pass indexes flat per-item
+  # arrays (per-variable edge lists, labels, queue and marks) by model
+  # variable id (OrderSearch and OrderSearchBudget suites: random fixed
+  # orders of all eight benchmarks against the pinned LP, and the search
+  # end to end).
   cmake -B build-asan -S . -DPDW_ASAN=ON >/dev/null
   cmake --build build-asan -j --target pdw_tests
   ASAN_OPTIONS="halt_on_error=1" UBSAN_OPTIONS="print_stacktrace=1" \
     ./build-asan/tests/pdw_tests \
-    --gtest_filter='BasisLu.*:LuDifferential.*:PricingDifferential.*:BackendDifferential.*:ReferenceLp.*:ArtificialBound.*:WarmPath.*:EngineDeadline.*:GmiCuts.*:Simplex.*:Mip.*:WarmStart.*:Model.*:Presolve.*:LinExpr.*:ObsJson.*:RouterDifferential.*:RouterFixture.*:WashPathFixture.*:ChipLayout.*:CellSet.*:CutsSolve.*:CoverCuts.*:CutPoolTest.*:CoefStrengthening.*:Probing.*:PseudocostBranching.*:LazyRows.*:ScheduleDeltaApply.*:ReschedulerFixture.*:OneTargetRoute.*'
+    --gtest_filter='BasisLu.*:LuDifferential.*:PricingDifferential.*:BackendDifferential.*:ReferenceLp.*:ArtificialBound.*:WarmPath.*:EngineDeadline.*:GmiCuts.*:Simplex.*:Mip.*:WarmStart.*:Model.*:Presolve.*:LinExpr.*:ObsJson.*:RouterDifferential.*:RouterFixture.*:WashPathFixture.*:ChipLayout.*:CellSet.*:CutsSolve.*:CoverCuts.*:CutPoolTest.*:CoefStrengthening.*:Probing.*:PseudocostBranching.*:LazyRows.*:ScheduleDeltaApply.*:ReschedulerFixture.*:OneTargetRoute.*:*OrderSearch*'
 fi
 
 if [[ "${PDW_SKIP_TSAN:-0}" == "1" ]]; then

@@ -133,7 +133,8 @@ core::RouteCacheStats Pipeline::cacheStats() const {
   return cache_ ? cache_->stats() : core::RouteCacheStats{};
 }
 
-PdwResult Pipeline::execute(const assay::AssaySchedule& base, bool repair) {
+PdwResult Pipeline::execute(const assay::AssaySchedule& base, bool repair,
+                            const wash::ReleaseTimes& release) {
   const auto run_start = Clock::now();
   PDW_TRACE_SPAN("pipeline", repair ? "resolve" : "run");
   obs::Registry& reg = obs::Registry::instance();
@@ -271,9 +272,10 @@ PdwResult Pipeline::execute(const assay::AssaySchedule& base, bool repair) {
     ilp_options.solver = options_.solver.schedule;
     ilp_options.repair_mode = repair;
     core::ScheduleIlpResult ilp =
-        solveWashSchedule(base, routed, ilp_options);
+        solveWashSchedule(base, routed, ilp_options, release);
     result.solver.schedule = ilp.stats;
     result.solver.schedule_ilp_success = ilp.success;
+    result.solver.schedule_budget_hit = ilp.budget_hit;
     if (ilp.success) {
       result.plan.schedule = std::move(ilp.schedule);
       result.plan.integrated_removals = ilp.integrated_removals;
@@ -289,7 +291,7 @@ PdwResult Pipeline::execute(const assay::AssaySchedule& base, bool repair) {
     result.solver.schedule_greedy_fallback = true;
     reg.counter(obs::names::kScheduleIlpGreedyFallbacks).increment();
     result.plan.schedule =
-        wash::rescheduleWithWashes(base, routed, options_.wash);
+        wash::rescheduleWithWashes(base, routed, options_.wash, release);
   }
   }
   result.timings.scheduling_s = secondsSince(stage_start);
@@ -353,7 +355,8 @@ PdwResult Pipeline::resolve(const core::ScheduleDelta& delta) {
     blocked.erase(std::unique(blocked.begin(), blocked.end()), blocked.end());
   }
 
-  PdwResult result = execute(applied.schedule, /*repair=*/true);
+  PdwResult result =
+      execute(applied.schedule, /*repair=*/true, applied.release);
   result.resolve.attempted = true;
   result.resolve.valid = true;
 

@@ -51,6 +51,9 @@ struct PipelineSolverStats {
   ilp::SolveStats schedule;
   bool schedule_ilp_success = false;
   bool schedule_greedy_fallback = false;
+  /// A budget stopped the scheduling ILP (ScheduleIlpResult::budget_hit);
+  /// pdwd answers such a solve `budget_hit` instead of `ok`.
+  bool schedule_budget_hit = false;
   /// Wash-path routing totals over all operations. These are views over the
   /// obs metrics registry: run() fills them from the per-run delta of the
   /// pdw.path_ilp.* counters rather than keeping separate books.
@@ -114,9 +117,10 @@ class Pipeline {
 
   /// Delta-solve (DESIGN.md §15): apply `delta` to the last solved base
   /// schedule and run the same four stages as run() on the perturbed
-  /// schedule, with two differences: routing excludes every cell blocked by
-  /// this and earlier deltas, and scheduling runs phase A only
-  /// (ScheduleIlpOptions::repair_mode). Routes of unchanged operations come
+  /// schedule, with three differences: routing excludes every cell blocked
+  /// by this and earlier deltas, scheduling runs phase A only
+  /// (ScheduleIlpOptions::repair_mode), and no op or task starts before
+  /// the release time applyDelta gave it. Routes of unchanged operations come
   /// from the route cache, warm from earlier solves. Necessity, clustering
   /// and routing therefore equal a cold run() of the perturbed schedule
   /// with the same avoid-cells, so N_wash/L_wash match exactly; only the
@@ -141,8 +145,10 @@ class Pipeline {
   struct ResolveState;
 
   /// The four stages behind run() and resolve(); `repair` selects
-  /// phase-A-only scheduling.
-  PdwResult execute(const assay::AssaySchedule& base, bool repair);
+  /// phase-A-only scheduling, and `release` bounds the re-timed starts
+  /// from below (empty for run()).
+  PdwResult execute(const assay::AssaySchedule& base, bool repair,
+                    const wash::ReleaseTimes& release = {});
 
   core::PdwOptions options_;
   /// Owned by this Pipeline unless the options injected shared instances

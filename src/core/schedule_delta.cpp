@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <set>
+#include <utility>
 
 #include "util/strings.h"
 #include "wash/rescheduler.h"
@@ -95,6 +96,7 @@ AppliedDelta applyDelta(const AssaySchedule& base, const ScheduleDelta& delta) {
   AppliedDelta out;
   out.valid = true;
   out.schedule = wash::rescheduleWithWashes(kept, {}, {}, release);
+  out.release = std::move(release);
   return out;
 }
 

@@ -24,6 +24,7 @@
 #include <vector>
 
 #include "assay/schedule.h"
+#include "wash/rescheduler.h"
 
 namespace pdw::core {
 
@@ -58,6 +59,10 @@ struct AppliedDelta {
   std::string error;  ///< set when !valid (unknown id, transport removal...)
   /// The perturbed base schedule (same graph/chip as the input).
   assay::AssaySchedule schedule;
+  /// What re-timed it: each op and task of `schedule` (by its id) released
+  /// at its base start plus its own delay. Pipeline::resolve hands them to
+  /// scheduling, so a re-solve never starts an item before its release.
+  wash::ReleaseTimes release;
 };
 
 /// Validate `delta` against `base` and produce the perturbed schedule.

@@ -1,6 +1,7 @@
 #include "core/schedule_ilp.h"
 
 #include <algorithm>
+#include <chrono>
 #include <cmath>
 #include <map>
 #include <set>
@@ -26,6 +27,7 @@ using ilp::LinExpr;
 using ilp::Model;
 using ilp::VarId;
 using wash::WashOperation;
+using Clock = std::chrono::steady_clock;
 
 /// Start variable plus the end as an affine expression of it — end
 /// variables are substituted out (end = start + duration), which halves the
@@ -46,30 +48,44 @@ struct OrderBinary {
 class Builder {
  public:
   Builder(const AssaySchedule& base, const std::vector<WashOperation>& washes,
-          const ScheduleIlpOptions& options)
-      : base_(base), washes_(washes), options_(options) {
+          const ScheduleIlpOptions& options, const wash::ReleaseTimes& release)
+      : base_(base), washes_(washes), options_(options), release_(release) {
     PDW_TRACE_SPAN("scheduling", "greedy_warm_start");
     double wash_total = 0.0;
     for (const WashOperation& w : washes_)
       wash_total += w.duration(options_.wash, base_.chip().pitchMm());
     horizon_ = base_.completionTime() + wash_total + 20.0;
-    greedy_ = wash::rescheduleWithWashes(base_, washes_, options_.wash);
+    greedy_ =
+        wash::rescheduleWithWashes(base_, washes_, options_.wash, release_);
     horizon_ = std::max(horizon_, greedy_.completionTime() + 5.0);
   }
 
-  ScheduleIlpResult solve() {
-    {
-      PDW_TRACE_SPAN("scheduling", "build_model");
-      buildTimeVariables();
-      buildPsiVariables();
-      defineEnds();
-      buildOpConstraints();
-      buildTaskConstraints();
-      buildWashConstraints();
-      buildIntegrationWindows();
-      buildConflicts();
-      buildObjective();
-    }
+  void build() {
+    PDW_TRACE_SPAN("scheduling", "build_model");
+    buildTimeVariables();
+    buildPsiVariables();
+    defineEnds();
+    buildOpConstraints();
+    buildTaskConstraints();
+    buildWashConstraints();
+    buildIntegrationWindows();
+    buildConflicts();
+    buildObjective();
+    for (const OrderBinary& ob : order_binaries_) orders_.push_back(ob.var);
+  }
+
+  ScheduleModel exportModel() {
+    build();
+    ScheduleModel out;
+    out.warm_start = buildWarmStart();
+    out.model = model_;
+    out.order_binaries = orders_;
+    out.t_assay = t_assay_;
+    return out;
+  }
+
+  ScheduleIlpResult solve(Clock::time_point stage_start) {
+    build();
     obs::Registry& reg = obs::Registry::instance();
     reg.gauge(obs::names::kScheduleIlpOrderBinaries)
         .set(static_cast<double>(num_order_binaries_));
@@ -81,61 +97,51 @@ class Builder {
     result.num_fixed_orders = num_fixed_orders_;
     result.num_psi_vars = static_cast<int>(psi_count_);
 
-    const std::vector<double> warm = buildWarmStart();
-
     // Phase A — fix-and-optimize: pin every order binary to the greedy
     // order and solve the remaining small MILP (continuous start times + psi
-    // integration binaries). This re-times the greedy order optimally and
-    // activates removal integration; it is fast because the disjunctions
-    // collapse to plain precedence constraints.
-    ilp::SolveParams params_a = options_.solver;
-    params_a.warm_start = warm;
-    params_a.time_limit_seconds =
-        options_.repair_mode
-            ? options_.solver.time_limit_seconds
-            : std::max(0.5, options_.solver.time_limit_seconds * 0.4);
+    // integration binaries) under the whole schedule budget. This re-times
+    // the greedy order optimally and activates removal integration; it is
+    // fast because the disjunctions collapse to plain precedence
+    // constraints.
+    ilp::SolveParams params = options_.solver;
+    params.warm_start = buildWarmStart();
     Model fixed = model_;
-    for (const OrderBinary& ob : order_binaries_) {
-      const double v = warm[static_cast<std::size_t>(ob.var)];
-      fixed.setBounds(ob.var, v, v);
+    for (const VarId v : orders_) {
+      const double y = params.warm_start[static_cast<std::size_t>(v)];
+      fixed.setBounds(v, y, y);
     }
     ilp::Solution best = [&] {
       PDW_TRACE_SPAN("scheduling", "phase_a_fixed_orders");
-      return ilp::solve(fixed, params_a);
+      return ilp::solve(fixed, params);
     }();
     result.stats = best.stats;
-
-    if (options_.repair_mode) {
-      // Phase A is the whole repair: the pinned-order optimum re-times the
-      // perturbed schedule; proving full-model optimality is what the cold
-      // path is for.
-      result.proven_optimal = false;
-      if (!best.hasSolution()) return result;  // success = false
-      result.success = true;
-      result.objective = best.objective;
-      result.schedule = extract(best, &result.integrated_removals);
-      return result;
-    }
-
-    // Phase B — full model with free orders, warm-started from phase A.
-    ilp::SolveParams params_b = options_.solver;
-    params_b.time_limit_seconds = std::max(
-        0.5, options_.solver.time_limit_seconds - params_a.time_limit_seconds);
-    params_b.warm_start = best.hasSolution() ? best.values : warm;
-    const ilp::Solution full = [&] {
-      PDW_TRACE_SPAN("scheduling", "phase_b_full_model");
-      return ilp::solve(model_, params_b);
-    }();
-    result.stats += full.stats;
-    if (full.hasSolution() &&
-        (!best.hasSolution() || full.objective < best.objective)) {
-      best = full;
-      result.proven_optimal = full.status == ilp::SolveStatus::Optimal;
-    } else {
-      result.proven_optimal = false;
-    }
-
+    result.budget_hit = best.status != ilp::SolveStatus::Optimal;
     if (!best.hasSolution()) return result;  // success = false
+
+    // Repair mode stops here: the pinned-order optimum re-times the
+    // perturbed schedule. Cold solves search the orders (order_search.h).
+    if (!options_.repair_mode) {
+      const DifferenceConstraints graph(model_);
+      const auto deadline =
+          stage_start + std::chrono::duration_cast<Clock::duration>(
+                            std::chrono::duration<double>(
+                                options_.solver.time_limit_seconds));
+      OrderSearchResult search = searchOrders(
+          model_, graph, orders_, t_assay_, best, options_.solver, deadline);
+      result.stats += search.stats;
+      result.order_trials = search.trials;
+      result.order_flips = search.flips;
+      result.order_stop = search.stop;
+      result.budget_hit = result.budget_hit || search.resolve_budget_hit ||
+                          search.stop == OrderSearchStop::TrialBudget ||
+                          search.stop == OrderSearchStop::Time;
+      reg.counter(obs::names::kScheduleIlpOrderTrials).add(search.trials);
+      reg.counter(obs::names::kScheduleIlpOrderFlips).add(search.flips);
+      const bool pinned_optimal = best.status == ilp::SolveStatus::Optimal;
+      best = std::move(search.best);
+      result.proven_optimal = provenOptimal(graph, best, pinned_optimal);
+    }
+
     result.success = true;
     result.objective = best.objective;
     result.schedule = extract(best, &result.integrated_removals);
@@ -145,8 +151,32 @@ class Builder {
  private:
   double bigM() const { return horizon_; }
 
-  VarId addTime(const std::string& name) {
-    return model_.addContinuous(0.0, horizon_, name);
+  /// True when no order binary is free and the pinned solve is Optimal, or
+  /// when `best` meets a lower bound on the objective: T_assay equals the
+  /// longest path with every row at its weakest over the binaries (every
+  /// free disjunction dropped, every integrable removal at zero duration),
+  /// and every integrable removal is integrated (the psi reward at its
+  /// bound too).
+  bool provenOptimal(const DifferenceConstraints& graph,
+                     const ilp::Solution& best, bool pinned_optimal) const {
+    if (orders_.empty()) return pinned_optimal;
+    if (!graph.supported()) return false;
+    for (const auto& [removal, pairs] : psi_by_removal_) {
+      bool integrated = false;
+      for (const auto& [w, psi] : pairs)
+        integrated = integrated || best.boolValue(psi);
+      if (!integrated) return false;
+    }
+    return best.value(t_assay_) <=
+           graph.relaxedEarliest()[static_cast<std::size_t>(t_assay_)] + 1e-6;
+  }
+
+  /// A start variable in [release, horizon] (release 0 without one).
+  VarId addTime(const std::string& name, const std::vector<double>& release,
+                int id) {
+    const double lower =
+        release.empty() ? 0.0 : release[static_cast<std::size_t>(id)];
+    return model_.addContinuous(lower, horizon_, name);
   }
 
   double washDuration(std::size_t w) const {
@@ -155,12 +185,14 @@ class Builder {
 
   void buildTimeVariables() {
     for (const assay::OpSchedule& s : base_.opSchedules())
-      op_vars_[s.op].start = addTime("to" + std::to_string(s.op));
+      op_vars_[s.op].start =
+          addTime("to" + std::to_string(s.op), release_.op, s.op);
     for (const FluidTask& t : base_.tasks())
-      task_vars_[t.id].start = addTime("tp" + std::to_string(t.id));
+      task_vars_[t.id].start =
+          addTime("tp" + std::to_string(t.id), release_.task, t.id);
     wash_vars_.resize(washes_.size());
     for (std::size_t w = 0; w < washes_.size(); ++w)
-      wash_vars_[w].start = addTime("tw" + std::to_string(w));
+      wash_vars_[w].start = addTime("tw" + std::to_string(w), {}, 0);
     t_assay_ = model_.addContinuous(0.0, horizon_, "T_assay");
   }
 
@@ -535,6 +567,7 @@ class Builder {
   const AssaySchedule& base_;
   const std::vector<WashOperation>& washes_;
   const ScheduleIlpOptions& options_;
+  const wash::ReleaseTimes& release_;
   AssaySchedule greedy_;
   double horizon_ = 0.0;
 
@@ -547,6 +580,7 @@ class Builder {
   std::map<TaskId, std::vector<std::pair<int, VarId>>> psi_by_removal_;
   std::size_t psi_count_ = 0;
   std::vector<OrderBinary> order_binaries_;
+  std::vector<VarId> orders_;  ///< the order binaries' variables
   int num_order_binaries_ = 0;
   int num_fixed_orders_ = 0;
 };
@@ -555,9 +589,18 @@ class Builder {
 
 ScheduleIlpResult solveWashSchedule(const AssaySchedule& base,
                                     const std::vector<WashOperation>& washes,
-                                    const ScheduleIlpOptions& options) {
-  Builder builder(base, washes, options);
-  return builder.solve();
+                                    const ScheduleIlpOptions& options,
+                                    const wash::ReleaseTimes& release) {
+  const auto start = Clock::now();
+  Builder builder(base, washes, options, release);
+  return builder.solve(start);
+}
+
+ScheduleModel buildScheduleModel(const AssaySchedule& base,
+                                 const std::vector<WashOperation>& washes,
+                                 const ScheduleIlpOptions& options,
+                                 const wash::ReleaseTimes& release) {
+  return Builder(base, washes, options, release).exportModel();
 }
 
 }  // namespace pdw::core

@@ -119,7 +119,7 @@ struct SolveStats {
   /// Sparse-basis (re)factorizations across all node LPs.
   std::int64_t refactorizations = 0;
 
-  /// Fold another solve's work in (e.g. phase B into phase A of one
+  /// Fold another solve's work in (e.g. a pinned re-solve into phase A of one
   /// schedule): sums every counter and the wall time. best_bound is a
   /// per-solve reading and keeps this side's value.
   SolveStats& operator+=(const SolveStats& other) {

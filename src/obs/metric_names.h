@@ -39,6 +39,12 @@ inline constexpr const char* kScheduleIlpPsiVars =
     "pdw.schedule_ilp.psi_vars";
 inline constexpr const char* kScheduleIlpGreedyFallbacks =
     "pdw.schedule_ilp.greedy_fallbacks";
+// The order search after phase A (core/order_search.h): fixed orders scored
+// by a longest-path pass, and accepted 1- and 2-flips.
+inline constexpr const char* kScheduleIlpOrderTrials =
+    "pdw.schedule_ilp.order_trials";
+inline constexpr const char* kScheduleIlpOrderFlips =
+    "pdw.schedule_ilp.order_flips";
 // Re-wash (Pipeline::resolve), reconciled by tools/obs_check --resolve:
 // errors counts rejected deltas (they bump requests too), and the seconds
 // histogram observes each successful resolve once (requests - errors).

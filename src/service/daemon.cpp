@@ -310,7 +310,7 @@ SolveReply Daemon::solveRequest(const Request& req, double remaining_s,
   PdwResult result = pipeline.run(ctx->synth.schedule);
 
   const assay::AssaySchedule& schedule = result.schedule();
-  reply.status = result.plan.proven_optimal ? "ok" : "budget_hit";
+  reply.status = result.solver.schedule_budget_hit ? "budget_hit" : "ok";
   reply.n_wash = schedule.washCount();
   reply.l_wash_mm = schedule.washLengthMm();
   reply.t_assay = schedule.completionTime();
@@ -380,7 +380,7 @@ SolveReply Daemon::resolveRequest(const Request& req, std::string* error) {
   }
 
   const assay::AssaySchedule& schedule = result.schedule();
-  reply.status = "ok";
+  reply.status = result.solver.schedule_budget_hit ? "budget_hit" : "ok";
   reply.warm = warm;
   reply.n_wash = schedule.washCount();
   reply.l_wash_mm = schedule.washLengthMm();

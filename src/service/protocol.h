@@ -40,9 +40,12 @@
 // (answer "deadline"); once on a lane it runs to completion. The response
 // carries warm:true when an already primed pipeline served the delta.
 //
-// Response statuses: ok | budget_hit (plan present, solver budget-capped) |
-// rejected (admission queue full) | deadline (expired before running) |
-// error (malformed request; `error` carries the message, `code` the class).
+// Response statuses: ok | budget_hit (plan present; a budget stopped the
+// scheduling stage: a pinned MILP solve that did not end optimal, or an
+// order search cut at its trial budget or its clock) | rejected (admission
+// queue full) | deadline (expired before running) | error (malformed
+// request; `error` carries the message, `code` the class). Whether the
+// plan is proven optimal is the separate `proven_optimal` flag.
 //
 // Lines above kMaxRequestBytes are rejected with code "oversize" — the
 // documented byte cap that bounds per-connection buffering.

@@ -89,19 +89,20 @@ TEST_P(PivotPin, WorkAndPlanMatchRecordedRun) {
   EXPECT_EQ(fnv1a(service::canonicalPlan(result.schedule())), pin.plan_fnv);
 }
 
-// Recorded with one-target wash paths routed by min-cost flow (no path
-// ILP), the multi-target connectivity cuts as lazy rows of one search per
-// routing pass (one simplex method, dual devex pricing, row-wise pivot
-// rows).
+// Recorded with phase A plus the order search in place of phase B's
+// free-order branch-and-bound (one pinned re-solve per accepted flip),
+// one-target wash paths routed by min-cost flow (no path ILP), the
+// multi-target connectivity cuts as lazy rows of one search per routing
+// pass (one simplex method, dual devex pricing, row-wise pivot rows).
 INSTANTIATE_TEST_SUITE_P(
     TableII, PivotPin,
     ::testing::Values(
-        Pin{BenchmarkId::Pcr, 7, 289, 4219, 3940, 79, 262, 665, 23, 5, 168.0,
-            92.800000000000026, 12166687235468700995ull},
-        Pin{BenchmarkId::Ivd, 15, 327, 6145, 5163, 109, 270, 1186, 54, 22,
+        Pin{BenchmarkId::Pcr, 8, 93, 1119, 910, 31, 60, 272, 22, 5, 168.0,
+            87.900000000000006, 16011468594425723183ull},
+        Pin{BenchmarkId::Ivd, 14, 127, 2566, 1867, 53, 206, 910, 48, 22,
             699.0, 239.09999999999999, 4472995087637284315ull},
-        Pin{BenchmarkId::KinaseAct1, 8, 264, 3260, 2870, 59, 148, 514, 23, 11,
-            312.0, 146.40000000000006, 7402754005147453550ull}),
+        Pin{BenchmarkId::KinaseAct1, 9, 66, 1069, 847, 26, 103, 282, 20, 11,
+            312.0, 137.80000000000001, 14687261602200594492ull}),
     [](const ::testing::TestParamInfo<Pin>& info) {
       std::string name = assay::toString(info.param.id);
       for (char& c : name)

@@ -455,16 +455,18 @@ TEST(PdwdDaemon, SolveWarmsAndInvalidates) {
   DaemonOptions options;
   options.lanes = 1;
   options.threads = 1;
-  options.default_budget_s = 60.0;  // Kinase act-1 proves optimal in ~0.5 s
+  options.default_budget_s = 60.0;  // no budget stops Kinase act-1
   Daemon daemon(options);
 
-  // Cold solve: full pipeline, plan present, not warm.
+  // Cold solve: full pipeline, plan present, not warm. The order search
+  // ends at a local optimum, so no budget stopped it ("ok"), but it proves
+  // nothing: Kinase act-1's T_assay stays above the relaxed longest path.
   obs::json::Value cold =
       parseResponse(daemon.handleLine(solveLine("c1", "Kinase act-1")));
   EXPECT_EQ(str(cold, "id"), "c1");
   EXPECT_EQ(str(cold, "status"), "ok");
   EXPECT_FALSE(boolean(cold, "warm"));
-  EXPECT_TRUE(boolean(cold, "proven_optimal"));
+  EXPECT_FALSE(boolean(cold, "proven_optimal"));
   const std::string plan = str(cold, "plan");
   EXPECT_FALSE(plan.empty());
   EXPECT_GT(num(cold, "n_wash"), 0.0);
@@ -857,10 +859,12 @@ TEST(PdwdOverload, TinyBudgetAnswersBudgetHitWithPlan) {
   DaemonOptions options;
   options.lanes = 1;
   options.threads = 1;
+  // Three scheduling nodes: the order search stops at its trial budget
+  // (a 50 ms wall budget no longer binds on PCR), but the pipeline still
+  // returns a feasible plan — budget_hit, never an error.
+  options.default_budget_nodes = 3;
   Daemon daemon(options);
 
-  // A 50 ms scheduling budget cannot prove optimality on PCR, but the
-  // pipeline still returns a feasible plan — budget_hit, never an error.
   obs::json::Value doc = parseResponse(
       daemon.handleLine(solveLine("tb", "PCR", ",\"budget_s\":0.05")));
   EXPECT_EQ(str(doc, "status"), "budget_hit");

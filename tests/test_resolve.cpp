@@ -7,13 +7,15 @@
 //                         only forward; a removal keeps ids dense; a slice
 //                         of the single-delay sweep and seeded delay chains
 //                         give bases the validator accepts, with unsafe
-//                         shared-cell pairs in their base order)
+//                         shared-cell pairs in their base order and no
+//                         item before its release time)
 //   ResolveVsCold         resolve(delta) vs a cold run() of the same
 //                         applyDelta schedule, for each delta kind:
 //                         identical necessity, wash routes, N_wash, L_wash
 //   PipelineResolve       deltas compose, blocked cells are excluded from
 //                         wash routes, invalid deltas leave the resident
-//                         state usable
+//                         state usable, a delayed op keeps its release
+//                         time in the resolved plan
 //
 // Budgets are node/iteration-bound (never wall-clock) so the cold-vs-warm
 // comparisons are deterministic under sanitizers and load.
@@ -247,6 +249,24 @@ std::string retimingViolation(const assay::AssaySchedule& before,
   return "";
 }
 
+/// "" when every op and task of `schedule` starts no earlier than its
+/// release time in `release` (base start plus its own delay), else the
+/// first that does.
+std::string releaseViolation(const assay::AssaySchedule& schedule,
+                             const wash::ReleaseTimes& release) {
+  for (const assay::OpSchedule& s : schedule.opSchedules())
+    if (s.start < release.op[static_cast<std::size_t>(s.op)] - 1e-9)
+      return "op " + std::to_string(s.op) + " starts before its release";
+  for (std::size_t t = 0; t < release.task.size(); ++t)
+    if (schedule.tasks()[t].start < release.task[t] - 1e-9)
+      return "task " + std::to_string(t) + " starts before its release";
+  return "";
+}
+
+std::string releaseViolation(const core::AppliedDelta& applied) {
+  return releaseViolation(applied.schedule, applied.release);
+}
+
 TEST(ScheduleDeltaApply, EverySingleDelayGivesAValidRetimedBase) {
   // A slice of the delay sweep: every op and every task of three assays,
   // delayed by 1 s and by 5 s.
@@ -270,8 +290,8 @@ TEST(ScheduleDeltaApply, EverySingleDelayGivesAValidRetimedBase) {
         ++deltas;
         const core::AppliedDelta applied = core::applyDelta(base, delta);
         ASSERT_TRUE(applied.valid) << applied.error;
-        const std::string v =
-            retimingViolation(base, delta, applied.schedule);
+        std::string v = retimingViolation(base, delta, applied.schedule);
+        if (v.empty()) v = releaseViolation(applied);
         if (!v.empty() && violations++ == 0)
           first = bundle.benchmark.name + ": " + v;
       }
@@ -499,8 +519,8 @@ TEST(PipelineResolve, DeltasComposeAndInvalidDeltaLeavesStateUsable) {
 
   // A second valid delta composes on the re-based (doubly-perturbed)
   // schedule: the wash set matches a cold solve of base + 3s + 2s. (The
-  // scheduler itself may re-time ops freely — the delta perturbs the
-  // *input* schedule; it is not an output pin.)
+  // delta perturbs the *input* schedule; in the output it only bounds each
+  // start from below, by its release time.)
   ScheduleDelta second;
   const assay::OpId op = base.opSchedules().front().op;
   second.op_delays.push_back({op, 2.0});
@@ -552,6 +572,40 @@ TEST(PipelineResolve, BlockedCellExcludedFromWashRoutes) {
   const sim::WashMetrics mi = sim::computeMetrics(r.schedule(), base);
   const sim::WashMetrics mc = sim::computeMetrics(scratch.schedule(), base);
   EXPECT_EQ(mi.n_wash, mc.n_wash);
+}
+
+TEST(PipelineResolve, OpDelayHoldsItsReleaseTime) {
+  // Scheduling re-times the perturbed base with applyDelta's release times
+  // as lower bounds, so a delayed op is not moved back to its earliest
+  // precedence-feasible start. PCR's op 1 starts at 22 s in the base:
+  // delayed by 2 s, greedy scheduling used to start it at 22 s again. Op 0
+  // (6 s) delayed by 2 s went back to 6 s under ILP scheduling as well.
+  const BaseBundle bundle = makeBundle(BenchmarkId::Pcr);
+  const assay::AssaySchedule& base = bundle.synth.schedule;
+  const core::PdwOptions ilp = core::PdwOptions{}
+                                   .withThreads(1)
+                                   .withScheduleBudget(3600.0, 200)
+                                   .withPathBudget(3600.0, 20);
+  for (const assay::OpId op : {0, 1}) {
+    ScheduleDelta delta;
+    delta.op_delays.push_back({op, 2.0});
+    const core::AppliedDelta applied = core::applyDelta(base, delta);
+    ASSERT_TRUE(applied.valid) << applied.error;
+    const double release = base.opSchedule(op).start + 2.0;
+    EXPECT_EQ(applied.release.op[static_cast<std::size_t>(op)], release);
+    for (const core::PdwOptions& options :
+         {ilp, core::PdwOptions{ilp}.withoutIlpSchedule().withoutIlpPaths()}) {
+      SCOPED_TRACE("op " + std::to_string(op) +
+                   (options.use_ilp_schedule ? " ILP" : " greedy"));
+      Pipeline pipeline(options);
+      pipeline.run(base);
+      const PdwResult r = pipeline.resolve(delta);
+      ASSERT_TRUE(r.resolve.valid) << r.resolve.error;
+      EXPECT_GE(r.schedule().opSchedule(op).start, release - 1e-9);
+      EXPECT_EQ(releaseViolation(r.schedule(), applied.release), "");
+      EXPECT_TRUE(sim::validateSchedule(r.schedule()).ok());
+    }
+  }
 }
 
 /// Wash targets a re-analysis of `plan` still finds.

@@ -168,8 +168,10 @@ TEST_F(ScheduleIlpFixture, EmptyWashListKeepsCompletionTime) {
 
 TEST_F(ScheduleIlpFixture, ColdStatsCountBothPhases) {
   // Node caps and a wall limit that never binds: phase A runs the same
-  // search in cold and repair mode, and the cold solve adds phase B on top,
-  // so every work counter of the cold solve must exceed the repair solve's.
+  // search in cold and repair mode, and the cold solve adds the order
+  // search's pinned re-solves (one per improving order) on top, so every
+  // work counter of the cold solve is at least the repair solve's, and
+  // equal when no order improved.
   const auto base = makeBase();
   const std::vector<wash::WashOperation> washes{corridorWash()};
   ScheduleIlpOptions options;
@@ -180,9 +182,16 @@ TEST_F(ScheduleIlpFixture, ColdStatsCountBothPhases) {
   const ScheduleIlpResult phase_a = solveWashSchedule(base, washes, options);
   ASSERT_TRUE(cold.success);
   ASSERT_TRUE(phase_a.success);
-  EXPECT_GT(cold.stats.lp_solves, phase_a.stats.lp_solves);
-  EXPECT_GT(cold.stats.simplex_iterations, phase_a.stats.simplex_iterations);
-  EXPECT_GT(cold.stats.refactorizations, phase_a.stats.refactorizations);
+  EXPECT_EQ(cold.order_stop, OrderSearchStop::LocalOptimum);
+  EXPECT_EQ(phase_a.order_stop, OrderSearchStop::NotRun);
+  EXPECT_GE(cold.stats.lp_solves, phase_a.stats.lp_solves);
+  EXPECT_GE(cold.stats.simplex_iterations, phase_a.stats.simplex_iterations);
+  EXPECT_GE(cold.stats.refactorizations, phase_a.stats.refactorizations);
+  EXPECT_GE(phase_a.stats.lp_solves, 1);
+  if (cold.order_flips == 0) {
+    EXPECT_EQ(cold.stats.lp_solves, phase_a.stats.lp_solves);
+    EXPECT_EQ(cold.stats.refactorizations, phase_a.stats.refactorizations);
+  }
 }
 
 TEST_F(ScheduleIlpFixture, ReportsModelSizeBookkeeping) {
@@ -191,7 +200,9 @@ TEST_F(ScheduleIlpFixture, ReportsModelSizeBookkeeping) {
       solveWashSchedule(base, {corridorWash()}, {});
   ASSERT_TRUE(r.success);
   EXPECT_GE(r.num_order_binaries + r.num_fixed_orders, 1);
-  EXPECT_GE(r.stats.simplex_iterations, 1);
+  // Phase A's LP: its all-slack start is already optimal on this model, so
+  // the solve is reported by its LP count, not its pivots.
+  EXPECT_GE(r.stats.lp_solves, 1);
 }
 
 }  // namespace
