@@ -22,7 +22,8 @@
 # engine's wall-clock stops included), root cuts, lazy rows, probing
 # presolve and pseudocost branching, JSON decoder, grid-router tests (the
 # router's path-identity differential included), the one-target wash-path
-# router's exhaustive-search differential, the delta re-timing
+# router's exhaustive-search differential, the multi-target simple-path
+# heuristic's exhaustive-search suite, the objective cutoff, the delta re-timing
 # tests (rescheduler release times, the delay sweep slice) and the
 # scheduling order search (longest-path scoring over flat per-item arrays)
 # under ASan+UBSan, then the parallel-runtime + obs + daemon-concurrency tests
@@ -166,6 +167,12 @@ else
   # id (ScheduleDeltaApply and ReschedulerFixture suites). The one-target
   # wash-path router indexes flat per-cell node and arc arrays
   # (OneTargetRoute suite: exhaustive-search differential on random chips).
+  # The multi-target simple-path heuristic H indexes flat per-cell arrays
+  # (neighbours, placed flags and counts, BFS parents and stamps) by cell
+  # index (SimplePathHeuristic suite: exhaustive search on random chips;
+  # MultiTargetRoute suite: every multi-target Table-II operation). The
+  # objective cutoff adds a prune to branch-and-bound's node loop and drops
+  # a warm start above it (Cutoff suite: random MIPs against enumeration).
   # The scheduling order search's longest-path pass indexes flat per-item
   # arrays (per-variable edge lists, labels, queue and marks) by model
   # variable id (OrderSearch and OrderSearchBudget suites: random fixed
@@ -175,7 +182,7 @@ else
   cmake --build build-asan -j --target pdw_tests
   ASAN_OPTIONS="halt_on_error=1" UBSAN_OPTIONS="print_stacktrace=1" \
     ./build-asan/tests/pdw_tests \
-    --gtest_filter='BasisLu.*:LuDifferential.*:PricingDifferential.*:BackendDifferential.*:ReferenceLp.*:ArtificialBound.*:WarmPath.*:EngineDeadline.*:GmiCuts.*:Simplex.*:Mip.*:WarmStart.*:Model.*:Presolve.*:LinExpr.*:ObsJson.*:RouterDifferential.*:RouterFixture.*:WashPathFixture.*:ChipLayout.*:CellSet.*:CutsSolve.*:CoverCuts.*:CutPoolTest.*:CoefStrengthening.*:Probing.*:PseudocostBranching.*:LazyRows.*:ScheduleDeltaApply.*:ReschedulerFixture.*:OneTargetRoute.*:*OrderSearch*'
+    --gtest_filter='BasisLu.*:LuDifferential.*:PricingDifferential.*:BackendDifferential.*:ReferenceLp.*:ArtificialBound.*:WarmPath.*:EngineDeadline.*:GmiCuts.*:Simplex.*:Mip.*:WarmStart.*:Model.*:Presolve.*:LinExpr.*:ObsJson.*:RouterDifferential.*:RouterFixture.*:WashPathFixture.*:ChipLayout.*:CellSet.*:CutsSolve.*:CoverCuts.*:CutPoolTest.*:CoefStrengthening.*:Probing.*:PseudocostBranching.*:LazyRows.*:ScheduleDeltaApply.*:ReschedulerFixture.*:OneTargetRoute.*:SimplePathHeuristic.*:MultiTargetRoute.*:Cutoff.*:*OrderSearch*'
 fi
 
 if [[ "${PDW_SKIP_TSAN:-0}" == "1" ]]; then

@@ -1,6 +1,7 @@
 #include "core/wash_path_ilp.h"
 
 #include <algorithm>
+#include <array>
 #include <cassert>
 #include <functional>
 #include <limits>
@@ -30,9 +31,8 @@ using ilp::VarId;
 
 /// Candidate-region inflation around the targets' bounding box.
 constexpr int kRegionInflate = 2;
-/// Larger candidate regions skip the ILP (straight to the heuristic): the
-/// exact model is reserved for the localized routing problems it is meant
-/// for.
+/// Larger candidate regions run no ILP (H answers alone): the exact model
+/// is reserved for the localized routing problems it is meant for.
 constexpr int kMaxRegionCells = 140;
 
 /// Candidate region: non-port, non-foreign-device cells inside the inflated
@@ -304,6 +304,164 @@ Cell cellAt(const ChipLayout& chip, int i) {
   return Cell{i % chip.width(), i / chip.width()};
 }
 
+/// Per cell index, the lowest-id usable port of each kind next to the cell,
+/// or -1. A port whose own cell is blocked is unusable.
+struct PortsNextTo {
+  std::vector<arch::PortId> flow;
+  std::vector<arch::PortId> waste;
+};
+
+PortsNextTo portsNextTo(const ChipLayout& chip, const std::set<Cell>& avoid) {
+  const std::size_t n_cells =
+      static_cast<std::size_t>(chip.width() * chip.height());
+  PortsNextTo out{std::vector<arch::PortId>(n_cells, -1),
+                  std::vector<arch::PortId>(n_cells, -1)};
+  for (const arch::Port& p : chip.ports()) {
+    if (avoid.count(p.cell)) continue;
+    for (const Cell& n : chip.neighbors(p.cell)) {
+      arch::PortId& next_to =
+          (p.is_waste ? out.waste : out.flow)[chip.cellIndex(n)];
+      if (next_to < 0) next_to = p.id;
+    }
+  }
+  return out;
+}
+
+/// H, the simple-path heuristic of one routing pass: flow port -> every
+/// target -> waste port over the pass's `cells`. Each leg is a BFS shortest
+/// path from the current end that may not enter a placed cell nor touch
+/// one (be its neighbour) other than the current end, so the path is
+/// induced: it never touches itself, which makes it a feasible point of the
+/// pass's eqs. 12-15 model. One build starts at a target, runs a leg from
+/// it to the nearest cell next to a usable port of one kind, chains the
+/// nearest uncovered target until every target is covered (a leg may cover
+/// targets on its way), and ends with a leg to the nearest cell next to a
+/// usable port of the other kind. Every target is tried as the start, flow
+/// side first and then waste side first; the shortest build wins, the first
+/// in that order on ties. Targets are taken in cell-index order and the BFS
+/// expands neighbours as x-1, x+1, y-1, y+1, so H depends only on the chip,
+/// the target set, the blocked cells and the pass. nullopt when no build
+/// covers every target.
+std::optional<FlowPath> simpleWashPath(const ChipLayout& chip,
+                                       const std::vector<Cell>& targets,
+                                       const std::vector<Cell>& cells,
+                                       const PortsNextTo& ports) {
+  const int width = chip.width();
+  const int height = chip.height();
+  const std::size_t n_cells = static_cast<std::size_t>(width * height);
+  std::vector<char> open(n_cells, 0);
+  for (const Cell& c : cells) open[chip.cellIndex(c)] = 1;
+  std::vector<int> starts;
+  for (const Cell& t : targets) {
+    if (!chip.contains(t) || !open[chip.cellIndex(t)]) return std::nullopt;
+    starts.push_back(chip.cellIndex(t));
+  }
+  std::sort(starts.begin(), starts.end());
+  starts.erase(std::unique(starts.begin(), starts.end()), starts.end());
+  std::vector<char> is_target(n_cells, 0);
+  for (const int t : starts) is_target[t] = 1;
+
+  std::vector<std::array<int, 4>> neighbours(n_cells);
+  for (int i = 0; i < static_cast<int>(n_cells); ++i) {
+    const int x = i % width;
+    const int y = i / width;
+    neighbours[i] = {x > 0 ? i - 1 : -1, x + 1 < width ? i + 1 : -1,
+                     y > 0 ? i - width : -1, y + 1 < height ? i + width : -1};
+  }
+
+  // One build's state: placed cells, how many placed neighbours each cell
+  // has, covered targets; BFS parents, visit stamps and queue are reused.
+  std::vector<char> placed(n_cells), covered(n_cells);
+  std::vector<int> placed_neighbours(n_cells), parent(n_cells);
+  std::vector<int> seen(n_cells, 0), queue;
+  queue.reserve(n_cells);
+  int stamp = 0, uncovered = 0;
+  const auto place = [&](int i) {
+    placed[i] = 1;
+    for (const int v : neighbours[i])
+      if (v >= 0) ++placed_neighbours[v];
+    if (is_target[i] && !covered[i]) {
+      covered[i] = 1;
+      --uncovered;
+    }
+  };
+  // BFS from the placed cell `end` to the first cell `goal` accepts (`end`
+  // itself included); -1 when there is none. A step from `end` may touch
+  // `end` only; every later step touches no placed cell.
+  const auto search = [&](int end, const auto& goal) {
+    ++stamp;
+    queue.assign(1, end);
+    seen[end] = stamp;
+    for (std::size_t head = 0; head < queue.size(); ++head) {
+      const int u = queue[head];
+      if (goal(u)) return u;
+      for (const int v : neighbours[u]) {
+        if (v < 0 || seen[v] == stamp || !open[v] || placed[v] ||
+            placed_neighbours[v] > (u == end ? 1 : 0))
+          continue;
+        seen[v] = stamp;
+        parent[v] = u;
+        queue.push_back(v);
+      }
+    }
+    return -1;
+  };
+  // Place the leg `end` -> `to` that search() found; its cells after `end`,
+  // in order, are appended to `out`.
+  const auto placeLeg = [&](int end, int to, std::vector<int>& out) {
+    const std::size_t first = out.size();
+    for (int v = to; v != end; v = parent[v]) out.push_back(v);
+    std::reverse(out.begin() + static_cast<std::ptrdiff_t>(first), out.end());
+    for (std::size_t k = first; k < out.size(); ++k) place(out[k]);
+  };
+
+  std::optional<FlowPath> best;
+  for (const bool flow_first : {true, false}) {
+    const std::vector<arch::PortId>& begin_port =
+        flow_first ? ports.flow : ports.waste;
+    const std::vector<arch::PortId>& end_port =
+        flow_first ? ports.waste : ports.flow;
+    for (const int start : starts) {
+      std::fill(placed.begin(), placed.end(), 0);
+      std::fill(covered.begin(), covered.end(), 0);
+      std::fill(placed_neighbours.begin(), placed_neighbours.end(), 0);
+      uncovered = static_cast<int>(starts.size());
+      place(start);
+      std::vector<int> head, tail;  // start -> begin port side; start -> end
+      const int begin =
+          search(start, [&](int u) { return begin_port[u] >= 0; });
+      if (begin < 0) continue;
+      placeLeg(start, begin, head);
+      int end = start;
+      while (uncovered > 0) {
+        const int next = search(end, [&](int u) {
+          return is_target[u] && !covered[u];
+        });
+        if (next < 0) break;
+        placeLeg(end, next, tail);
+        end = next;
+      }
+      if (uncovered > 0) continue;
+      const int last = search(end, [&](int u) { return end_port[u] >= 0; });
+      if (last < 0) continue;
+      placeLeg(end, last, tail);
+      if (best && head.size() + tail.size() + 3 >= best->size()) continue;
+
+      std::vector<Cell> path;
+      path.reserve(head.size() + tail.size() + 3);
+      path.push_back(chip.port(begin_port[begin]).cell);
+      for (auto it = head.rbegin(); it != head.rend(); ++it)
+        path.push_back(cellAt(chip, *it));
+      path.push_back(cellAt(chip, start));
+      for (const int i : tail) path.push_back(cellAt(chip, i));
+      path.push_back(chip.port(end_port[last]).cell);
+      if (!flow_first) std::reverse(path.begin(), path.end());
+      best = FlowPath(std::move(path));
+    }
+  }
+  return best;
+}
+
 /// One arc of the one-target flow network; arc a ^ 1 is its residual twin.
 struct FlowArc {
   int to;
@@ -324,10 +482,11 @@ struct FlowArc {
 /// cell, or -1. Each unit is one Dijkstra search under potentials that pops
 /// (distance, node) pairs, and node ids follow cell indices, so ties break
 /// by cell index and every call returns the same cells.
-std::optional<FlowPath> routeOneTarget(
-    const ChipLayout& chip, Cell target, const std::vector<char>& open,
-    const std::vector<arch::PortId>& flow_port,
-    const std::vector<arch::PortId>& waste_port) {
+std::optional<FlowPath> routeOneTarget(const ChipLayout& chip, Cell target,
+                                       const std::vector<char>& open,
+                                       const PortsNextTo& ports) {
+  const std::vector<arch::PortId>& flow_port = ports.flow;
+  const std::vector<arch::PortId>& waste_port = ports.waste;
   const int n_cells = chip.width() * chip.height();
   const auto in = [](int cell) { return 2 * cell; };
   const auto out = [](int cell) { return 2 * cell + 1; };
@@ -403,7 +562,7 @@ std::optional<FlowPath> routeOneTarget(
     return -1;
   };
   std::vector<Cell> legs[2];  // cells after the target: to flow, to waste
-  Cell ports[2];
+  Cell port_cells[2];
   for (int leg = 0, arc = -1; leg < 2; ++leg) {
     arc = usedArcFrom(source, arc);
     std::vector<Cell> cells;
@@ -416,14 +575,15 @@ std::optional<FlowPath> routeOneTarget(
     }
     const int side = node == flow_sink ? 0 : 1;
     legs[side] = std::move(cells);
-    ports[side] = chip.port((side == 0 ? flow_port : waste_port)[last]).cell;
+    port_cells[side] =
+        chip.port((side == 0 ? flow_port : waste_port)[last]).cell;
   }
 
-  std::vector<Cell> path{ports[0]};
+  std::vector<Cell> path{port_cells[0]};
   path.insert(path.end(), legs[0].rbegin(), legs[0].rend());
   path.push_back(target);
   path.insert(path.end(), legs[1].begin(), legs[1].end());
-  path.push_back(ports[1]);
+  path.push_back(port_cells[1]);
   return FlowPath(std::move(path));
 }
 
@@ -436,15 +596,7 @@ std::optional<FlowPath> routeSingleTarget(const ChipLayout& chip, Cell target,
   if (!chip.contains(target) || chip.isPortCell(target)) return std::nullopt;
   PDW_TRACE_SPAN("routing", "path_flow");
   const int n_cells = chip.width() * chip.height();
-  std::vector<arch::PortId> flow_port(n_cells, -1), waste_port(n_cells, -1);
-  for (const arch::Port& p : chip.ports()) {
-    if (avoid.count(p.cell)) continue;
-    for (const Cell& n : chip.neighbors(p.cell)) {
-      arch::PortId& next_to =
-          (p.is_waste ? waste_port : flow_port)[chip.cellIndex(n)];
-      if (next_to < 0) next_to = p.id;
-    }
-  }
+  const PortsNextTo ports = portsNextTo(chip, avoid);
   std::vector<char> open(n_cells);
   for (int i = 0; i < n_cells; ++i) {
     const Cell c = cellAt(chip, i);
@@ -453,10 +605,31 @@ std::optional<FlowPath> routeSingleTarget(const ChipLayout& chip, Cell target,
   std::vector<char> no_foreign_devices = open;
   for (const arch::Device& d : chip.devices())
     if (d.cell != target) no_foreign_devices[chip.cellIndex(d.cell)] = 0;
-  if (std::optional<FlowPath> path = routeOneTarget(
-          chip, target, no_foreign_devices, flow_port, waste_port))
+  if (std::optional<FlowPath> path =
+          routeOneTarget(chip, target, no_foreign_devices, ports))
     return path;
-  return routeOneTarget(chip, target, open, flow_port, waste_port);
+  return routeOneTarget(chip, target, open, ports);
+}
+
+/// The point `path` (from simpleWashPath over the model's cells) selects in
+/// the pass model `pm`: its cells, endpoint markers and ports set to 1.
+std::vector<double> pathPoint(const ChipLayout& chip, const PathModel& pm,
+                              const FlowPath& path) {
+  std::vector<double> point(static_cast<std::size_t>(pm.model.numVars()),
+                            0.0);
+  const auto set = [&point](VarId v) {
+    point[static_cast<std::size_t>(v)] = 1.0;
+  };
+  const std::vector<Cell>& cells = path.cells();
+  for (std::size_t i = 1; i + 1 < cells.size(); ++i)
+    set(pm.cell_var.at(cells[i]));
+  set(pm.flow_end.at(cells[1]));
+  set(pm.waste_end.at(cells[cells.size() - 2]));
+  for (const auto& [pid, v] : pm.flow_ports)
+    if (chip.port(pid).cell == cells.front()) set(v);
+  for (const auto& [pid, v] : pm.waste_ports)
+    if (chip.port(pid).cell == cells.back()) set(v);
+  return point;
 }
 
 }  // namespace
@@ -467,6 +640,21 @@ std::vector<std::vector<Cell>> connectivityCutSets(
   return splitSelection(chip, std::set<Cell>(selected.begin(), selected.end()),
                         flow_end, waste_end)
       .cut_sets;
+}
+
+WashPathPass washPathPass(const ChipLayout& chip,
+                          const std::vector<Cell>& targets, bool whole_grid,
+                          const std::vector<Cell>& avoid_cells) {
+  const std::set<Cell> avoid(avoid_cells.begin(), avoid_cells.end());
+  WashPathPass pass;
+  pass.cells = buildRegion(chip, targets, whole_grid, avoid);
+  pass.heuristic =
+      simpleWashPath(chip, targets, pass.cells, portsNextTo(chip, avoid));
+  PathModel pm = buildModel(chip, pass.cells, targets, avoid);
+  if (pass.heuristic)
+    pass.heuristic_point = pathPoint(chip, pm, *pass.heuristic);
+  pass.model = std::move(pm.model);
+  return pass;
 }
 
 std::optional<FlowPath> routeWashPathIlp(const ChipLayout& chip,
@@ -485,6 +673,8 @@ std::optional<FlowPath> routeWashPathIlp(const ChipLayout& chip,
   static obs::Counter& cuts = reg.counter(obs::names::kPathIlpConnectivityCuts);
   static obs::Counter& fallbacks = reg.counter(obs::names::kPathIlpFallbacks);
   static obs::Counter& warm_hits = reg.counter(obs::names::kPathIlpWarmHits);
+  static obs::Counter& heuristic_paths =
+      reg.counter(obs::names::kPathIlpHeuristicPaths);
 
   const std::set<Cell> avoid(options.avoid_cells.begin(),
                              options.avoid_cells.end());
@@ -505,41 +695,61 @@ std::optional<FlowPath> routeWashPathIlp(const ChipLayout& chip,
     return routeWashPathHeuristic(chip, targets, options.avoid_cells);
   }
 
-  std::optional<FlowPath> ilp_path;
+  // Several targets: per pass, H bounds the ILP, and either one answers.
+  const PortsNextTo ports = portsNextTo(chip, avoid);
+  ilp::SolveParams params = options.solver;
+  std::optional<FlowPath> path;
+  bool heuristic_answer = false;
   for (const bool whole_grid : {false, true}) {
     const std::vector<Cell> region =
         buildRegion(chip, targets, whole_grid, avoid);
-    if (static_cast<int>(region.size()) > kMaxRegionCells) break;
-    const PathModel pm = buildModel(chip, region, targets, avoid);
-
-    // One search per pass: the connectivity cuts are lazy rows of it.
-    ++s.ilp_solves;
-    ilp_solves.increment();
-    const ilp::Solution sol = ilp::solve(
-        pm.model, options.solver, [&](const std::vector<double>& point) {
-          return connectivityCuts(chip, pm, point);
-        });
-    warm_hits.add(sol.stats.warm_hits);
-    s.connectivity_cuts += static_cast<int>(sol.stats.lazy_rows);
-    cuts.add(sol.stats.lazy_rows);
-    if (sol.hasSolution()) {
-      ilp_path = assemblePath(chip, pm, sol);
+    std::optional<FlowPath> simple =
+        simpleWashPath(chip, targets, region, ports);
+    if (static_cast<int>(region.size()) <= kMaxRegionCells) {
+      const PathModel pm = buildModel(chip, region, targets, avoid);
+      // The search looks only for paths no longer than H (ties count).
+      params.objective_cutoff = simple
+                                    ? static_cast<double>(simple->size() - 2)
+                                    : ilp::kInfinity;
+      // One search per pass: the connectivity cuts are lazy rows of it.
+      ++s.ilp_solves;
+      ilp_solves.increment();
+      const ilp::Solution sol = ilp::solve(
+          pm.model, params, [&](const std::vector<double>& point) {
+            return connectivityCuts(chip, pm, point);
+          });
+      warm_hits.add(sol.stats.warm_hits);
+      s.connectivity_cuts += static_cast<int>(sol.stats.lazy_rows);
+      cuts.add(sol.stats.lazy_rows);
+      if (sol.hasSolution()) {
+        path = assemblePath(chip, pm, sol);
+        break;
+      }
+    }
+    // No ILP path (none within the cutoff, out of budget, or a region
+    // above the cap): H answers; without H, try the whole grid.
+    if (simple) {
+      path = std::move(simple);
+      heuristic_answer = true;
       break;
     }
-    // Infeasible or out of budget: try the wider region.
   }
 
-  // The restricted-region ILP can be beaten by the grid-wide heuristic;
-  // keep whichever path is shorter.
-  std::optional<FlowPath> heuristic =
+  // The grid-wide BFS heuristic wins only when strictly shorter, and is
+  // the fallback when no simple path came back.
+  std::optional<FlowPath> bfs =
       routeWashPathHeuristic(chip, targets, options.avoid_cells);
-  if (!ilp_path) {
+  if (!path) {
     s.used_fallback = true;
     fallbacks.increment();
-    return heuristic;
+    return bfs;
   }
-  if (heuristic && heuristic->size() < ilp_path->size()) return heuristic;
-  return ilp_path;
+  if (bfs && bfs->size() < path->size()) return bfs;
+  if (heuristic_answer) {
+    s.used_heuristic = true;
+    heuristic_paths.increment();
+  }
+  return path;
 }
 
 std::optional<FlowPath> routeWashPathHeuristic(

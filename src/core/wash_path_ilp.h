@@ -12,6 +12,13 @@
 // single path — the standard exact completion of the formulation
 // (DESIGN.md §6).
 //
+// Several targets bound the ILP with H, a simple-path heuristic: per pass,
+// flow port -> every target -> waste port, each leg a BFS shortest path that
+// neither enters nor touches the cells already placed, so H is a feasible
+// point of the pass's model. Its length is the search's objective cutoff
+// (ilp::SolveParams::objective_cutoff), and H answers when the search finds
+// nothing within it (DESIGN.md §6).
+//
 // One target builds no ILP. Its shortest simple flow port -> target -> waste
 // port path is two vertex-disjoint paths out of the target: one min-cost
 // flow on the node-split cell graph (Suurballe & Tarjan, Networks 1984),
@@ -26,6 +33,7 @@
 
 #include "arch/chip.h"
 #include "arch/path.h"
+#include "ilp/model.h"
 #include "ilp/types.h"
 
 namespace pdw::core {
@@ -34,7 +42,9 @@ struct WashPathStats {
   int ilp_solves = 0;         ///< path-ILP searches: at most one per pass,
                               ///< none for one target
   int connectivity_cuts = 0;  ///< lazy rows those searches added
-  bool used_fallback = false;
+  bool used_heuristic = false;  ///< H answered (several targets)
+  bool used_fallback = false;   ///< the BFS heuristic answered: no simple
+                                ///< path came back
 };
 
 struct WashPathOptions {
@@ -65,13 +75,20 @@ struct WashPathOptions {
 /// same on every call. No ILP runs; only when neither pass has a simple
 /// path does the BFS heuristic's path come back, counted as a fallback.
 ///
-/// Several targets: the ILP, first over the targets' neighbourhood (their
-/// bounding box grown toward the two nearest flow and waste ports, inflated
-/// by 2 cells), then over the whole grid; a region above 140 cells is not
-/// modelled. Each pass is one search under `options.solver`'s budgets, so a
-/// call spends at most two. The BFS heuristic (routeWashPathHeuristic)
-/// always runs as well: the shorter path wins, and when the ILP finds none
-/// the heuristic's path is returned and counted as a fallback.
+/// Several targets: up to two passes, first over the targets'
+/// neighbourhood (their bounding box grown toward the two nearest flow and
+/// waste ports, inflated by 2 cells, foreign devices excluded), then over
+/// the whole grid. Each pass first builds H, the simple-path heuristic over
+/// the pass's cells (see washPathPass), then runs one ILP search under
+/// `options.solver`'s budgets with H's length as its objective cutoff, so
+/// it looks only for paths no longer than H. The pass's answer is the ILP's
+/// path when the search finds one, otherwise H; a region above 140 cells
+/// runs no ILP, so H answers alone. The whole-grid pass runs only when the
+/// restricted pass has neither. The BFS heuristic (routeWashPathHeuristic)
+/// always runs as well: its path wins when strictly shorter, and it is
+/// returned, counted as a fallback, only when no pass has a path. H depends
+/// only on the chip, the target set and `options.avoid_cells`, the inputs
+/// the route-cache key already holds, so the key needs no field for it.
 ///
 /// nullopt means no router reached every target.
 std::optional<arch::FlowPath> routeWashPathIlp(
@@ -87,6 +104,23 @@ std::optional<arch::FlowPath> routeWashPathIlp(
 std::vector<std::vector<arch::Cell>> connectivityCutSets(
     const arch::ChipLayout& chip, const std::vector<arch::Cell>& selected,
     arch::Cell flow_end, arch::Cell waste_end);
+
+/// One routing pass of a multi-target operation, for tests: the cells it
+/// may use (the targets' neighbourhood without foreign devices, or with
+/// `whole_grid` the whole grid; ports and `avoid_cells` never), H over them
+/// (nullopt when no build covers every target), and the pass's eqs. 12-15
+/// model with the point H selects in it (empty without H). The model holds
+/// every cell of the pass, however many; routing skips the ILP above 140.
+struct WashPathPass {
+  std::vector<arch::Cell> cells;
+  std::optional<arch::FlowPath> heuristic;
+  ilp::Model model;
+  std::vector<double> heuristic_point;
+};
+WashPathPass washPathPass(const arch::ChipLayout& chip,
+                          const std::vector<arch::Cell>& targets,
+                          bool whole_grid,
+                          const std::vector<arch::Cell>& avoid_cells = {});
 
 /// BFS heuristic: nearest flow port -> greedy target chain -> nearest waste
 /// port (the DAWO baseline's wash-path construction). `avoid_cells` are

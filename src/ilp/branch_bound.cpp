@@ -124,7 +124,12 @@ class BranchAndBound {
         lazy_(lazy),
         flight_(flight),
         start_(Clock::now()),
-        engine_(makeLpBackend(model, params)) {
+        engine_(makeLpBackend(model, params)),
+        cutoff_(std::isfinite(params.objective_cutoff)
+                    ? params.objective_cutoff +
+                          kMipGap *
+                              std::max(1.0, std::abs(params.objective_cutoff))
+                    : params.objective_cutoff) {
     for (VarId v = 0; v < model.numVars(); ++v)
       if (model.var(v).type != VarType::Continuous) integer_vars_.push_back(v);
     if (flight_) engine_->setFlightRecorder(flight_);
@@ -152,11 +157,14 @@ class BranchAndBound {
         warm[static_cast<std::size_t>(v)] =
             std::round(warm[static_cast<std::size_t>(v)]);
       const std::string violation = model_.firstViolation(warm, 1e-5);
+      const double objective = model_.objective().evaluate(warm);
       if (!violation.empty()) {
         PDW_LOG(Info, "ilp") << "warm start rejected: " << violation;
+      } else if (objective > cutoff_) {
+        PDW_LOG(Info, "ilp") << "warm start above the objective cutoff";
       } else if (lazyAccepts(warm)) {
         incumbent_ = std::move(warm);
-        incumbent_obj_ = model_.objective().evaluate(incumbent_);
+        incumbent_obj_ = objective;
         has_incumbent_ = true;
       }
     }
@@ -189,9 +197,10 @@ class BranchAndBound {
       const QueueEntry entry = lazy_resolve ? *resolve : open_.top();
       if (lazy_resolve) resolve.reset();
       else open_.pop();
-      if (entry.bound >= incumbentBound() - absTol()) {
+      if (pruned(entry.bound)) {
         // Pruned before its LP ran: the incumbent improved since this node
-        // was queued. It gets a NodePruned event but no NodeOpen, so the
+        // was queued (a cutoff prunes no queued node: no child is pushed
+        // above it). It gets a NodePruned event but no NodeOpen, so the
         // NodeOpen count stays equal to stats_.nodes_explored.
         if (flight_)
           flight_->record(obs::FlightEventKind::NodePruned, entry.node,
@@ -281,7 +290,7 @@ class BranchAndBound {
         }
       }
 
-      if (lp.objective >= incumbentBound() - absTol()) {
+      if (pruned(lp.objective)) {
         if (flight_)
           flight_->record(obs::FlightEventKind::NodePruned, entry.node,
                           lp.objective, obs::kPruneReasonLpBound);
@@ -370,6 +379,14 @@ class BranchAndBound {
   /// Objective threshold for pruning: the incumbent's, +inf without one.
   double incumbentBound() const {
     return has_incumbent_ ? incumbent_obj_ : kInfinity;
+  }
+
+  /// Whether a node with LP bound `bound` can be dropped: it cannot beat
+  /// the incumbent, or it exceeds the caller's objective cutoff (a bound
+  /// equal to the cutoff is kept). With an infinite cutoff this is the
+  /// incumbent test alone, so such a search is the uncut one.
+  bool pruned(double bound) const {
+    return bound >= incumbentBound() - absTol() || bound > cutoff_;
   }
 
   double elapsedSeconds() const {
@@ -598,6 +615,9 @@ class BranchAndBound {
   /// search's time limit, and a node LP it stops ends the search.
   Clock::time_point start_;
   std::unique_ptr<LpBackend> engine_;
+  /// params_.objective_cutoff plus the MIP gap's tolerance, so a node bound
+  /// that equals the cutoff up to rounding is never pruned.
+  double cutoff_;
 
   std::vector<VarId> integer_vars_;
   std::vector<Node> nodes_;

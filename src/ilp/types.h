@@ -149,7 +149,12 @@ struct Solution {
   bool hasSolution() const {
     return status == SolveStatus::Optimal || status == SolveStatus::Feasible;
   }
-  double value(VarId v) const { return values[static_cast<std::size_t>(v)]; }
+  /// Checked: `values` is empty unless hasSolution(), so reading a
+  /// variable of an infeasible, limit-stopped or cut-off solve throws
+  /// std::out_of_range instead of reading past the end.
+  double value(VarId v) const {
+    return values.at(static_cast<std::size_t>(v));
+  }
   /// Convenience for 0-1 variables: value rounded to bool.
   bool boolValue(VarId v) const { return value(v) > 0.5; }
 };
@@ -159,10 +164,11 @@ struct Solution {
 inline constexpr double kIntegralityTol = 1e-6;
 
 /// Knobs for the solver: the three budgets plus the per-call inputs
-/// (warm start, flight recorder) and one test hook. Every tolerance, the
-/// MIP gap, presolve, probing, coefficient tightening and the root cut
-/// loop are fixed (named constants in the files that use them): like the
-/// paper's Gurobi runs, a solve is configured by its budget alone.
+/// (warm start, objective cutoff, flight recorder) and one test hook. Every
+/// tolerance, the MIP gap, presolve, probing, coefficient tightening and
+/// the root cut loop are fixed (named constants in the files that use
+/// them): like the paper's Gurobi runs, a solve is configured by its budget
+/// alone.
 struct SolveParams {
   /// Wall-clock budget. Branch-and-bound stops at it, and every LP engine
   /// stops an LP with IterLimit once it has passed since the engine was
@@ -176,6 +182,15 @@ struct SolveParams {
   /// anything worse than this point (the paper's "best-effort within the
   /// time limit" semantics).
   std::vector<double> warm_start;
+  /// Optional objective cutoff, a per-call input like `warm_start`, not a
+  /// budget: branch-and-bound prunes every node whose bound exceeds it
+  /// (ties kept), so the search looks only for points no worse than the
+  /// cutoff, and a warm start above it is ignored. Until the search without
+  /// the cutoff would find its first incumbent, both explore the same nodes
+  /// in the same order; a search that exhausts the nodes at or below the
+  /// cutoff reports Infeasible. +inf (the default) prunes nothing. The
+  /// wash-path router passes its simple-path heuristic's length here.
+  double objective_cutoff = kInfinity;
   /// Iteration count after which pricing switches to Bland's rule inside one
   /// LP solve (anti-cycling). 0 = automatic (scales with model size); tests
   /// set 1 to exercise the Bland path directly.

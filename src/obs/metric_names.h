@@ -25,6 +25,8 @@ inline constexpr const char* kPathIlpConnectivityCuts =
     "pdw.path_ilp.connectivity_cuts";
 inline constexpr const char* kPathIlpFallbacks = "pdw.path_ilp.fallbacks";
 inline constexpr const char* kPathIlpWarmHits = "pdw.path_ilp.warm_hits";
+inline constexpr const char* kPathIlpHeuristicPaths =
+    "pdw.path_ilp.heuristic_paths";
 inline constexpr const char* kPathBfsRoutes = "pdw.path_bfs.routes";
 inline constexpr const char* kRouteCacheHits = "pdw.route_cache.hits";
 inline constexpr const char* kRouteCacheMisses = "pdw.route_cache.misses";

@@ -5,6 +5,7 @@
 
 #include <cmath>
 #include <memory>
+#include <stdexcept>
 
 #include "ilp/branch_bound.h"
 #include "ilp/lp_backend.h"
@@ -110,6 +111,21 @@ TEST(Mip, InfeasibleIntegerModel) {
 
   Solution s = solve(m, quickParams());
   EXPECT_EQ(s.status, SolveStatus::Infeasible);
+}
+
+TEST(Mip, ReadingAVariableOfAnInfeasibleSolveThrows) {
+  // A solve without a solution carries no values; reading one fails loudly
+  // instead of reading past the end of an empty vector.
+  Model m;
+  VarId x = m.addInteger(0, 10, "x");
+  m.addGreaterEqual(3.0 * LinExpr(x), 4);
+  m.addLessEqual(3.0 * LinExpr(x), 5);
+  m.setObjective(LinExpr(x));
+
+  const Solution s = solve(m, quickParams());
+  ASSERT_EQ(s.status, SolveStatus::Infeasible);
+  EXPECT_THROW(s.value(x), std::out_of_range);
+  EXPECT_THROW(s.boolValue(x), std::out_of_range);
 }
 
 TEST(Mip, PureLpPassThrough) {

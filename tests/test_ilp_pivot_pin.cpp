@@ -93,15 +93,17 @@ TEST_P(PivotPin, WorkAndPlanMatchRecordedRun) {
 // free-order branch-and-bound (one pinned re-solve per accepted flip),
 // one-target wash paths routed by min-cost flow (no path ILP), the
 // multi-target connectivity cuts as lazy rows of one search per routing
-// pass (one simplex method, dual devex pricing, row-wise pivot rows).
+// pass, cut off at the simple-path heuristic's length, which answers when
+// the search finds nothing (one simplex method, dual devex pricing,
+// row-wise pivot rows).
 INSTANTIATE_TEST_SUITE_P(
     TableII, PivotPin,
     ::testing::Values(
-        Pin{BenchmarkId::Pcr, 8, 93, 1119, 910, 31, 60, 272, 22, 5, 168.0,
-            87.900000000000006, 16011468594425723183ull},
-        Pin{BenchmarkId::Ivd, 14, 127, 2566, 1867, 53, 206, 910, 48, 22,
-            699.0, 239.09999999999999, 4472995087637284315ull},
-        Pin{BenchmarkId::KinaseAct1, 9, 66, 1069, 847, 26, 103, 282, 20, 11,
+        Pin{BenchmarkId::Pcr, 6, 53, 673, 532, 19, 50, 203, 19, 5, 168.0,
+            87.900000000000006, 12016904196682864729ull},
+        Pin{BenchmarkId::Ivd, 11, 85, 1857, 1332, 37, 166, 681, 39, 22,
+            699.0, 239.09999999999999, 13742543219767761079ull},
+        Pin{BenchmarkId::KinaseAct1, 8, 46, 668, 498, 18, 78, 216, 16, 11,
             312.0, 137.80000000000001, 14687261602200594492ull}),
     [](const ::testing::TestParamInfo<Pin>& info) {
       std::string name = assay::toString(info.param.id);

@@ -4,14 +4,18 @@
 // and fixes variables by reduced cost, must still find the integer optimum
 // that brute-force enumeration finds. The engine's wall-clock budget is
 // tested here too: it stops an LP with IterLimit without taking the
-// degenerate-stall path, and a budget that never binds changes nothing.
+// degenerate-stall path, and a budget that never binds changes nothing. So
+// is the objective cutoff: one no node bound exceeds changes nothing, one at
+// the optimum finds it, one below finds nothing.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstring>
 #include <memory>
 #include <optional>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -351,6 +355,106 @@ TEST(EngineDeadline, NeverBindingLimitIsBitIdentical) {
   ASSERT_EQ(ra.status, rb.status);
   EXPECT_EQ(ra.iterations, rb.iterations);
   expectSameBits(ra.values, rb.values);
+}
+
+// ---- Objective cutoff ------------------------------------------------------
+
+/// The largest value `model`'s objective takes on its variables' bound box:
+/// no node bound of any search can exceed it.
+double boxMaximum(const Model& model) {
+  double most = model.objective().constant();
+  for (const auto& [v, coeff] : model.objective().terms())
+    most += std::max(coeff * model.var(v).lower, coeff * model.var(v).upper);
+  return most;
+}
+
+void expectSameSearch(const Solution& a, const Solution& b, int inst) {
+  ASSERT_EQ(a.status, b.status) << "instance " << inst;
+  EXPECT_EQ(std::memcmp(&a.objective, &b.objective, sizeof(double)), 0)
+      << "instance " << inst;
+  expectSameBits(a.values, b.values);
+  // Every SolveStats field but wall_seconds, which is a clock reading.
+  const SolveStats& x = a.stats;
+  const SolveStats& y = b.stats;
+  EXPECT_EQ(x.simplex_iterations, y.simplex_iterations) << "instance " << inst;
+  EXPECT_EQ(x.nodes_explored, y.nodes_explored) << "instance " << inst;
+  EXPECT_EQ(std::memcmp(&x.best_bound, &y.best_bound, sizeof(double)), 0)
+      << "instance " << inst;
+  EXPECT_EQ(x.cuts.added, y.cuts.added);
+  EXPECT_EQ(x.cuts.gomory, y.cuts.gomory);
+  EXPECT_EQ(x.cuts.cover, y.cuts.cover);
+  EXPECT_EQ(x.cuts.gomory_active, y.cuts.gomory_active);
+  EXPECT_EQ(x.cuts.cover_active, y.cuts.cover_active);
+  EXPECT_EQ(x.cuts.evicted, y.cuts.evicted);
+  EXPECT_EQ(x.cuts.rounds, y.cuts.rounds);
+  EXPECT_EQ(x.cuts.simplex_iterations, y.cuts.simplex_iterations);
+  EXPECT_EQ(x.cuts.refactorizations, y.cuts.refactorizations);
+  EXPECT_EQ(x.lazy_rows, y.lazy_rows);
+  EXPECT_EQ(x.lp_solves, y.lp_solves);
+  EXPECT_EQ(x.warm_hits, y.warm_hits);
+  EXPECT_EQ(x.warm_misses, y.warm_misses);
+  EXPECT_EQ(x.dual_pivots, y.dual_pivots);
+  EXPECT_EQ(x.rc_fixed, y.rc_fixed);
+  EXPECT_EQ(x.refactorizations, y.refactorizations);
+}
+
+TEST(Cutoff, AboveEveryBoundIsBitIdentical) {
+  // A cutoff no node bound can exceed prunes nothing: the search is the
+  // uncut one, pivot for pivot.
+  util::Rng rng(2901);
+  std::int64_t nodes = 0;
+  for (int inst = 0; inst < 30; ++inst) {
+    const Model m = makeBranchyMip(rng, 6 + inst % 5);
+    SolveParams cut = quickParams();
+    cut.objective_cutoff = boxMaximum(m) + 1.0;
+    const Solution plain = solve(m, quickParams());
+    const Solution with_cutoff = solve(m, cut);
+    expectSameSearch(plain, with_cutoff, inst);
+    nodes += plain.stats.nodes_explored;
+  }
+  EXPECT_GT(nodes, 30);  // the searches branched
+}
+
+TEST(Cutoff, AtTheOptimumFindsItBelowFindsNothing) {
+  // A point as good as the cutoff still counts as a find; with the cutoff
+  // below the optimum the search exhausts its nodes and reports Infeasible,
+  // with no values to read.
+  util::Rng rng(2902);
+  for (int inst = 0; inst < 30; ++inst) {
+    const Model m = makeBranchyMip(rng, 6 + inst % 4);
+    const std::optional<double> optimum =
+        reference::enumerateIntegerOptimum(m);
+    ASSERT_TRUE(optimum.has_value()) << "instance " << inst;
+
+    SolveParams at = quickParams();
+    at.objective_cutoff = *optimum;
+    const Solution found = solve(m, at);
+    ASSERT_EQ(found.status, SolveStatus::Optimal) << "instance " << inst;
+    EXPECT_NEAR(found.objective, *optimum, 1e-6) << "instance " << inst;
+    EXPECT_TRUE(m.isFeasible(found.values)) << "instance " << inst;
+
+    // Objective coefficients are integers, so no point lies in between.
+    SolveParams below = quickParams();
+    below.objective_cutoff = *optimum - 0.5;
+    const Solution none = solve(m, below);
+    EXPECT_EQ(none.status, SolveStatus::Infeasible) << "instance " << inst;
+    EXPECT_FALSE(none.hasSolution()) << "instance " << inst;
+    EXPECT_THROW(none.value(0), std::out_of_range) << "instance " << inst;
+  }
+}
+
+TEST(Cutoff, WarmStartAboveTheCutoffIsIgnored) {
+  // The all-zero point is feasible (objective 0) and lies above a cutoff
+  // below the optimum, so it may not come back as the answer.
+  util::Rng rng(2903);
+  const Model m = makeBranchyMip(rng, 7);
+  const std::optional<double> optimum = reference::enumerateIntegerOptimum(m);
+  ASSERT_TRUE(optimum.has_value());
+  SolveParams params = quickParams();
+  params.warm_start.assign(static_cast<std::size_t>(m.numVars()), 0.0);
+  params.objective_cutoff = *optimum - 0.5;
+  const Solution s = solve(m, params);
+  EXPECT_EQ(s.status, SolveStatus::Infeasible);
 }
 
 }  // namespace

@@ -1,11 +1,13 @@
 // Wash-path routing: the eq. 12-15 ILP (with lazy connectivity cuts), the
-// one-target min-cost flow router and the BFS heuristic, cross-checked
-// against each other and, for one target, against exhaustive search over
-// simple paths on small random chips.
+// one-target min-cost flow router, the multi-target simple-path heuristic H
+// and the BFS heuristic, cross-checked against each other and against
+// exhaustive search on small random chips: over simple paths for one
+// target, over self-avoiding, non-touching paths for H.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <cstdio>
 #include <deque>
 #include <limits>
 #include <memory>
@@ -205,26 +207,57 @@ TEST_F(WashPathFixture, EmptyTargetsRejected) {
 }
 
 TEST_F(WashPathFixture, NoFallbackReportsFailureHonestly) {
-  // A starved ILP (one simplex iteration) finds no path: the BFS
-  // heuristic's path comes back, and the call reports exactly one fallback
-  // in its stats and in the registry.
+  // (6,4) is walled in on three sides, a dead end no simple path can pass
+  // through and no port is next to: neither the ILP nor H has a path on
+  // either pass. The BFS heuristic's spur comes back, and the call reports
+  // exactly one fallback in its stats and in the registry.
   WashPathOptions options;
-  options.solver.time_limit_seconds = 0.001;
-  options.solver.node_limit = 1;
-  options.solver.simplex_iteration_limit = 1;
+  options.avoid_cells = {{5, 4}, {7, 4}, {6, 5}};
   obs::Counter& fallbacks =
       obs::Registry::instance().counter(obs::names::kPathIlpFallbacks);
   const std::int64_t before = fallbacks.value();
   WashPathStats stats;
   const std::vector<arch::Cell> targets = {{2, 1}, {6, 4}};
+  for (const bool whole_grid : {false, true})
+    EXPECT_FALSE(washPathPass(chip_, targets, whole_grid, options.avoid_cells)
+                     .heuristic.has_value());
   const auto path = routeWashPathIlp(chip_, targets, options, &stats);
   ASSERT_TRUE(path.has_value());
   expectValidWashPath(chip_, *path, targets);
+  EXPECT_FALSE(path->isSimpleConnected());  // the spur into (6,4) and back
   EXPECT_TRUE(stats.used_fallback);
+  EXPECT_FALSE(stats.used_heuristic);
   EXPECT_EQ(fallbacks.value() - before, 1);
-  const auto bfs = routeWashPathHeuristic(chip_, targets);
+  const auto bfs = routeWashPathHeuristic(chip_, targets, options.avoid_cells);
   ASSERT_TRUE(bfs.has_value());
   EXPECT_EQ(path->cells(), bfs->cells());
+}
+
+TEST_F(WashPathFixture, StarvedSearchAnswersWithTheHeuristicPath) {
+  // A starved ILP (one simplex iteration) finds no path, but H exists on
+  // the restricted pass: H answers, the whole-grid pass never runs, and
+  // no fallback is counted.
+  WashPathOptions options;
+  options.solver.node_limit = 1;
+  options.solver.simplex_iteration_limit = 1;
+  obs::Registry& reg = obs::Registry::instance();
+  obs::Counter& heuristic = reg.counter(obs::names::kPathIlpHeuristicPaths);
+  obs::Counter& fallbacks = reg.counter(obs::names::kPathIlpFallbacks);
+  const std::int64_t heuristic_before = heuristic.value();
+  const std::int64_t fallbacks_before = fallbacks.value();
+  const std::vector<arch::Cell> targets = {{2, 1}, {6, 4}};
+  const WashPathPass pass = washPathPass(chip_, targets, false);
+  ASSERT_TRUE(pass.heuristic.has_value());
+  WashPathStats stats;
+  const auto path = routeWashPathIlp(chip_, targets, options, &stats);
+  ASSERT_TRUE(path.has_value());
+  EXPECT_EQ(path->cells(), pass.heuristic->cells());
+  EXPECT_TRUE(path->isSimpleConnected());
+  EXPECT_EQ(stats.ilp_solves, 1);
+  EXPECT_TRUE(stats.used_heuristic);
+  EXPECT_FALSE(stats.used_fallback);
+  EXPECT_EQ(heuristic.value() - heuristic_before, 1);
+  EXPECT_EQ(fallbacks.value() - fallbacks_before, 0);
 }
 
 // ---- One target: the min-cost flow router --------------------------------
@@ -493,6 +526,315 @@ TEST(OneTargetRoute, TableTwoOperationsRunNoIlp) {
     }
   }
   EXPECT_GT(one_target, 0);
+}
+
+// ---- Several targets: H, the simple-path heuristic -------------------------
+
+/// Exhaustive oracle for several targets: the length in cells (ports
+/// included) of the shortest flow port -> ... -> waste port path over the
+/// `open` cells that covers every target and never touches itself (no two
+/// non-consecutive cells are neighbours, eq. 14), or 0 when there is none.
+/// Depth-first search over such paths from every cell next to a usable
+/// flow port, cut off once a lower bound cannot beat the best path found:
+/// the farthest uncovered target, measured on the open grid, plus its
+/// distance to a cell next to a usable waste port.
+class InducedPathOracle {
+ public:
+  InducedPathOracle(const arch::ChipLayout& chip, std::vector<char> open,
+                    const std::vector<Cell>& blocked,
+                    const std::vector<Cell>& targets)
+      : chip_(chip), open_(std::move(open)) {
+    const std::size_t n = open_.size();
+    next_to_flow_.assign(n, 0);
+    next_to_waste_.assign(n, 0);
+    for (const arch::Port& p : chip.ports()) {
+      if (contains(blocked, p.cell)) continue;
+      for (const Cell& c : chip.neighbors(p.cell))
+        (p.is_waste ? next_to_waste_ : next_to_flow_)[index(c)] = 1;
+    }
+    std::vector<std::size_t> wastes;
+    for (std::size_t i = 0; i < n; ++i)
+      if (next_to_waste_[i]) wastes.push_back(i);
+    to_waste_ = distances(wastes);
+    is_target_.assign(n, 0);
+    for (const Cell& t : targets) {
+      if (is_target_[index(t)]) continue;
+      is_target_[index(t)] = 1;
+      targets_.push_back(index(t));
+      from_target_.push_back(distances({index(t)}));
+    }
+  }
+
+  int shortest() {
+    placed_.assign(open_.size(), 0);
+    placed_neighbours_.assign(open_.size(), 0);
+    covered_.assign(open_.size(), 0);
+    uncovered_ = static_cast<int>(targets_.size());
+    best_ = kNone;
+    for (std::size_t i = 0; i < open_.size(); ++i) {
+      if (!open_[i] || !next_to_flow_[i]) continue;
+      place(i, +1);
+      extend(i, 1);
+      place(i, -1);
+    }
+    return best_ == kNone ? 0 : best_;
+  }
+
+ private:
+  static constexpr int kNone = std::numeric_limits<int>::max() / 4;
+
+  std::size_t index(Cell c) const {
+    return static_cast<std::size_t>(chip_.cellIndex(c));
+  }
+  Cell cellOf(std::size_t i) const {
+    return Cell{static_cast<int>(i) % chip_.width(),
+                static_cast<int>(i) / chip_.width()};
+  }
+
+  /// BFS distances over the open cells from `sources`.
+  std::vector<int> distances(const std::vector<std::size_t>& sources) const {
+    std::vector<int> dist(open_.size(), kNone);
+    std::deque<std::size_t> queue;
+    for (const std::size_t s : sources)
+      if (open_[s]) {
+        dist[s] = 0;
+        queue.push_back(s);
+      }
+    while (!queue.empty()) {
+      const std::size_t u = queue.front();
+      queue.pop_front();
+      for (const Cell& m : chip_.neighbors(cellOf(u))) {
+        const std::size_t v = index(m);
+        if (open_[v] && dist[v] == kNone) {
+          dist[v] = dist[u] + 1;
+          queue.push_back(v);
+        }
+      }
+    }
+    return dist;
+  }
+
+  /// Add (+1) or remove (-1) cell `i` from the path.
+  void place(std::size_t i, int sign) {
+    placed_[i] = sign > 0;
+    for (const Cell& m : chip_.neighbors(cellOf(i)))
+      placed_neighbours_[index(m)] += sign;
+    if (is_target_[i]) {
+      covered_[i] = sign > 0;
+      uncovered_ -= sign;
+    }
+  }
+
+  /// The path so far ends at `cur` and holds `cells` cells (ports not
+  /// counted).
+  void extend(std::size_t cur, int cells) {
+    int need = 0;  // cells still to add, at least
+    for (std::size_t k = 0; k < targets_.size(); ++k) {
+      if (covered_[targets_[k]]) continue;
+      const int d = from_target_[k][cur];
+      const int w = to_waste_[targets_[k]];
+      if (d == kNone || w == kNone) return;
+      need = std::max(need, d + w);
+    }
+    if (uncovered_ == 0) {
+      if (to_waste_[cur] == kNone) return;
+      need = to_waste_[cur];
+    }
+    if (cells + need + 2 >= best_) return;
+    if (uncovered_ == 0 && next_to_waste_[cur]) {
+      best_ = cells + 2;
+      return;
+    }
+    for (const Cell& m : chip_.neighbors(cellOf(cur))) {
+      const std::size_t i = index(m);
+      // The new cell may touch the path at `cur` only.
+      if (!open_[i] || placed_[i] || placed_neighbours_[i] != 1) continue;
+      place(i, +1);
+      extend(i, cells + 1);
+      place(i, -1);
+    }
+  }
+
+  const arch::ChipLayout& chip_;
+  std::vector<char> open_;
+  std::vector<char> next_to_flow_, next_to_waste_, is_target_;
+  std::vector<std::size_t> targets_;
+  std::vector<std::vector<int>> from_target_;
+  std::vector<int> to_waste_;
+  std::vector<char> placed_, covered_;
+  std::vector<int> placed_neighbours_;
+  int uncovered_ = 0;
+  int best_ = kNone;
+};
+
+/// The properties H promises on one pass: a flow port, then the pass's
+/// cells, then a waste port; every target covered; no cell repeated and no
+/// two non-consecutive cells neighbours; and its point feasible for the
+/// pass's eqs. 12-15 model, with objective |H| - 2.
+void expectHeuristicProperties(const arch::ChipLayout& chip,
+                               const WashPathPass& pass,
+                               const std::vector<Cell>& targets,
+                               const std::vector<Cell>& blocked,
+                               const std::string& where) {
+  const arch::FlowPath& h = *pass.heuristic;
+  const std::vector<Cell>& cells = h.cells();
+  ASSERT_GE(cells.size(), 3u) << where;
+  const auto front = chip.portAt(cells.front());
+  const auto back = chip.portAt(cells.back());
+  ASSERT_TRUE(front.has_value() && back.has_value()) << where;
+  EXPECT_FALSE(chip.port(*front).is_waste) << where;
+  EXPECT_TRUE(chip.port(*back).is_waste) << where;
+  EXPECT_FALSE(contains(blocked, cells.front())) << where;
+  EXPECT_FALSE(contains(blocked, cells.back())) << where;
+  EXPECT_TRUE(h.isSimpleConnected()) << where;
+  for (const Cell& t : targets) EXPECT_TRUE(h.contains(t)) << where;
+  for (std::size_t i = 1; i + 1 < cells.size(); ++i) {
+    EXPECT_TRUE(contains(pass.cells, cells[i])) << where;
+    for (std::size_t j = i + 2; j + 1 < cells.size(); ++j)
+      EXPECT_FALSE(arch::adjacent(cells[i], cells[j]))
+          << where << "\ntouches itself at " << arch::toString(cells[i])
+          << " and " << arch::toString(cells[j]);
+  }
+  EXPECT_EQ(pass.model.firstViolation(pass.heuristic_point, 1e-9), "")
+      << where;
+  EXPECT_EQ(pass.model.objective().evaluate(pass.heuristic_point),
+            static_cast<double>(cells.size() - 2))
+      << where;
+}
+
+TEST(SimplePathHeuristic, FeasibleDeterministicAndCloseToExhaustive) {
+  // Random 3-7-cell chips with devices, blocked cells and 2-5 targets, on
+  // both passes: H keeps every promise above, a second call (targets in
+  // another order) returns the same cells, and exhaustive search over
+  // self-avoiding, non-touching paths finds none shorter and none at all
+  // where H is absent. How often H misses an existing path, and how much
+  // longer it is than the shortest, is reported and bounded.
+  util::Rng rng(0x5e1f1a7du);
+  int cases = 0, none = 0, found = 0, exact = 0, misses = 0, gap_sum = 0;
+  int gap_max = 0;
+  for (int trial = 0; trial < 500; ++trial) {
+    const SmallChip sc(rng);
+    const arch::ChipLayout& chip = *sc.chip;
+    std::vector<Cell> free;
+    for (int y = 0; y < chip.height(); ++y)
+      for (int x = 0; x < chip.width(); ++x)
+        if (!chip.isPortCell({x, y}) && !contains(sc.blocked, {x, y}))
+          free.push_back({x, y});
+    if (free.size() < 2) continue;
+    rng.shuffle(free);
+    const int k = std::min(static_cast<int>(free.size()), rng.intIn(2, 5));
+    std::vector<Cell> targets(free.begin(), free.begin() + k);
+    for (const bool whole_grid : {false, true}) {
+      ++cases;
+      const std::string where = "targets " + std::to_string(k) +
+                                (whole_grid ? ", whole grid" : ", region") +
+                                " on\n" + chip.render();
+      const WashPathPass pass =
+          washPathPass(chip, targets, whole_grid, sc.blocked);
+      std::vector<Cell> shuffled = targets;
+      rng.shuffle(shuffled);
+      const WashPathPass again =
+          washPathPass(chip, shuffled, whole_grid, sc.blocked);
+      EXPECT_EQ(pass.heuristic.has_value(), again.heuristic.has_value())
+          << where;
+      if (pass.heuristic && again.heuristic) {
+        EXPECT_EQ(pass.heuristic->cells(), again.heuristic->cells())
+            << where;
+      }
+
+      std::vector<char> open(
+          static_cast<std::size_t>(chip.width() * chip.height()), 0);
+      for (const Cell& c : pass.cells)
+        open[static_cast<std::size_t>(chip.cellIndex(c))] = 1;
+      InducedPathOracle oracle(chip, std::move(open), sc.blocked, targets);
+      const int want = oracle.shortest();
+      if (want == 0) {
+        ++none;
+        EXPECT_FALSE(pass.heuristic.has_value()) << where;
+        continue;
+      }
+      if (!pass.heuristic) {
+        ++misses;
+        continue;
+      }
+      ++found;
+      expectHeuristicProperties(chip, pass, targets, sc.blocked, where);
+      const int gap = static_cast<int>(pass.heuristic->size()) - want;
+      EXPECT_GE(gap, 0) << where;
+      exact += gap == 0;
+      gap_sum += gap;
+      gap_max = std::max(gap_max, gap);
+    }
+  }
+  std::printf(
+      "H over %d passes: %d without a path; of the %d with one, H misses "
+      "%d and finds %d (%d shortest; length gap mean %.2f, max %d cells)\n",
+      cases, none, found + misses, misses, found, exact,
+      found > 0 ? static_cast<double>(gap_sum) / found : 0.0, gap_max);
+  RecordProperty("misses", misses);
+  RecordProperty("gap_sum", gap_sum);
+  // Every regime occurs often enough to matter.
+  EXPECT_GT(none, 50);
+  EXPECT_GT(found, 200);
+  // H is a heuristic: it may miss a path or exceed the shortest, but
+  // rarely and by little.
+  EXPECT_LE(misses * 10, found + misses);
+  EXPECT_LE(gap_sum * 4, found);
+}
+
+TEST(MultiTargetRoute, TableTwoPathsNeverLongerThanTheHeuristic) {
+  // Every multi-target operation of the eight Table-II plans, at the bench
+  // work caps: the path is never longer than the restricted pass's H, and
+  // the BFS fallback comes back only where neither pass has an H.
+  core::PdwOptions options;
+  options.withPathBudget(3600.0, 20);
+  int multi = 0, with_h = 0, heuristic = 0, fallbacks = 0;
+  for (const assay::BenchmarkId id : assay::allBenchmarks()) {
+    const assay::Benchmark bench = assay::makeBenchmark(id);
+    const synth::SynthResult synth = synth::synthesizeOnChip(
+        *bench.graph, synth::placeChip(bench.library));
+    const arch::ChipLayout& chip = synth.schedule.chip();
+    const wash::ContaminationTracker tracker(synth.schedule);
+    wash::NecessityResult necessity =
+        wash::analyzeWashNecessity(tracker, options.necessity);
+    for (const wash::WashOperation& op :
+         wash::clusterTargets(std::move(necessity.targets), options.cluster)) {
+      const std::vector<Cell> targets = op.targetCells();
+      if (targets.size() < 2) continue;
+      ++multi;
+      const std::string where =
+          std::string(assay::toString(id)) + ", " +
+          std::to_string(targets.size()) +
+          " targets";
+      WashPathOptions path_options;
+      path_options.solver = options.solver.path;
+      WashPathStats stats;
+      const auto path = routeWashPathIlp(chip, targets, path_options, &stats);
+      ASSERT_TRUE(path.has_value()) << where;
+      EXPECT_TRUE(path->coversAll(targets)) << where;
+      const WashPathPass restricted = washPathPass(chip, targets, false);
+      const WashPathPass whole = washPathPass(chip, targets, true);
+      if (restricted.heuristic) {
+        ++with_h;
+        EXPECT_LE(path->size(), restricted.heuristic->size()) << where;
+      }
+      if (stats.used_fallback) {
+        ++fallbacks;
+        EXPECT_FALSE(restricted.heuristic.has_value()) << where;
+        EXPECT_FALSE(whole.heuristic.has_value()) << where;
+      }
+      if (stats.used_heuristic) {
+        ++heuristic;
+        EXPECT_TRUE(path->isSimpleConnected()) << where;
+      }
+    }
+  }
+  std::printf(
+      "%d multi-target operations: %d with a restricted-pass H, %d answered "
+      "by H, %d BFS fallbacks\n",
+      multi, with_h, heuristic, fallbacks);
+  EXPECT_GT(with_h, 0);
+  EXPECT_GT(heuristic, 0);
 }
 
 }  // namespace

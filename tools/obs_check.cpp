@@ -164,7 +164,8 @@ void checkMetrics(const std::string& path, bool expect_pool) {
 
   std::vector<const char*> required = {
       "pdw.necessity.targets", "pdw.cluster.operations",
-      "pdw.path_ilp.solves",   "pdw.route_cache.misses",
+      "pdw.path_ilp.solves",   "pdw.path_ilp.heuristic_paths",
+      "pdw.route_cache.misses",
       "ilp.bb.solves",         "ilp.bb.nodes",
       "ilp.simplex.calls",     "ilp.simplex.iterations",
       "ilp.solve_seconds"};
