@@ -7,8 +7,9 @@
 # --quick writing both a pdw-bench-1 JSON and a pdw-run-1 run-store record,
 # gated by tools/pdw_report against the committed BENCH_ilp.json baseline;
 # obs_check --bench still schema-validates and requires warm hits), a
-# root-cut reconciliation (the same bench run's flight stream must report
-# exactly ilp.cuts.added canonical cut_added events), a pdwd service smoke
+# flight reconciliation of that quick bench run (its flight stream against
+# its registry export: canonical node_open and warm_miss counts, and no
+# more solve headers than ilp.bb.solves), a pdwd service smoke
 # (a stdio request batch through the resident daemon, then a unix-socket
 # daemon loaded by bench_pdwd --quick: warm-rate/speedup gates, counters
 # reconciled by obs_check --pdwd, run record diffed against the frozen
@@ -19,8 +20,8 @@
 # by obs_check --resolve, run record diffed against the frozen
 # rewash-quick-baseline label), the ILP numerics (LU and pivot-row pricing bit-identity
 # differentials, LinExpr building, half-bounded LP differential and the
-# engine's wall-clock stops included), root cuts, lazy rows, probing
-# presolve and pseudocost branching, JSON decoder, grid-router tests (the
+# engine's wall-clock stops included), lazy rows, probing presolve and
+# pseudocost branching, JSON decoder, grid-router tests (the
 # router's path-identity differential included), the one-target wash-path
 # router's exhaustive-search differential, the multi-target simple-path
 # heuristic's exhaustive-search suite, the objective cutoff, the delta re-timing
@@ -74,12 +75,11 @@ echo "== tier-1: ILP perf smoke (bench_ilp_solver --quick + pdw_report) =="
 ./build/tools/pdw_report --store "$obs_dir/runs.jsonl" --label tier1-smoke \
   --against BENCH_ilp.json --max-regression 10% --min-wall 0.05
 
-echo "== tier-1: root-cut reconciliation (bench flight vs registry) =="
-# Cuts are always on in the quick bench above; the root separation loop
-# records one cut_added flight event per materialized cut into the
-# canonical lane, and obs_check asserts the stream's canonical cut_added
-# total equals the registry's ilp.cuts.added counter exactly (alongside the
-# node_open / warm_miss reconciliations).
+echo "== tier-1: quick-bench flight reconciliation (bench flight vs registry) =="
+# The quick bench above dumps every MIP solve's flight block; obs_check
+# asserts the stream's canonical node_open and warm_miss totals equal the
+# registry's ilp.bb.nodes and ilp.simplex.warm_misses exactly, and that
+# the stream has no more solve headers than ilp.bb.solves.
 ./build/tools/obs_check --flight "$obs_dir/bench_flight.jsonl" \
   --metrics "$obs_dir/bench_metrics.json"
 
@@ -151,18 +151,18 @@ cat "$obs_dir/rewash_runs.jsonl" >> "$obs_dir/rewash_store.jsonl"
 if [[ "${PDW_SKIP_ASAN:-0}" == "1" ]]; then
   echo "== tier-1: ASan/UBSan stage skipped (PDW_SKIP_ASAN=1) =="
 else
-  echo "== tier-1: ASan/UBSan build + ILP numerics / cuts / JSON decoder / grid router / delta re-timing / order search tests =="
+  echo "== tier-1: ASan/UBSan build + ILP numerics / presolve / JSON decoder / grid router / delta re-timing / order search tests =="
   # The router's flat arrays index y * width + x: out-of-grid cells must be
   # filtered before any access, which the router differential suite probes.
-  # The LP engine's per-row devex weights grow with every cut row, and its
+  # The LP engine's per-row devex weights grow with every lazy row, and its
   # artificial bounds are probed by the half-bounded LP differential. The
   # row-wise pricer's CSR indexing, touched-column marks (read eight to a
   # word) and growth by cut rows are probed by the pricing differential.
-  # The root cut loop, probing, coefficient strengthening and pseudocost
-  # branching (cuts.cpp, presolve.cpp, solver.cpp) run under the cut,
-  # presolve and branching suites. Lazy rows grow the engine's CSC/CSR and
-  # devex weights between node LPs of one search (LazyRows suite, and the
-  # wash-path ILP's connectivity cuts under WashPathFixture). applyDelta
+  # Probing, coefficient strengthening and pseudocost branching
+  # (presolve.cpp, branch_bound.cpp) run under the presolve and branching
+  # suites. Lazy rows grow the engine's CSC/CSR and devex weights between
+  # node LPs of one search (LazyRows suite, and the wash-path ILP's
+  # connectivity cuts under WashPathFixture). applyDelta
   # hands the rescheduler one release time per op and per task, indexed by
   # id (ScheduleDeltaApply and ReschedulerFixture suites). The one-target
   # wash-path router indexes flat per-cell node and arc arrays
@@ -182,7 +182,7 @@ else
   cmake --build build-asan -j --target pdw_tests
   ASAN_OPTIONS="halt_on_error=1" UBSAN_OPTIONS="print_stacktrace=1" \
     ./build-asan/tests/pdw_tests \
-    --gtest_filter='BasisLu.*:LuDifferential.*:PricingDifferential.*:BackendDifferential.*:ReferenceLp.*:ArtificialBound.*:WarmPath.*:EngineDeadline.*:GmiCuts.*:Simplex.*:Mip.*:WarmStart.*:Model.*:Presolve.*:LinExpr.*:ObsJson.*:RouterDifferential.*:RouterFixture.*:WashPathFixture.*:ChipLayout.*:CellSet.*:CutsSolve.*:CoverCuts.*:CutPoolTest.*:CoefStrengthening.*:Probing.*:PseudocostBranching.*:LazyRows.*:ScheduleDeltaApply.*:ReschedulerFixture.*:OneTargetRoute.*:SimplePathHeuristic.*:MultiTargetRoute.*:Cutoff.*:*OrderSearch*'
+    --gtest_filter='BasisLu.*:LuDifferential.*:PricingDifferential.*:BackendDifferential.*:ReferenceLp.*:ArtificialBound.*:WarmPath.*:EngineDeadline.*:Simplex.*:Mip.*:WarmStart.*:Model.*:Presolve.*:LinExpr.*:ObsJson.*:RouterDifferential.*:RouterFixture.*:WashPathFixture.*:ChipLayout.*:CellSet.*:CoefStrengthening.*:Probing.*:PseudocostBranching.*:LazyRows.*:ScheduleDeltaApply.*:ReschedulerFixture.*:OneTargetRoute.*:SimplePathHeuristic.*:MultiTargetRoute.*:Cutoff.*:*OrderSearch*'
 fi
 
 if [[ "${PDW_SKIP_TSAN:-0}" == "1" ]]; then

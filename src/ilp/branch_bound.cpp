@@ -7,7 +7,6 @@
 #include <optional>
 #include <queue>
 
-#include "ilp/cuts.h"
 #include "ilp/lp_backend.h"
 #include "ilp/simplex.h"
 #include "obs/flight.h"
@@ -43,24 +42,8 @@ void recordMipSolve(const Solution& result, double wall_seconds) {
   static obs::Counter& dual_pivots = reg.counter(names::kSimplexDualPivots);
   static obs::Counter& refactorizations =
       reg.counter(names::kSimplexRefactorizations);
-  static obs::Counter& cuts_added = reg.counter(names::kCutsAdded);
-  static obs::Counter& cuts_gomory = reg.counter(names::kCutsGomory);
-  static obs::Counter& cuts_cover = reg.counter(names::kCutsCover);
-  static obs::Counter& cuts_active = reg.counter(names::kCutsActive);
-  static obs::Counter& cuts_evicted = reg.counter(names::kCutsEvicted);
-  static obs::Counter& cuts_iters = reg.counter(names::kCutsSimplexIterations);
-  static obs::Counter& cuts_refactorizations =
-      reg.counter(names::kCutsRefactorizations);
   static obs::Histogram& seconds = reg.histogram(names::kSolveSeconds);
   solves.increment();
-  const CutStats& cuts = result.stats.cuts;
-  cuts_added.add(cuts.added);
-  cuts_gomory.add(cuts.gomory);
-  cuts_cover.add(cuts.cover);
-  cuts_active.add(cuts.gomory_active + cuts.cover_active);
-  cuts_evicted.add(cuts.evicted);
-  cuts_iters.add(cuts.simplex_iterations);
-  cuts_refactorizations.add(cuts.refactorizations);
   nodes.add(result.stats.nodes_explored);
   rc_fixed.add(result.stats.rc_fixed);
   if (result.stats.lp_solves > 0) {
@@ -650,7 +633,7 @@ class BranchAndBound {
 
 }  // namespace
 
-Solution solveMip(const Model& model, const SolveParams& params,
+Solution solveMip(Model model, const SolveParams& params,
                   const LazyRows& lazy) {
   PDW_TRACE_SPAN("ilp", "solve_mip");
   const auto start = Clock::now();
@@ -683,42 +666,18 @@ Solution solveMip(const Model& model, const SolveParams& params,
     return result;
   }
 
-  // The recorder is constructed before the root separation loop so its cut
-  // events and the search land in one dump block (obs_check reconciles
-  // cut_added against ilp.cuts.added). "canonical" is the lane label the
-  // pdw-flight-1 stream and obs_check's reconciliation use.
+  // "canonical" is the lane label the pdw-flight-1 stream and obs_check's
+  // reconciliation use.
   std::unique_ptr<obs::FlightRecorder> flight;
   if (params.flight.enabled)
     flight = std::make_unique<obs::FlightRecorder>(params.flight, "canonical");
 
-  // Root cutting planes, separated once on an augmented copy of the model
-  // before the search starts: the search inherits the cut rows as ordinary
-  // constraints, so its warm-start contract is untouched.
-  Model augmented;
-  CutStats cuts;
-  {
-    std::vector<double> check_point;
-    if (params.warm_start.size() ==
-        static_cast<std::size_t>(model.numVars())) {
-      std::vector<double> warm = params.warm_start;
-      for (VarId v = 0; v < model.numVars(); ++v)
-        if (model.var(v).type != VarType::Continuous)
-          warm[static_cast<std::size_t>(v)] =
-              std::round(warm[static_cast<std::size_t>(v)]);
-      if (model.isFeasible(warm, 1e-5)) check_point = std::move(warm);
-    }
-    PDW_TRACE_SPAN("ilp", "root_cuts");
-    augmented = model;
-    cuts = separateRootCuts(augmented, params, check_point, flight.get());
-  }
-
   Solution result;
   {
     PDW_TRACE_SPAN("ilp", "branch_and_bound");
-    BranchAndBound search(augmented, params, lazy, flight.get());
+    BranchAndBound search(model, params, lazy, flight.get());
     result = search.run();
   }
-  result.stats.cuts = cuts;
   recordMipSolve(result, wallSeconds());
   return result;
 }

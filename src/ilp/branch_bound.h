@@ -10,10 +10,10 @@
 // rounded integral point about to become the incumbent, the warm start
 // included, and rejects it by returning rows the point violates. The rows
 // join the search's model copy and its engine in step (through
-// LpBackend::addCutRows, as in the root cut loop) and stay for the rest of
-// the search; the rejected node is re-solved warm at once. The wash-path
-// ILP enforces its connectivity cuts this way, where a Gurobi model would
-// use lazy constraints.
+// LpBackend::addCutRows) and stay for the rest of the search; the rejected
+// node is re-solved warm at once. The wash-path ILP enforces its
+// connectivity cuts this way, where a Gurobi model would use lazy
+// constraints.
 #pragma once
 
 #include <functional>
@@ -32,9 +32,10 @@ using LazyRows = std::function<std::vector<LpBackend::CutRow>(
     const std::vector<double>& point)>;
 
 /// Solve `model` as a mixed-integer program, without presolve (solve() in
-/// solver.h is presolve + solveMip). Pure-LP models without lazy rows are
-/// delegated to the simplex directly.
-Solution solveMip(const Model& model, const SolveParams& params,
+/// solver.h is presolve + solveMip). `model` is the search's own copy, the
+/// one lazy rows extend; solve() moves its presolved copy in. Pure-LP
+/// models without lazy rows are delegated to the simplex directly.
+Solution solveMip(Model model, const SolveParams& params,
                   const LazyRows& lazy = {});
 
 }  // namespace pdw::ilp

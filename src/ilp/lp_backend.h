@@ -1,11 +1,11 @@
 // The LP backend seam.
 //
-// Branch-and-bound, the root cut loop and the standalone `ilp::solve` LP
-// path all talk to this interface rather than to the concrete engine, the
-// sparse revised simplex (revised_simplex.h): CSC storage, Markowitz LU
-// with product-form updates and periodic refactorization, native
-// bounded-variable columns, and one dual simplex with devex pricing for
-// cold solves and warm re-solves alike. Every solve builds it through
+// Branch-and-bound and the standalone `ilp::solve` LP path both talk to
+// this interface rather than to the concrete engine, the sparse revised
+// simplex (revised_simplex.h): CSC storage, Markowitz LU with product-form
+// updates and periodic refactorization, native bounded-variable columns,
+// and one dual simplex with devex pricing for cold solves and warm
+// re-solves alike. Every solve builds it through
 // makeLpBackend(); the interface exists so tests can wrap the production
 // engine (substituteLpBackendForTesting) and check its node LPs against an
 // independent reference.
@@ -40,29 +40,6 @@ class LpBackend {
   struct Fix {
     VarId var = -1;
     double value = 0.0;
-  };
-
-  /// Where a canonical column sits in the basis the backend last solved
-  /// with. In the canonical column space, columns 0..n-1 are the model
-  /// variables and column n+r is the slack of constraint row r defined by
-  /// `a_r . x + s_r = rhs_r` (so s_r >= 0 for LessEqual, s_r <= 0 for
-  /// GreaterEqual, s_r == 0 for Equal rows).
-  enum class ColStatus : std::uint8_t { Basic, AtLower, AtUpper, Free };
-
-  /// One row of the optimal simplex tableau in the canonical column space,
-  /// extracted by tableauRow(). The equation
-  ///
-  ///   x_var + sum_j coeff[j] * col_j = rhs        (j over nonbasic columns)
-  ///
-  /// holds for every point satisfying the constraint rows, which is what a
-  /// Gomory derivation needs. `coeff` entries of basic columns are zeroed;
-  /// `lower`/`upper` carry the bounds of every canonical column under the
-  /// engine's current load (slack bounds come from the row sense).
-  struct TableauRowView {
-    std::vector<double> coeff;
-    std::vector<ColStatus> status;
-    std::vector<double> lower, upper;
-    double rhs = 0.0;
   };
 
   /// A cut row to append to the engine: `terms . x (sense) rhs`. Terms are
@@ -100,18 +77,11 @@ class LpBackend {
   virtual void collectReducedCostFixes(double gap,
                                        std::vector<Fix>* out) const = 0;
 
-  /// Extract the optimal-tableau row of the *basic* model variable `var`
-  /// into `out` (see TableauRowView). Only meaningful immediately after a
-  /// solve that returned Optimal. Returns false when `var` is nonbasic or
-  /// the backend holds no optimal basis — the Gomory separator just skips
-  /// the variable then.
-  virtual bool tableauRow(VarId var, TableauRowView* out) const = 0;
-
   /// Append cut rows to the engine without rebuilding it: each row arrives
   /// with its slack basic, so the current basis stays valid and
   /// dual-feasible and the next `solve(..., allow_warm=true)` re-optimizes
-  /// with the dual simplex from it (the classic cut-loop warm start). The
-  /// root cut loop and branch-and-bound's lazy rows both append this way.
+  /// with the dual simplex from it. Branch-and-bound's lazy rows append
+  /// this way.
   virtual void addCutRows(const std::vector<CutRow>& rows) = 0;
 
   /// Attach a flight recorder (obs/flight.h) owned by the calling lane; the

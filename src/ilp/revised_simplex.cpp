@@ -90,7 +90,7 @@ void RevisedSimplex::ftranColumn(int col, std::vector<double>* alpha) const {
   lu_.ftran(*alpha);
 }
 
-void RevisedSimplex::pivotRow(int pos, std::vector<double>* rho) const {
+void RevisedSimplex::pivotRow(int pos, std::vector<double>* rho) {
   rho->assign(static_cast<std::size_t>(m_), 0.0);
   (*rho)[static_cast<std::size_t>(pos)] = 1.0;
   lu_.btran(*rho);
@@ -720,52 +720,6 @@ RevisedSimplex::DualStatus RevisedSimplex::dualIterate(std::int64_t cap) {
       d_[static_cast<std::size_t>(q)] = 0.0;
     }
   }
-}
-
-bool RevisedSimplex::tableauRow(VarId var, TableauRowView* out) const {
-  if (!ready_ || var < 0 || var >= n_) return false;
-  const int pos = pos_of_[static_cast<std::size_t>(var)];
-  if (pos < 0) return false;
-  // The row reports every column's bounds, and an artificial one must not
-  // pass for real: no rows while any column carries one.
-  for (int j = 0; j < n_; ++j)
-    if (artificialLower(j) || artificialUpper(j)) return false;
-
-  pivotRow(pos, &rho_);
-  const std::vector<double>& row = pricer_.row();
-  out->coeff.assign(static_cast<std::size_t>(total_), 0.0);
-  out->status.resize(static_cast<std::size_t>(total_));
-  out->lower.resize(static_cast<std::size_t>(total_));
-  out->upper.resize(static_cast<std::size_t>(total_));
-
-  // The row equation x_var + sum_j a_j x_j = rhs must hold identically over
-  // the row space, so the constant is recovered from the *current* point:
-  // nonbasic columns rest exactly at x_.
-  double rhs = x_[static_cast<std::size_t>(var)];
-  for (int j = 0; j < total_; ++j) {
-    out->lower[static_cast<std::size_t>(j)] = lb_[static_cast<std::size_t>(j)];
-    out->upper[static_cast<std::size_t>(j)] = ub_[static_cast<std::size_t>(j)];
-    if (pos_of_[static_cast<std::size_t>(j)] >= 0) {
-      out->status[static_cast<std::size_t>(j)] = ColStatus::Basic;
-      continue;
-    }
-    switch (vstat_[static_cast<std::size_t>(j)]) {
-      case VStat::Lower:
-        out->status[static_cast<std::size_t>(j)] = ColStatus::AtLower;
-        break;
-      case VStat::Upper:
-        out->status[static_cast<std::size_t>(j)] = ColStatus::AtUpper;
-        break;
-      default:
-        out->status[static_cast<std::size_t>(j)] = ColStatus::Free;
-        break;
-    }
-    const double a = row[static_cast<std::size_t>(j)];
-    out->coeff[static_cast<std::size_t>(j)] = a;
-    if (a != 0.0) rhs += a * x_[static_cast<std::size_t>(j)];
-  }
-  out->rhs = rhs;
-  return true;
 }
 
 void RevisedSimplex::addCutRows(const std::vector<CutRow>& rows) {

@@ -1,5 +1,5 @@
 // Sparse revised simplex over a factorized basis — the LP engine behind
-// every node LP, cut-loop LP and pure-LP solve (makeLpBackend).
+// every node LP and pure-LP solve (makeLpBackend).
 //
 // The engine keeps only the basis factorized (basis_lu.h) and reconstructs
 // what a pivot needs on demand — one FTRAN for the entering column, one
@@ -36,10 +36,9 @@
 //    no entering column proves infeasibility only when no column resting
 //    on an artificial bound would help by moving past it; otherwise the
 //    bounds move out likewise. A bound that would pass kArtificialCap
-//    stops the solve with IterLimit rather than a verdict. tableauRow()
-//    refuses every row while any column carries one; reduced-cost fixing
-//    never fixes a column to one. A warm solve that moves a column's bounds
-//    replaces its artificial bound with the real ones.
+//    stops the solve with IterLimit rather than a verdict. Reduced-cost
+//    fixing never fixes a column to one. A warm solve that moves a
+//    column's bounds replaces its artificial bound with the real ones.
 //  * Dual devex pricing. The leaving row maximizes infeasibility^2 / w_i
 //    over per-row reference weights, which every pivot updates from the
 //    entering column it FTRANs anyway. The weights start at 1 on each cold
@@ -54,10 +53,9 @@
 //  * Wall-clock budget. An LP still iterating once params.time_limit_seconds
 //    have passed since the engine was built stops with IterLimit, so one
 //    runaway node LP cannot overrun its solve's budget. Every engine has
-//    one: branch-and-bound's (every node LP, root included), the root cut
-//    loop's and solveLp's, each built as its budget starts. The budget is
-//    per engine, not per MIP: the cut loop and the search each get the
-//    full limit. Every solve checks the budget before each pivot, and a
+//    one: branch-and-bound's (every node LP, root included) and solveLp's,
+//    each built as its budget starts, so a MIP solve runs on the search's
+//    one clock. Every solve checks the budget before each pivot, and a
 //    cold solve also checks it before reloading and refactorizing. A stop
 //    is not a stall: a warm re-solve it stops returns IterLimit from the
 //    warm path (no DualStall event, no cold fallback, so no warm miss). A
@@ -98,10 +96,6 @@ class RevisedSimplex final : public LpBackend {
   bool warmReady() const override { return ready_; }
   void collectReducedCostFixes(double gap,
                                std::vector<Fix>* out) const override;
-  /// Canonical-space tableau row via one BTRAN against the factorized basis
-  /// plus a pricing pass — the engine's native column space *is* the
-  /// canonical space, so no translation is needed.
-  bool tableauRow(VarId var, TableauRowView* out) const override;
   /// Incremental cut rows: extends both copies of the matrix, the rhs and
   /// slack-bound arrays, adds each new row's slack to the basis (keeping it
   /// valid and dual-feasible) and refactorizes; the next solve()'s
@@ -185,7 +179,7 @@ class RevisedSimplex final : public LpBackend {
   /// rho = e_pos^T B^{-1} by BTRAN, then pricer_ prices rho^T [A | I]:
   /// callers read only nonbasic entries of pricer_.row(), and the ratio
   /// test and reduced-cost update only pricer_.candidates().
-  void pivotRow(int pos, std::vector<double>* rho) const;
+  void pivotRow(int pos, std::vector<double>* rho);
 
   /// Refactorize the current basis and recompute x_B and reduced costs from
   /// scratch. Returns false when the basis is numerically singular.
@@ -257,8 +251,8 @@ class RevisedSimplex final : public LpBackend {
   obs::FlightRecorder* flight_ = nullptr;  ///< not owned; may be null
 
   // scratch
-  mutable std::vector<double> alpha_, rho_;
-  mutable PivotRowPricer pricer_;
+  std::vector<double> alpha_, rho_;
+  PivotRowPricer pricer_;
   std::vector<BasisLu::SparseColumn> basis_cols_;  ///< refactor()'s gather
   std::vector<int> widen_;  ///< columns resting on artificial bounds
   double widen_step_ = 0.0;  ///< planWidening()'s outward step

@@ -3,10 +3,9 @@
 // This is the pure-LP front door of the solver stack (the reproduction's
 // substitute for Gurobi, see DESIGN.md §2). It routes one cold solve
 // through the LpBackend seam (lp_backend.h, DESIGN.md §12), so the same
-// sparse revised simplex serves pure LPs, node LPs and the root cut loop
-// alike, and no solve bypasses the obs instrumentation. (Lazy rows, which
-// the wash-path ILP's connectivity cuts use, belong to the MIP search:
-// see branch_bound.h.)
+// sparse revised simplex serves pure LPs and node LPs alike, and no solve
+// bypasses the obs instrumentation. (Lazy rows, which the wash-path ILP's
+// connectivity cuts use, belong to the MIP search: see branch_bound.h.)
 #pragma once
 
 #include "ilp/model.h"

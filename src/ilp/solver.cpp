@@ -1,6 +1,7 @@
 #include "ilp/solver.h"
 
 #include <cstdio>
+#include <utility>
 
 #include "ilp/presolve.h"
 
@@ -24,7 +25,7 @@ Solution solve(const Model& model, const SolveParams& params,
     result.status = SolveStatus::Infeasible;
     return result;
   }
-  return solveMip(reduced, params, lazy);
+  return solveMip(std::move(reduced), params, lazy);
 }
 
 }  // namespace pdw::ilp

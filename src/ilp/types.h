@@ -64,46 +64,14 @@ struct LpResult {
   std::int64_t factorizations = 0;
 };
 
-/// Outcome of the root cut separation loop (cuts.h): cuts materialized in
-/// total (== gomory + cover, before eviction), per family, survivors per
-/// family after activity-based eviction, evicted count and rounds run, and
-/// the loop's own LP work (its cold solve plus every warm re-solve, cut-row
-/// refactorizations included), which SolveStats' node-LP counters omit.
-struct CutStats {
-  int added = 0;
-  int gomory = 0;
-  int cover = 0;
-  int gomory_active = 0;
-  int cover_active = 0;
-  int evicted = 0;
-  int rounds = 0;
-  std::int64_t simplex_iterations = 0;
-  std::int64_t refactorizations = 0;
-
-  CutStats& operator+=(const CutStats& other) {
-    added += other.added;
-    gomory += other.gomory;
-    cover += other.cover;
-    gomory_active += other.gomory_active;
-    cover_active += other.cover_active;
-    evicted += other.evicted;
-    rounds += other.rounds;
-    simplex_iterations += other.simplex_iterations;
-    refactorizations += other.refactorizations;
-    return *this;
-  }
-};
-
 /// Search/solve statistics, filled by the solver.
 struct SolveStats {
   std::int64_t simplex_iterations = 0;
   std::int64_t nodes_explored = 0;
   double best_bound = -kInfinity;  ///< proven lower bound (minimization)
   double wall_seconds = 0.0;
-  /// Cutting planes the root separation loop materialized into the model.
-  CutStats cuts;
   /// Rows the lazy-row callback (branch_bound.h) returned to reject
-  /// integral points; never counted in `cuts`.
+  /// integral points.
   std::int64_t lazy_rows = 0;
   /// Node LPs run by the in-tree simplex engine (root + children).
   std::int64_t lp_solves = 0;
@@ -126,7 +94,6 @@ struct SolveStats {
     simplex_iterations += other.simplex_iterations;
     nodes_explored += other.nodes_explored;
     wall_seconds += other.wall_seconds;
-    cuts += other.cuts;
     lazy_rows += other.lazy_rows;
     lp_solves += other.lp_solves;
     warm_hits += other.warm_hits;
@@ -160,20 +127,20 @@ struct Solution {
 };
 
 /// Integrality tolerance: a value within this distance of an integer
-/// counts as integral (branching, incumbents, root cut separation).
+/// counts as integral (branching, incumbents, reduced-cost fixing).
 inline constexpr double kIntegralityTol = 1e-6;
 
 /// Knobs for the solver: the three budgets plus the per-call inputs
 /// (warm start, objective cutoff, flight recorder) and one test hook. Every
-/// tolerance, the MIP gap, presolve, probing, coefficient tightening and
-/// the root cut loop are fixed (named constants in the files that use
-/// them): like the paper's Gurobi runs, a solve is configured by its budget
-/// alone.
+/// tolerance, the MIP gap, presolve, probing and coefficient tightening are
+/// fixed (named constants in the files that use them): like the paper's
+/// Gurobi runs, a solve is configured by its budget alone.
 struct SolveParams {
-  /// Wall-clock budget. Branch-and-bound stops at it, and every LP engine
-  /// stops an LP with IterLimit once it has passed since the engine was
-  /// built (revised_simplex.h). The root cut loop and the search each count
-  /// it from their own start, so it does not cap a whole MIP solve.
+  /// Wall-clock budget. A MIP solve has one clock: branch-and-bound counts
+  /// the limit from its start, and its LP engine, built right after, stops
+  /// a node LP with IterLimit once the limit has passed (revised_simplex.h).
+  /// Only presolve runs before that clock starts, and work constants bound
+  /// it. solveLp's engine counts the limit from its own construction.
   double time_limit_seconds = 10.0;
   std::int64_t node_limit = 200000;
   std::int64_t simplex_iteration_limit = 400000;

@@ -50,7 +50,6 @@ const char* toString(FlightEventKind kind) {
     case FlightEventKind::WarmMiss: return "warm_miss";
     case FlightEventKind::Refactorization: return "refactorization";
     case FlightEventKind::DualStall: return "dual_stall";
-    case FlightEventKind::CutAdded: return "cut_added";
   }
   return "unknown";
 }

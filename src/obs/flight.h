@@ -41,10 +41,8 @@ enum class FlightEventKind : std::uint8_t {
   WarmMiss,        ///< non-root node LP fell back to a cold solve
   Refactorization, ///< sparse basis (re)factorized
   DualStall,       ///< degenerate dual-pivot stall aborted a warm re-solve
-  CutAdded,        ///< root cut materialized; value = violation,
-                   ///< extra = family (0 = Gomory, 1 = cover)
 };
-inline constexpr int kFlightEventKinds = 11;
+inline constexpr int kFlightEventKinds = 10;
 
 /// NodePruned reason codes (the `extra` payload).
 enum : int {

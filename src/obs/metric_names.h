@@ -77,17 +77,8 @@ inline constexpr const char* kSimplexRefactorizations =
     "ilp.simplex.refactorizations";
 inline constexpr const char* kSimplexPivotsPerNode =
     "ilp.simplex.pivots_per_node";
+/// Never incremented; kept only so perfbench/pdw_perfbench.cpp still builds.
 inline constexpr const char* kCutsAdded = "ilp.cuts.added";
-inline constexpr const char* kCutsGomory = "ilp.cuts.gomory";
-inline constexpr const char* kCutsCover = "ilp.cuts.cover";
-inline constexpr const char* kCutsActive = "ilp.cuts.active";
-inline constexpr const char* kCutsEvicted = "ilp.cuts.evicted";
-/// LP work of the root cut loop (its cold solve and warm re-solves), kept
-/// apart from the node-LP ilp.simplex.* counters.
-inline constexpr const char* kCutsSimplexIterations =
-    "ilp.cuts.simplex_iterations";
-inline constexpr const char* kCutsRefactorizations =
-    "ilp.cuts.refactorizations";
 inline constexpr const char* kSolveSeconds = "ilp.solve_seconds";
 
 // ---- wash-optimization service (pdwd.*) ---------------------------------

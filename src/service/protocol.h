@@ -7,8 +7,8 @@
 // type-confused or oversized input yields a structured error response,
 // never a dropped connection or a crash. Unknown object keys are ignored
 // for forward compatibility — among them the retired `engine`, `cuts` and
-// `cache_version` keys, whatever their value: the LP engine and the
-// root-cut policy are fixed, and both caches are content-addressed, so
+// `cache_version` keys, whatever their value: the LP engine is fixed, the
+// MIP search adds no root cuts, and both caches are content-addressed, so
 // there is no cache generation to name (DESIGN.md §14.1, §14.3).
 //
 // Request schema (fields beyond `schema` optional unless noted):

@@ -156,8 +156,6 @@ TEST(LazyRows, RejectedRootPointIsResolvedWarm) {
   ASSERT_FALSE(enforcer.seen.empty());
   EXPECT_EQ(enforcer.seen.front(), (std::vector<double>{1.0, 1.0}));
   EXPECT_EQ(s.stats.lazy_rows, 1);
-  // Lazy rows are not root cuts.
-  EXPECT_EQ(s.stats.cuts.added, 0);
   // The root twice: once cold, once warm with the row in place.
   EXPECT_EQ(s.stats.nodes_explored, 2);
   EXPECT_EQ(s.stats.warm_hits, 1);
@@ -264,9 +262,6 @@ class InStepBackend final : public LpBackend {
   void collectReducedCostFixes(double gap,
                                std::vector<Fix>* out) const override {
     inner_.collectReducedCostFixes(gap, out);
-  }
-  bool tableauRow(VarId var, TableauRowView* out) const override {
-    return inner_.tableauRow(var, out);
   }
   void addCutRows(const std::vector<CutRow>& rows) override {
     rows_ += static_cast<int>(rows.size());

@@ -445,20 +445,20 @@ TEST(LuDifferential, PipelineModelBases) {
   BasisLu lu;
   Tally tally;
   int models = 0;
-  // Kinase act-1 joins PCR and IVD since multi-target routing stopped
-  // running a whole-grid path ILP wherever the restricted pass has a simple
-  // path: the two build fewer models, and the floor below needs more.
+  // The floor below gates on the factorizations compared, not on how many
+  // LP engines a run builds (one per MIP solve and per pure LP): a pipeline
+  // change that solves fewer MIPs must still meet it, with more benchmarks
+  // or a denser sample.
   for (assay::BenchmarkId id :
        {assay::BenchmarkId::Pcr, assay::BenchmarkId::Ivd,
         assay::BenchmarkId::KinaseAct1}) {
     const std::vector<CapturedModel> captured = captureModels(id);
-    ASSERT_GE(captured.size(), 10u) << assay::toString(id);
-    // Every 4th model, plus the largest one, with three bases each.
+    // Every 2nd model, plus the largest one, with three bases each.
     std::size_t largest = 0;
     for (std::size_t k = 0; k < captured.size(); ++k)
       if (captured[k].rows > captured[largest].rows) largest = k;
     for (std::size_t k = 0; k < captured.size(); ++k) {
-      if (k % 4 != 0 && k != largest) continue;
+      if (k % 2 != 0 && k != largest) continue;
       if (captured[k].rows == 0) continue;
       ++models;
       for (int free_cols : {0, 2, 8})

@@ -4,13 +4,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <memory>
+#include <optional>
 #include <stdexcept>
 
 #include "ilp/branch_bound.h"
-#include "ilp/lp_backend.h"
-#include "ilp/revised_simplex.h"
 #include "ilp/solver.h"
+#include "reference_lp.h"
 #include "util/rng.h"
 
 namespace pdw::ilp {
@@ -171,39 +170,6 @@ TEST(Mip, GeneralIntegerVariables) {
   EXPECT_NEAR(s.objective, best, 1e-6);
 }
 
-/// The production engine with its tableau rows withheld: the root cut loop
-/// then separates no Gomory cut.
-class NoTableauBackend final : public LpBackend {
- public:
-  NoTableauBackend(const Model& model, const SolveParams& params)
-      : inner_(model, params) {}
-  LpResult solve(const std::vector<double>& lower,
-                 const std::vector<double>& upper, bool allow_warm,
-                 bool* used_warm = nullptr,
-                 std::int64_t* dual_pivots = nullptr) override {
-    return inner_.solve(lower, upper, allow_warm, used_warm, dual_pivots);
-  }
-  LpResult coldSolve(const std::vector<double>& lower,
-                     const std::vector<double>& upper) override {
-    return inner_.coldSolve(lower, upper);
-  }
-  bool warmReady() const override { return inner_.warmReady(); }
-  void collectReducedCostFixes(double gap,
-                               std::vector<Fix>* out) const override {
-    inner_.collectReducedCostFixes(gap, out);
-  }
-  bool tableauRow(VarId, TableauRowView*) const override { return false; }
-  void addCutRows(const std::vector<CutRow>& rows) override {
-    inner_.addCutRows(rows);
-  }
-  void setFlightRecorder(obs::FlightRecorder* recorder) override {
-    inner_.setFlightRecorder(recorder);
-  }
-
- private:
-  RevisedSimplex inner_;
-};
-
 TEST(Mip, IterationBudgetWithoutIncumbentReportsIterLimit) {
   // 2 * sum(x) = 7 has no integer solution, but every node whose fixings
   // leave a free variable has a feasible (fractional) LP. The search can
@@ -219,18 +185,10 @@ TEST(Mip, IterationBudgetWithoutIncumbentReportsIterLimit) {
   m.addEqual(twice_sum, 7);
   m.setObjective(objective);
 
-  // Root Gomory cuts prove the parity row infeasible, so the engine
-  // withholds its tableau rows (an equality row yields no cover cut either),
-  // and solveMip runs the search without presolve.
+  // solveMip runs the search without presolve.
   SolveParams params = quickParams();
   params.simplex_iteration_limit = 40;
-  const LpBackendFactory previous = substituteLpBackendForTesting(
-      [](const Model& model,
-         const SolveParams& p) -> std::unique_ptr<LpBackend> {
-        return std::make_unique<NoTableauBackend>(model, p);
-      });
   const Solution s = solveMip(m, params);
-  substituteLpBackendForTesting(previous);
   EXPECT_EQ(s.status, SolveStatus::IterLimit);
   EXPECT_FALSE(s.hasSolution());
   EXPECT_GE(s.stats.simplex_iterations, params.simplex_iteration_limit);
@@ -357,6 +315,34 @@ TEST_P(MipRandomScheduling, MatchesBruteForce) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, MipRandomScheduling, ::testing::Range(0, 20));
+
+TEST(PseudocostBranching, KnapsackOptimaMatchEnumeration) {
+  // Pseudocost branching (most-fractional until a pseudocost is observed)
+  // against brute force over all 2^10 points of each knapsack.
+  util::Rng rng(21);
+  for (int trial = 0; trial < 5; ++trial) {
+    const int n = 10;
+    Model m;
+    LinExpr weight, value;
+    double capacity = 0;
+    for (int j = 0; j < n; ++j) {
+      const VarId v = m.addBinary();
+      const double w = static_cast<double>(rng.intIn(1, 12));
+      weight += w * LinExpr(v);
+      value += static_cast<double>(rng.intIn(1, 25)) * LinExpr(v);
+      capacity += w;
+    }
+    m.addLessEqual(weight, capacity * 0.5);
+    m.setObjective(-1.0 * value);
+
+    const Solution s = solve(m, SolveParams{});
+    const std::optional<double> optimum =
+        reference::enumerateIntegerOptimum(m);
+    ASSERT_TRUE(optimum.has_value()) << "trial " << trial;
+    ASSERT_EQ(s.status, SolveStatus::Optimal) << "trial " << trial;
+    EXPECT_NEAR(s.objective, *optimum, 1e-6) << "trial " << trial;
+  }
+}
 
 }  // namespace
 }  // namespace pdw::ilp

@@ -37,9 +37,9 @@ struct Pin {
   std::int64_t iterations;
   std::int64_t dual_pivots;
   std::int64_t refactorizations;
-  std::int64_t cuts_added;
-  std::int64_t cut_iterations;
-  std::int64_t cut_refactorizations;
+  std::int64_t lp_solves;
+  std::int64_t warm_hits;
+  std::int64_t rc_fixed;
   int n_wash;
   double l_wash_mm;
   double t_assay;
@@ -76,10 +76,9 @@ TEST_P(PivotPin, WorkAndPlanMatchRecordedRun) {
   EXPECT_EQ(m.counter(names::kSimplexDualPivots), pin.dual_pivots);
   EXPECT_EQ(m.counter(names::kSimplexRefactorizations),
             pin.refactorizations);
-  EXPECT_EQ(m.counter(names::kCutsAdded), pin.cuts_added);
-  EXPECT_EQ(m.counter(names::kCutsSimplexIterations), pin.cut_iterations);
-  EXPECT_EQ(m.counter(names::kCutsRefactorizations),
-            pin.cut_refactorizations);
+  EXPECT_EQ(m.counter(names::kSimplexCalls), pin.lp_solves);
+  EXPECT_EQ(m.counter(names::kSimplexWarmHits), pin.warm_hits);
+  EXPECT_EQ(m.counter(names::kBbRcFixed), pin.rc_fixed);
 
   const sim::WashMetrics wm =
       sim::computeMetrics(result.schedule(), base.schedule);
@@ -94,17 +93,17 @@ TEST_P(PivotPin, WorkAndPlanMatchRecordedRun) {
 // one-target wash paths routed by min-cost flow (no path ILP), the
 // multi-target connectivity cuts as lazy rows of one search per routing
 // pass, cut off at the simple-path heuristic's length, which answers when
-// the search finds nothing (one simplex method, dual devex pricing,
-// row-wise pivot rows).
+// the search finds nothing, and no root cuts (one simplex method, dual
+// devex pricing, row-wise pivot rows).
 INSTANTIATE_TEST_SUITE_P(
     TableII, PivotPin,
     ::testing::Values(
-        Pin{BenchmarkId::Pcr, 6, 53, 673, 532, 19, 50, 203, 19, 5, 168.0,
+        Pin{BenchmarkId::Pcr, 6, 65, 930, 796, 23, 65, 59, 0, 5, 168.0,
             87.900000000000006, 12016904196682864729ull},
-        Pin{BenchmarkId::Ivd, 11, 85, 1857, 1332, 37, 166, 681, 39, 22,
-            699.0, 239.09999999999999, 13742543219767761079ull},
-        Pin{BenchmarkId::KinaseAct1, 8, 46, 668, 498, 18, 78, 216, 16, 11,
-            312.0, 137.80000000000001, 14687261602200594492ull}),
+        Pin{BenchmarkId::Ivd, 11, 129, 1363, 958, 28, 129, 118, 50, 22,
+            699.0, 239.10000000000002, 2455960844974814816ull},
+        Pin{BenchmarkId::KinaseAct1, 8, 61, 619, 469, 19, 61, 53, 0, 11,
+            312.0, 137.80000000000001, 6601117190502237012ull}),
     [](const ::testing::TestParamInfo<Pin>& info) {
       std::string name = assay::toString(info.param.id);
       for (char& c : name)

@@ -357,9 +357,10 @@ TEST(PricingDifferential, PipelineModelRows) {
   long rho_nonzeros = 0;
   for (assay::BenchmarkId id :
        {assay::BenchmarkId::Pcr, assay::BenchmarkId::Ivd}) {
+    // Every model the run builds: the floors below gate on the models and
+    // entries compared, not on how many LP engines a run builds.
     const std::vector<CapturedMatrix> captured = captureMatrices(id);
-    ASSERT_GE(captured.size(), 10u) << assay::toString(id);
-    for (std::size_t k = 0; k < captured.size(); k += 3) {
+    for (std::size_t k = 0; k < captured.size(); ++k) {
       const CapturedMatrix& mat = captured[k];
       if (mat.rows == 0) continue;
       ++models;

@@ -300,14 +300,13 @@ TEST(EngineDeadline, TinyTimeLimitStopsLpAndMip) {
   EXPECT_EQ(lp.status, SolveStatus::IterLimit);
   EXPECT_EQ(lp.stats.simplex_iterations, 0);
 
-  // MIP: the root cut loop's LP and the search both stop on the budget.
+  // MIP: the search stops on the budget.
   util::Rng rng(17);
   const Solution mip = solveMip(makeBranchyMip(rng, 10), params);
   EXPECT_TRUE(mip.status == SolveStatus::TimeLimit ||
               mip.status == SolveStatus::IterLimit)
       << toString(mip.status);
   EXPECT_FALSE(mip.hasSolution());
-  EXPECT_EQ(mip.stats.cuts.added, 0);
 }
 
 void expectSameBits(const std::vector<double>& a,
@@ -325,7 +324,7 @@ TEST(EngineDeadline, NeverBindingLimitIsBitIdentical) {
   unbounded.time_limit_seconds = 1e12;
 
   util::Rng rng(23);
-  std::int64_t nodes = 0, cuts = 0;
+  std::int64_t nodes = 0;
   for (int inst = 0; inst < 5; ++inst) {
     const Model m = makeBranchyMip(rng, 12);
     const Solution a = solveMip(m, finite);
@@ -337,15 +336,10 @@ TEST(EngineDeadline, NeverBindingLimitIsBitIdentical) {
     EXPECT_EQ(a.stats.simplex_iterations, b.stats.simplex_iterations);
     EXPECT_EQ(a.stats.refactorizations, b.stats.refactorizations);
     EXPECT_EQ(a.stats.warm_hits, b.stats.warm_hits);
-    EXPECT_EQ(a.stats.cuts.added, b.stats.cuts.added);
-    EXPECT_EQ(a.stats.cuts.simplex_iterations,
-              b.stats.cuts.simplex_iterations);
     nodes += a.stats.nodes_explored;
-    cuts += a.stats.cuts.added;
   }
-  // The search branched and the cut loop cut, so both ran under the check.
+  // The search branched, so it ran under the check.
   EXPECT_GT(nodes, 5);
-  EXPECT_GT(cuts, 0);
 
   const Model lp = makeRandomLp(rng, 30, 20);
   const std::unique_ptr<LpBackend> a = makeLpBackend(lp, finite);
@@ -380,15 +374,6 @@ void expectSameSearch(const Solution& a, const Solution& b, int inst) {
   EXPECT_EQ(x.nodes_explored, y.nodes_explored) << "instance " << inst;
   EXPECT_EQ(std::memcmp(&x.best_bound, &y.best_bound, sizeof(double)), 0)
       << "instance " << inst;
-  EXPECT_EQ(x.cuts.added, y.cuts.added);
-  EXPECT_EQ(x.cuts.gomory, y.cuts.gomory);
-  EXPECT_EQ(x.cuts.cover, y.cuts.cover);
-  EXPECT_EQ(x.cuts.gomory_active, y.cuts.gomory_active);
-  EXPECT_EQ(x.cuts.cover_active, y.cuts.cover_active);
-  EXPECT_EQ(x.cuts.evicted, y.cuts.evicted);
-  EXPECT_EQ(x.cuts.rounds, y.cuts.rounds);
-  EXPECT_EQ(x.cuts.simplex_iterations, y.cuts.simplex_iterations);
-  EXPECT_EQ(x.cuts.refactorizations, y.cuts.refactorizations);
   EXPECT_EQ(x.lazy_rows, y.lazy_rows);
   EXPECT_EQ(x.lp_solves, y.lp_solves);
   EXPECT_EQ(x.warm_hits, y.warm_hits);

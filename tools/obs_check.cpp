@@ -24,11 +24,9 @@
 // and increasing seq, and sum(counts) == dropped + events per block. When
 // --metrics is also given, the stream is reconciled against the registry
 // export: canonical-lane node_open == ilp.bb.nodes, canonical warm_miss ==
-// ilp.simplex.warm_misses, canonical cut_added == ilp.cuts.added (the root
-// separation loop records one event per materialized cut into the solve's
-// recorder), and solve headers <= ilp.bb.solves (pure-LP solves carry no
-// recorder). Exact only when the producing process dumped every solve
-// (--flight-out / dump_all) — which is how tier1.sh drives it.
+// ilp.simplex.warm_misses, and solve headers <= ilp.bb.solves (pure-LP
+// solves carry no recorder). Exact only when the producing process dumped
+// every solve (--flight-out / dump_all) — which is how tier1.sh drives it.
 //
 // Trace checks: parses as Chrome trace_event JSON (object form), every
 // event carries ph/ts/pid/tid, begin/end counts balance with proper nesting
@@ -237,7 +235,7 @@ FlightTotals checkFlight(const std::string& path) {
   static const std::set<std::string> known_kinds = {
       "solve_begin", "node_open",   "node_solved",     "node_pruned",
       "node_branched", "incumbent", "bound_delta",     "warm_miss",
-      "refactorization", "dual_stall", "cut_added"};
+      "refactorization", "dual_stall"};
 
   std::string line;
   int line_no = 0;
@@ -388,9 +386,6 @@ void reconcileFlight(const FlightTotals& totals,
   expectEqual("canonical warm_miss vs ilp.simplex.warm_misses",
               laneKind("canonical", "warm_miss"),
               counterValue("ilp.simplex.warm_misses"));
-  expectEqual("canonical cut_added vs ilp.cuts.added",
-              laneKind("canonical", "cut_added"),
-              counterValue("ilp.cuts.added"));
 
   const double solves = counterValue("ilp.bb.solves");
   if (static_cast<double>(totals.solve_headers) > solves)

@@ -19,7 +19,7 @@
 //
 // The daemon exits after a `{"schema":"pdw-req-1","type":"shutdown"}`
 // request (in-flight solves drain first) or, in --stdio mode, at EOF.
-// There is no cut-policy flag: the root cut loop always runs, and a
+// There is no cut-policy flag: the MIP search adds no root cuts, and a
 // request's `cuts` key, like its `engine` key, is ignored.
 // See README "Running pdwd" for client one-liners.
 #include <csignal>
