@@ -156,8 +156,11 @@ else
   # filtered before any access, which the router differential suite probes.
   # The LP engine's per-row devex weights grow with every lazy row, and its
   # artificial bounds are probed by the half-bounded LP differential. The
-  # row-wise pricer's CSR indexing, touched-column marks (read eight to a
-  # word) and growth by cut rows are probed by the pricing differential.
+  # one sparse LU runs dense and fill-heavy bases (BasisLu and LU
+  # differential suites) through its row lists, singleton queue and
+  # nucleus scan. The row-wise pricer's CSR indexing, touched-column marks
+  # (read eight to a word) and growth by cut rows are probed by the pricing
+  # differential, dense rho included.
   # Probing, coefficient strengthening and pseudocost branching
   # (presolve.cpp, branch_bound.cpp) run under the presolve and branching
   # suites. Lazy rows grow the engine's CSC/CSR and devex weights between

@@ -7,16 +7,6 @@
 
 namespace pdw::ilp {
 
-namespace {
-
-// Density above which Markowitz bookkeeping loses to a plain dense LU.
-constexpr double kDenseModeDensity = 0.18;
-// Fill-in abort: sparse elimination that crosses this active-density mark
-// restarts in dense mode instead of thrashing the sparse row lists.
-constexpr double kFillAbortDensity = 0.30;
-
-}  // namespace
-
 void BasisLu::clearFactors() {
   prow_.clear();
   pcol_.clear();
@@ -25,14 +15,11 @@ void BasisLu::clearFactors() {
   l_entries_.clear();
   u_start_.clear();
   u_entries_.clear();
-  dense_lu_.clear();
-  dense_perm_.clear();
   eta_pos_.clear();
   eta_pivot_.clear();
   eta_start_.assign(1, 0);
   eta_entries_.clear();
   factor_nnz_ = 0;
-  dense_mode_ = false;
   valid_ = false;
 }
 
@@ -40,26 +27,8 @@ bool BasisLu::factor(int m, const std::vector<SparseColumn>& cols) {
   assert(static_cast<int>(cols.size()) == m);
   clearFactors();
   m_ = m;
-  if (m == 0) {
-    valid_ = true;
-    return true;
-  }
-  std::size_t nnz = 0;
-  for (const SparseColumn& col : cols) nnz += col.size();
-  const double density =
-      static_cast<double>(nnz) / (static_cast<double>(m) * m);
-  bool ok = false;
-  if (m >= 32 && density > kDenseModeDensity) {
-    ok = factorDense(cols);
-  } else {
-    ok = factorSparse(cols);
-    if (!ok && m >= 32 && !dense_lu_.empty()) {
-      // factorSparse aborted on fill-in (not singularity); retry dense.
-      ok = factorDense(cols);
-    }
-  }
-  valid_ = ok;
-  return ok;
+  valid_ = m == 0 || factorSparse(cols);
+  return valid_;
 }
 
 bool BasisLu::factorSparse(const std::vector<SparseColumn>& cols) {
@@ -68,14 +37,12 @@ bool BasisLu::factorSparse(const std::vector<SparseColumn>& cols) {
   if (static_cast<int>(rows_.size()) < m) rows_.resize(m);
   for (int i = 0; i < m; ++i) rows_[i].clear();
   col_count_.assign(m, 0);
-  std::size_t nnz = 0;
   for (int pos = 0; pos < m; ++pos) {
     for (const auto& [row, val] : cols[pos]) {
       assert(row >= 0 && row < m);
       if (val == 0.0) continue;
       rows_[row].emplace_back(pos, val);
       ++col_count_[pos];
-      ++nnz;
     }
   }
   // col_rows_: candidate rows per position, appended lazily (may hold stale
@@ -102,9 +69,6 @@ bool BasisLu::factorSparse(const std::vector<SparseColumn>& cols) {
 
   queue_.clear();
   for (int i = 0; i < m; ++i) pushRowSingletons(i);
-
-  const std::size_t fill_cap = static_cast<std::size_t>(
-      std::max(4096.0, kFillAbortDensity * static_cast<double>(m) * m));
 
   for (int k = 0; k < m; ++k) {
     // ---- Markowitz pivot: best queued singleton, else a nucleus scan ----
@@ -187,7 +151,6 @@ bool BasisLu::factorSparse(const std::vector<SparseColumn>& cols) {
         }
       }
       for (const auto& [pos, val] : row) --col_count_[pos];
-      nnz -= row.size();
       std::vector<std::pair<int, double>>& next = next_row_;
       next.clear();
       next.reserve(row.size() + prow_entries.size());
@@ -211,18 +174,10 @@ bool BasisLu::factorSparse(const std::vector<SparseColumn>& cols) {
       }
       row.swap(next);
       for (const auto& [pos, val] : row) ++col_count_[pos];
-      nnz += row.size();
       ++row_version_[i];
       changed_rows_.push_back(i);
     }
     cand.clear();
-
-    if (nnz > fill_cap && m >= 32) {
-      // Signal factor() to retry densely (dense_lu_ non-empty = fill abort,
-      // distinct from the singular `return false` above).
-      dense_lu_.assign(1, 0.0);
-      return false;
-    }
 
     // ---- queue the singletons this step created -------------------------
     // A changed row may have become a row singleton and its entries may sit
@@ -309,85 +264,27 @@ void BasisLu::pushColumnSingleton(int pos) {
   }
 }
 
-bool BasisLu::factorDense(const std::vector<SparseColumn>& cols) {
-  const int m = m_;
-  dense_mode_ = true;
-  dense_lu_.assign(static_cast<std::size_t>(m) * m, 0.0);
-  for (int pos = 0; pos < m; ++pos)
-    for (const auto& [row, val] : cols[pos])
-      dense_lu_[static_cast<std::size_t>(row) * m + pos] += val;
-
-  std::vector<int> order(m);
-  for (int i = 0; i < m; ++i) order[i] = i;  // order[k] = original row of row k
-  double* a = dense_lu_.data();
-  for (int k = 0; k < m; ++k) {
-    int best = k;
-    double best_mag = std::abs(a[static_cast<std::size_t>(order[k]) * m + k]);
-    for (int i = k + 1; i < m; ++i) {
-      const double mag = std::abs(a[static_cast<std::size_t>(order[i]) * m + k]);
-      if (mag > best_mag) {
-        best_mag = mag;
-        best = i;
-      }
-    }
-    if (best_mag < kAbsPivotTol) return false;  // singular
-    std::swap(order[k], order[best]);
-    const double* pr = a + static_cast<std::size_t>(order[k]) * m;
-    const double piv = pr[k];
-    for (int i = k + 1; i < m; ++i) {
-      double* ri = a + static_cast<std::size_t>(order[i]) * m;
-      const double mult = ri[k] / piv;
-      if (mult == 0.0) continue;
-      ri[k] = mult;
-      for (int j = k + 1; j < m; ++j) ri[j] -= mult * pr[j];
-    }
-  }
-  dense_perm_ = std::move(order);
-  factor_nnz_ = static_cast<std::int64_t>(m) * m;
-  work_.assign(m, 0.0);
-  work2_.assign(m, 0.0);
-  return true;
-}
-
 void BasisLu::ftran(std::vector<double>& x) const {
   assert(valid_ && static_cast<int>(x.size()) == m_);
   const int m = m_;
   if (m == 0) return;
-  if (dense_mode_) {
-    // y = L^{-1} P x (forward), then back-substitute U; positions == steps.
-    std::vector<double>& y = work_;
-    const double* a = dense_lu_.data();
-    for (int k = 0; k < m; ++k) {
-      double v = x[dense_perm_[k]];
-      const double* rk = a + static_cast<std::size_t>(dense_perm_[k]) * m;
-      for (int j = 0; j < k; ++j) v -= rk[j] * y[j];
-      y[k] = v;
+  // Forward eliminate in row space: after step k, x[prow_[k]] is final.
+  for (int k = 0; k < m; ++k) {
+    const double xk = x[prow_[k]];
+    if (xk != 0.0) {
+      for (int e = l_start_[k]; e < l_start_[k + 1]; ++e)
+        x[l_entries_[e].first] -= l_entries_[e].second * xk;
     }
-    for (int k = m - 1; k >= 0; --k) {
-      double v = y[k];
-      const double* rk = a + static_cast<std::size_t>(dense_perm_[k]) * m;
-      for (int j = k + 1; j < m; ++j) v -= rk[j] * x[j];
-      x[k] = v / rk[k];
-    }
-  } else {
-    // Forward eliminate in row space: after step k, x[prow_[k]] is final.
-    for (int k = 0; k < m; ++k) {
-      const double xk = x[prow_[k]];
-      if (xk != 0.0) {
-        for (int e = l_start_[k]; e < l_start_[k + 1]; ++e)
-          x[l_entries_[e].first] -= l_entries_[e].second * xk;
-      }
-    }
-    // Back substitution: solution indexed by position, via scratch.
-    std::vector<double>& sol = work_;
-    for (int k = m - 1; k >= 0; --k) {
-      double v = x[prow_[k]];
-      for (int e = u_start_[k]; e < u_start_[k + 1]; ++e)
-        v -= u_entries_[e].second * sol[u_entries_[e].first];
-      sol[pcol_[k]] = v / diag_[k];
-    }
-    x.swap(sol);
   }
+  // Back substitution: solution indexed by position, via scratch.
+  std::vector<double>& sol = work_;
+  for (int k = m - 1; k >= 0; --k) {
+    double v = x[prow_[k]];
+    for (int e = u_start_[k]; e < u_start_[k + 1]; ++e)
+      v -= u_entries_[e].second * sol[u_entries_[e].first];
+    sol[pcol_[k]] = v / diag_[k];
+  }
+  x.swap(sol);
   applyEtasFtran(x);
 }
 
@@ -396,52 +293,32 @@ void BasisLu::btran(std::vector<double>& x) const {
   const int m = m_;
   if (m == 0) return;
   applyEtasBtran(x);
-  if (dense_mode_) {
-    std::vector<double>& y = work_;
-    const double* a = dense_lu_.data();
-    // Solve U^T z = x (forward over steps).
-    for (int k = 0; k < m; ++k) {
-      double v = x[k];
-      for (int j = 0; j < k; ++j)
-        v -= a[static_cast<std::size_t>(dense_perm_[j]) * m + k] * y[j];
-      y[k] = v / a[static_cast<std::size_t>(dense_perm_[k]) * m + k];
+  // Solve U^T z = x: z_k = (x[pcol_k] - partial) / diag_k, where `partial`
+  // accumulates earlier steps' U entries hitting position pcol_k.
+  std::vector<double>& accum = work_;
+  std::fill(accum.begin(), accum.end(), 0.0);
+  std::vector<double>& z = work2_;
+  for (int k = 0; k < m; ++k) {
+    const double zk = (x[pcol_[k]] - accum[pcol_[k]]) / diag_[k];
+    z[k] = zk;
+    if (zk != 0.0) {
+      for (int e = u_start_[k]; e < u_start_[k + 1]; ++e)
+        accum[u_entries_[e].first] += u_entries_[e].second * zk;
     }
-    // Solve L^T w = z (backward); scatter to original rows.
-    for (int k = m - 1; k >= 0; --k) {
-      double v = y[k];
-      for (int j = k + 1; j < m; ++j)
-        v -= a[static_cast<std::size_t>(dense_perm_[j]) * m + k] * y[j];
-      y[k] = v;
-    }
-    for (int k = 0; k < m; ++k) x[dense_perm_[k]] = y[k];
-  } else {
-    // Solve U^T z = x: z_k = (x[pcol_k] - partial) / diag_k, where `partial`
-    // accumulates earlier steps' U entries hitting position pcol_k.
-    std::vector<double>& accum = work_;
-    std::fill(accum.begin(), accum.end(), 0.0);
-    std::vector<double>& z = work2_;
-    for (int k = 0; k < m; ++k) {
-      const double zk = (x[pcol_[k]] - accum[pcol_[k]]) / diag_[k];
-      z[k] = zk;
-      if (zk != 0.0) {
-        for (int e = u_start_[k]; e < u_start_[k + 1]; ++e)
-          accum[u_entries_[e].first] += u_entries_[e].second * zk;
-      }
-    }
-    // Solve L^T w = z (backward over steps). L entry (row i, mult) at step k
-    // couples step k with the step where row i is pivotal; iterating k
-    // descending and keeping w indexed by original row makes w[row of later
-    // step] final before it is consumed.
-    std::vector<double>& w = work_;
-    for (int k = 0; k < m; ++k) w[prow_[k]] = z[k];
-    for (int k = m - 1; k >= 0; --k) {
-      double v = w[prow_[k]];
-      for (int e = l_start_[k]; e < l_start_[k + 1]; ++e)
-        v -= l_entries_[e].second * w[l_entries_[e].first];
-      w[prow_[k]] = v;
-    }
-    x.swap(w);
   }
+  // Solve L^T w = z (backward over steps). L entry (row i, mult) at step k
+  // couples step k with the step where row i is pivotal; iterating k
+  // descending and keeping w indexed by original row makes w[row of later
+  // step] final before it is consumed.
+  std::vector<double>& w = work_;
+  for (int k = 0; k < m; ++k) w[prow_[k]] = z[k];
+  for (int k = m - 1; k >= 0; --k) {
+    double v = w[prow_[k]];
+    for (int e = l_start_[k]; e < l_start_[k + 1]; ++e)
+      v -= l_entries_[e].second * w[l_entries_[e].first];
+    w[prow_[k]] = v;
+  }
+  x.swap(w);
 }
 
 bool BasisLu::update(int pos, const std::vector<double>& alpha) {

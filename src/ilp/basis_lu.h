@@ -15,10 +15,10 @@
 //    singleton left (the "nucleus") scan every active entry. The queue
 //    returns exactly the pivot a full scan would, so the factors are bit
 //    for bit those of the full-scan search (DESIGN.md §12.2).
-//  * Dense fallback: a basis whose nonzero density exceeds a threshold (or
-//    whose sparse elimination fills in beyond it) is factorized with plain
-//    dense partial pivoting instead — Markowitz bookkeeping on a dense
-//    matrix only adds overhead. `lp_dense_*`-class models land here.
+//  * One factor form: every basis, however dense or fill-heavy, goes
+//    through this sparse elimination. The engine's bases come from 0-1 and
+//    big-M rows over boxed columns and stay sparse (DESIGN.md §12.2); a
+//    dense basis factors correctly here, only more slowly.
 //  * Product-form updates: replacing basis position r with a column whose
 //    FTRAN image is alpha appends an eta transform (B' = B·E with E = I
 //    except column r = alpha); FTRAN applies the LU solve then the etas in
@@ -69,7 +69,6 @@ class BasisLu {
   int updates() const { return static_cast<int>(eta_start_.size()) - 1; }
   /// Nonzeros of the LU factors proper (fill-in diagnostics).
   std::int64_t factorNonzeros() const { return factor_nnz_; }
-  bool usedDenseMode() const { return dense_mode_; }
 
  private:
   static constexpr double kAbsPivotTol = 1e-11;
@@ -90,14 +89,12 @@ class BasisLu {
   void pushRowSingletons(int row);
   /// Queue the last entry of column `pos` (count 1), when admissible.
   void pushColumnSingleton(int pos);
-  bool factorDense(const std::vector<SparseColumn>& cols);
   void clearFactors();
   void applyEtasFtran(std::vector<double>& x) const;
   void applyEtasBtran(std::vector<double>& x) const;
 
   int m_ = 0;
   bool valid_ = false;
-  bool dense_mode_ = false;
 
   // ---- sparse factors ----------------------------------------------------
   // Step k eliminated row prow_[k] / position pcol_[k]. l_*: multipliers
@@ -110,10 +107,6 @@ class BasisLu {
   std::vector<std::pair<int, double>> l_entries_;
   std::vector<int> u_start_;
   std::vector<std::pair<int, double>> u_entries_;
-
-  // ---- dense factors (in-place LU with row permutation) ------------------
-  std::vector<double> dense_lu_;  // m x m row-major; L below diag, U above
-  std::vector<int> dense_perm_;   // dense_perm_[k] = original row of step k
 
   // ---- product-form etas -------------------------------------------------
   // Eta e: pivot position eta_pos_[e] with pivot value eta_pivot_[e] and

@@ -8,7 +8,9 @@
 // re-solves alike. Every solve builds it through
 // makeLpBackend(); the interface exists so tests can wrap the production
 // engine (substituteLpBackendForTesting) and check its node LPs against an
-// independent reference.
+// independent reference. It has four methods, each with a program caller:
+// solve (cold or warm), collectReducedCostFixes, addCutRows and
+// setFlightRecorder.
 //
 // The warm-start contract (DESIGN.md §11): `solve` with `allow_warm`
 // re-optimizes with the dual simplex from the engine's current basis after
@@ -54,21 +56,14 @@ class LpBackend {
 
   /// Solve the LP with the given bounds. When `allow_warm` and the backend
   /// holds a usable dual-feasible state, re-optimizes with the dual simplex
-  /// (setting *used_warm); otherwise runs a cold solve. Either path returns
-  /// the same status/objective (the warm path is exact, not approximate).
+  /// (setting *used_warm); otherwise runs a cold solve from scratch, which
+  /// also resets the warm state. Either path returns the same
+  /// status/objective (the warm path is exact, not approximate).
   /// `dual_pivots` receives the dual pivots of this call.
   virtual LpResult solve(const std::vector<double>& lower,
                          const std::vector<double>& upper, bool allow_warm,
                          bool* used_warm = nullptr,
                          std::int64_t* dual_pivots = nullptr) = 0;
-
-  /// Full cold solve from scratch (also resets the warm state).
-  virtual LpResult coldSolve(const std::vector<double>& lower,
-                             const std::vector<double>& upper) = 0;
-
-  /// True when the backend holds a dual-feasible basis a warm solve can
-  /// start from.
-  virtual bool warmReady() const = 0;
 
   /// Reduced-cost fixings at the current optimum: every nonbasic integer
   /// variable, integral within kIntegralityTol, whose reduced cost exceeds

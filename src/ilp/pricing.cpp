@@ -126,10 +126,8 @@ void appendCutRows(const std::vector<LpBackend::CutRow>& rows, Csc* csc,
   *csc = std::move(next);
 }
 
-void PivotRowPricer::price(const Csc& csc, const Csr& csr,
-                           const std::vector<double>& rho,
-                           const std::vector<int>& pos_of) {
-  const int n = static_cast<int>(csc.col_start.size()) - 1;
+void PivotRowPricer::price(const Csr& csr, int n,
+                           const std::vector<double>& rho) {
   const int m = static_cast<int>(rho.size());
   // Every structural entry the last row did not write is still +0.
   for (std::size_t k = 0; k < structural_; ++k)
@@ -145,6 +143,10 @@ void PivotRowPricer::price(const Csc& csc, const Csr& csr,
   int* const nonzero_rows = nonzero_rows_.data();
   int* const candidates = candidates_.data();
   const double* const r = rho.data();
+  const int* const row_start = csr.row_start.data();
+  const int* const col_index = csr.col_index.data();
+  const double* const value = csr.value.data();
+  unsigned char* const touched = touched_.data();
 
   // Branch-free compaction: rho's zero pattern would defeat a branch.
   int nonzeros = 0;
@@ -154,56 +156,33 @@ void PivotRowPricer::price(const Csc& csc, const Csr& csr,
     nonzeros += r[i] != 0.0;
   }
 
+  // A column's entry starts at +0 and adds A_ij * rho_i over ascending i,
+  // as the column-wise dot product does. The rows skipped have
+  // rho_i = +-0 and would only add +-0, which never changes a sum that
+  // starts at +0.
+  for (int t = 0; t < nonzeros; ++t) {
+    const int i = nonzero_rows[t];
+    const double ri = r[i];
+    const int end = row_start[i + 1];
+    for (int k = row_start[i]; k < end; ++k) {
+      const int j = col_index[k];
+      row[j] += value[k] * ri;
+      touched[j] = 1;
+    }
+  }
+  // Eight marks per 64-bit word; on a little-endian machine the lowest set
+  // bit is the lowest column.
+  static_assert(std::endian::native == std::endian::little);
   int count = 0;
-  if (nonzeros > kColumnWiseDensity * m) {
-    // Dense rho: the scatter would also price every basic column, so dot
-    // each nonbasic column instead. A sum that stays +0 needs no visit.
-    const int* const col_start = csc.col_start.data();
-    const int* const row_index = csc.row_index.data();
-    const double* const value = csc.value.data();
-    const int* const pos = pos_of.data();
-    for (int j = 0; j < n; ++j) {
-      if (pos[j] >= 0) continue;
-      double v = 0.0;
-      const int end = col_start[j + 1];
-      for (int k = col_start[j]; k < end; ++k)
-        v += value[k] * r[row_index[k]];
-      row[j] = v;
-      candidates[count] = j;
-      count += v != 0.0;
-    }
-  } else {
-    // A column's entry starts at +0 and adds A_ij * rho_i over ascending
-    // i, as the column-wise dot product does. The rows skipped have
-    // rho_i = +-0 and would only add +-0, which never changes a sum that
-    // starts at +0.
-    const int* const row_start = csr.row_start.data();
-    const int* const col_index = csr.col_index.data();
-    const double* const value = csr.value.data();
-    unsigned char* const touched = touched_.data();
-    for (int t = 0; t < nonzeros; ++t) {
-      const int i = nonzero_rows[t];
-      const double ri = r[i];
-      const int end = row_start[i + 1];
-      for (int k = row_start[i]; k < end; ++k) {
-        const int j = col_index[k];
-        row[j] += value[k] * ri;
-        touched[j] = 1;
-      }
-    }
-    // Eight marks per 64-bit word; on a little-endian machine the lowest
-    // set bit is the lowest column.
-    static_assert(std::endian::native == std::endian::little);
-    const int marks = static_cast<int>(touched_.size());
-    for (int w = 0; w < marks; w += 8) {
-      std::uint64_t bits = 0;
-      std::memcpy(&bits, touched + w, sizeof bits);
-      if (bits == 0) continue;
-      std::memset(touched + w, 0, sizeof bits);
-      while (bits != 0) {
-        candidates[count++] = w + (std::countr_zero(bits) >> 3);
-        bits &= bits - 1;
-      }
+  const int marks = static_cast<int>(touched_.size());
+  for (int w = 0; w < marks; w += 8) {
+    std::uint64_t bits = 0;
+    std::memcpy(&bits, touched + w, sizeof bits);
+    if (bits == 0) continue;
+    std::memset(touched + w, 0, sizeof bits);
+    while (bits != 0) {
+      candidates[count++] = w + (std::countr_zero(bits) >> 3);
+      bits &= bits - 1;
     }
   }
   structural_ = static_cast<std::size_t>(count);

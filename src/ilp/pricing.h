@@ -52,18 +52,10 @@ void appendCutRows(const std::vector<LpBackend::CutRow>& rows, Csc* csc,
 /// wrote, so each price() clears only those.
 class PivotRowPricer {
  public:
-  /// Above this share of nonzeros in rho, price() dots each nonbasic
-  /// column with rho instead of scattering rho's rows, which would also
-  /// price every basic column. PDW's pivot rows stay at or below 0.6; the
-  /// dense LPs of bench_ilp_solver pass it.
-  static constexpr double kColumnWiseDensity = 0.65;
-
-  /// row() = rho^T [A | I]: for every nonbasic structural column j
-  /// (pos_of[j] < 0) the sum of A_ij * rho_i over ascending i, and
-  /// rho_i for the slack column of every row i. Basic structural entries
-  /// are unspecified.
-  void price(const Csc& csc, const Csr& csr, const std::vector<double>& rho,
-             const std::vector<int>& pos_of);
+  /// row() = rho^T [A | I] over the n structural columns of `csr`: for
+  /// every structural column j, basic or not, the sum of A_ij * rho_i over
+  /// ascending i, and rho_i for the slack column of every row i.
+  void price(const Csr& csr, int n, const std::vector<double>& rho);
 
   const std::vector<double>& row() const { return row_; }
   /// Ascending columns outside which every nonbasic entry of row() is

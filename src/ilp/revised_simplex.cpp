@@ -97,7 +97,7 @@ void RevisedSimplex::pivotRow(int pos, std::vector<double>* rho) {
   // Prices every nonbasic column against rho, currently fixed columns
   // included: their reduced costs must stay maintained so a later bound
   // loosening can warm-start.
-  pricer_.price(csc_, csr_, *rho, pos_of_);
+  pricer_.price(csr_, n_, *rho);
 }
 
 bool RevisedSimplex::refactor() {
@@ -261,14 +261,6 @@ LpResult RevisedSimplex::runCold(const std::vector<double>& lower,
     default:  // stalled or out of time
       return outcome(LpStatus::IterLimit);
   }
-}
-
-LpResult RevisedSimplex::coldSolve(const std::vector<double>& lower,
-                                   const std::vector<double>& upper) {
-  call_iterations_ = 0;
-  LpResult result = runCold(lower, upper);
-  call_factorizations_ = 0;
-  return result;
 }
 
 LpResult RevisedSimplex::solve(const std::vector<double>& lower,
@@ -701,10 +693,8 @@ RevisedSimplex::DualStatus RevisedSimplex::dualIterate(std::int64_t cap) {
     ++call_iterations_;
     ++local;
 
-    const int interval =
-        lu_.usedDenseMode() ? kRefactorDense : kRefactorSparse;
     bool refreshed = false;
-    if (lu_.updates() + 1 >= interval || !lu_.update(r, alpha_)) {
+    if (lu_.updates() + 1 >= kRefactorInterval || !lu_.update(r, alpha_)) {
       if (!refactor()) return DualStatus::Stalled;
       refreshed = true;
     }

@@ -11,8 +11,7 @@
 //    of A, and records the columns it reaches; the ratio test and the
 //    reduced-cost update visit only those. Each entry adds its products
 //    over ascending rows, as a column-wise dot product does, so every
-//    pivot is bit-identical to pricing column by column. A rho denser than
-//    PivotRowPricer::kColumnWiseDensity is priced column by column.
+//    pivot is bit-identical to pricing column by column.
 //  * Native bounded-variable columns. Every model variable is exactly one
 //    column with its node bounds attached; a nonbasic column sits AtLower /
 //    AtUpper / at-value (free). No free-variable splits, no complement
@@ -46,10 +45,10 @@
 //    kWeightReset. Past blandThreshold() pivots Bland's rule takes over:
 //    the smallest violated row leaves, the smallest-index tie enters.
 //  * Periodic refactorization. Product-form eta updates accumulate per
-//    pivot; the basis is refactorized every 64 updates (256 in dense mode),
-//    when update() refuses a tiny pivot, and when FTRAN disagrees with the
-//    priced pivot row. Each refactorization recomputes the basic values and
-//    reduced costs from scratch, re-anchoring float drift.
+//    pivot; the basis is refactorized every 64 updates, when update()
+//    refuses a tiny pivot, and when FTRAN disagrees with the priced pivot
+//    row. Each refactorization recomputes the basic values and reduced
+//    costs from scratch, re-anchoring float drift.
 //  * Wall-clock budget. An LP still iterating once params.time_limit_seconds
 //    have passed since the engine was built stops with IterLimit, so one
 //    runaway node LP cannot overrun its solve's budget. Every engine has
@@ -91,9 +90,6 @@ class RevisedSimplex final : public LpBackend {
                  const std::vector<double>& upper, bool allow_warm,
                  bool* used_warm = nullptr,
                  std::int64_t* dual_pivots = nullptr) override;
-  LpResult coldSolve(const std::vector<double>& lower,
-                     const std::vector<double>& upper) override;
-  bool warmReady() const override { return ready_; }
   void collectReducedCostFixes(double gap,
                                std::vector<Fix>* out) const override;
   /// Incremental cut rows: extends both copies of the matrix, the rhs and
@@ -125,12 +121,8 @@ class RevisedSimplex final : public LpBackend {
   static constexpr double kWeightReset = 1e8;
   /// Forced cold refresh cadence: every Nth would-be-warm solve runs cold.
   static constexpr std::int64_t kColdRefreshInterval = 256;
-  /// Refactorization cadence in product-form updates. Dense-mode bases get
-  /// a longer leash: their O(m^3) factorization dwarfs the O(m) extra eta
-  /// cost per solve, and dense partial pivoting drifts less than sparse
-  /// Markowitz elimination.
-  static constexpr int kRefactorSparse = 64;
-  static constexpr int kRefactorDense = 256;
+  /// Refactorization cadence in product-form updates.
+  static constexpr int kRefactorInterval = 64;
 
   /// Where a column currently sits. A `Free` nonbasic column rests at its
   /// stored value (0 after a cold load) rather than at a bound.
@@ -244,8 +236,8 @@ class RevisedSimplex final : public LpBackend {
 
   bool ready_ = false;
   std::int64_t call_iterations_ = 0;
-  /// Factorizations since the last solve()/coldSolve() returned, so an
-  /// addCutRows() refactorization is reported by the re-solve after it.
+  /// Factorizations since the last solve() returned, so an addCutRows()
+  /// refactorization is reported by the re-solve after it.
   std::int64_t call_factorizations_ = 0;
   std::int64_t warm_since_cold_ = 0;
   obs::FlightRecorder* flight_ = nullptr;  ///< not owned; may be null

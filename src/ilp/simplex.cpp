@@ -20,7 +20,7 @@ LpResult solveLp(const Model& model, const SolveParams& params) {
     upper.push_back(v.upper);
   }
   const std::unique_ptr<LpBackend> engine = makeLpBackend(model, params);
-  LpResult result = engine->coldSolve(lower, upper);
+  LpResult result = engine->solve(lower, upper, /*allow_warm=*/false);
   // Batched per call, not per pivot: three relaxed adds per LP.
   static obs::Counter& calls =
       obs::Registry::instance().counter(obs::names::kSimplexCalls);

@@ -7,17 +7,15 @@
 namespace pdw::ilp::reference {
 namespace {
 
-// BasisLu's tolerances and mode switches.
+// BasisLu's tolerances.
 constexpr double kAbsPivotTol = 1e-11;
 constexpr double kRelPivotTol = 0.05;
 constexpr double kDropTol = 1e-13;
-constexpr double kDenseModeDensity = 0.18;
-constexpr double kFillAbortDensity = 0.30;
 
 }  // namespace
 
-LuOutcome ReferenceLu::factor(int m,
-                              const std::vector<BasisLu::SparseColumn>& cols) {
+bool ReferenceLu::factor(int m,
+                         const std::vector<BasisLu::SparseColumn>& cols) {
   assert(static_cast<int>(cols.size()) == m);
   m_ = m;
   prow_.clear();
@@ -27,27 +25,19 @@ LuOutcome ReferenceLu::factor(int m,
   l_entries_.clear();
   u_start_.clear();
   u_entries_.clear();
-  if (m == 0) return LuOutcome::Sparse;
-  std::size_t nnz = 0;
-  for (const BasisLu::SparseColumn& col : cols) nnz += col.size();
-  const double density =
-      static_cast<double>(nnz) / (static_cast<double>(m) * m);
-  if (m >= 32 && density > kDenseModeDensity) return LuOutcome::Dense;
-  return factorSparse(cols);
+  return m == 0 || factorSparse(cols);
 }
 
-LuOutcome ReferenceLu::factorSparse(
+bool ReferenceLu::factorSparse(
     const std::vector<BasisLu::SparseColumn>& cols) {
   const int m = m_;
   std::vector<std::vector<std::pair<int, double>>> rows(m);
   std::vector<int> col_count(m, 0);
-  std::size_t nnz = 0;
   for (int pos = 0; pos < m; ++pos) {
     for (const auto& [row, val] : cols[pos]) {
       if (val == 0.0) continue;
       rows[row].emplace_back(pos, val);
       ++col_count[pos];
-      ++nnz;
     }
   }
   // Candidate rows per position, appended lazily; may hold stale rows.
@@ -59,8 +49,6 @@ LuOutcome ReferenceLu::factorSparse(
   std::vector<double> acc(m, 0.0);
   std::vector<int> acc_stamp(m, -1);
   int stamp = 0;
-  const std::size_t fill_cap = static_cast<std::size_t>(
-      std::max(4096.0, kFillAbortDensity * static_cast<double>(m) * m));
 
   for (int k = 0; k < m; ++k) {
     // Markowitz pivot search over every active entry.
@@ -97,7 +85,7 @@ LuOutcome ReferenceLu::factorSparse(
         }
       }
     }
-    if (piv_row < 0) return LuOutcome::Singular;
+    if (piv_row < 0) return false;  // singular
 
     prow_.push_back(piv_row);
     pcol_.push_back(piv_pos);
@@ -146,7 +134,6 @@ LuOutcome ReferenceLu::factorSparse(
         }
       }
       for (const auto& [pos, val] : row) --col_count[pos];
-      nnz -= row.size();
       std::vector<std::pair<int, double>> next;
       next.reserve(row.size() + prow_entries.size());
       for (const auto& [pos, val] : row) {
@@ -164,17 +151,14 @@ LuOutcome ReferenceLu::factorSparse(
       }
       row.swap(next);
       for (const auto& [pos, val] : row) ++col_count[pos];
-      nnz += row.size();
     }
     cand.clear();
-
-    if (nnz > fill_cap && m >= 32) return LuOutcome::Dense;
   }
   l_start_.push_back(static_cast<int>(l_entries_.size()));
   u_start_.push_back(static_cast<int>(u_entries_.size()));
   work_.assign(m, 0.0);
   work2_.assign(m, 0.0);
-  return LuOutcome::Sparse;
+  return true;
 }
 
 std::int64_t ReferenceLu::factorNonzeros() const {

@@ -6,9 +6,7 @@
 // (Markowitz cost, -|value|, row, position). The elimination arithmetic and
 // the entry order of L and U are the production ones, so a correct BasisLu
 // reproduces its factors, and hence its FTRAN/BTRAN results, bit for bit
-// (DESIGN.md §12.3). Only the sparse path is mirrored: a basis BasisLu
-// factorizes densely is reported as such and not solved here, and there
-// are no product-form updates.
+// (DESIGN.md §12.3). There are no product-form updates.
 #pragma once
 
 #include <cstdint>
@@ -19,19 +17,14 @@
 
 namespace pdw::ilp::reference {
 
-/// How BasisLu::factor handles a basis.
-enum class LuOutcome {
-  Sparse,    ///< factorized by sparse Markowitz elimination
-  Singular,  ///< sparse elimination ran out of admissible pivots
-  Dense,     ///< density switch or fill-in abort: BasisLu goes dense
-};
-
 class ReferenceLu {
  public:
-  LuOutcome factor(int m, const std::vector<BasisLu::SparseColumn>& cols);
+  /// As BasisLu::factor: false when elimination runs out of admissible
+  /// pivots (singular).
+  bool factor(int m, const std::vector<BasisLu::SparseColumn>& cols);
 
-  /// B x = b and Bᵀ y = c, as BasisLu::ftran / btran. Valid after an
-  /// `LuOutcome::Sparse` factorization only.
+  /// B x = b and Bᵀ y = c, as BasisLu::ftran / btran. Valid after a
+  /// successful factor() only.
   void ftran(std::vector<double>& x) const;
   void btran(std::vector<double>& x) const;
 
@@ -39,7 +32,7 @@ class ReferenceLu {
   std::int64_t factorNonzeros() const;
 
  private:
-  LuOutcome factorSparse(const std::vector<BasisLu::SparseColumn>& cols);
+  bool factorSparse(const std::vector<BasisLu::SparseColumn>& cols);
 
   int m_ = 0;
   std::vector<int> prow_, pcol_;

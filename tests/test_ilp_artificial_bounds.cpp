@@ -272,7 +272,7 @@ TEST(ArtificialBound, OptimumRestingOnArtificialBoundWarmStarts) {
 
   std::vector<double> lower = {0.0, 0.0};
   std::vector<double> upper = {kInf, kInf};
-  const LpResult cold = engine->coldSolve(lower, upper);
+  const LpResult cold = engine->solve(lower, upper, /*allow_warm=*/false);
   ASSERT_EQ(cold.status, LpStatus::Optimal);
   EXPECT_NEAR(cold.objective, -4.0, 1e-9);
   EXPECT_NEAR(cold.values[static_cast<std::size_t>(x)], 1e7, 1e-9);

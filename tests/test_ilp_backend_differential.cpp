@@ -178,15 +178,6 @@ class ForwardingBackend : public LpBackend {
     return r;
   }
 
-  LpResult coldSolve(const std::vector<double>& lower,
-                     const std::vector<double>& upper) override {
-    LpResult r = revised_.coldSolve(lower, upper);
-    if (observe(r, lower, upper)) ++checked_;
-    return r;
-  }
-
-  bool warmReady() const override { return revised_.warmReady(); }
-
   void collectReducedCostFixes(double gap,
                                std::vector<Fix>* out) const override {
     revised_.collectReducedCostFixes(gap, out);

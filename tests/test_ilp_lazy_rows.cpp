@@ -253,12 +253,6 @@ class InStepBackend final : public LpBackend {
     EXPECT_EQ(model_.numConstraints(), rows_);
     return inner_.solve(lower, upper, allow_warm, used_warm, dual_pivots);
   }
-  LpResult coldSolve(const std::vector<double>& lower,
-                     const std::vector<double>& upper) override {
-    EXPECT_EQ(model_.numConstraints(), rows_);
-    return inner_.coldSolve(lower, upper);
-  }
-  bool warmReady() const override { return inner_.warmReady(); }
   void collectReducedCostFixes(double gap,
                                std::vector<Fix>* out) const override {
     inner_.collectReducedCostFixes(gap, out);

@@ -3,10 +3,10 @@
 // only when no singleton is left; the test-only ReferenceLu
 // (reference_lu.h) scans every active entry at every step. Both must pick
 // the same pivots, so their FTRAN/BTRAN results must agree byte for byte
-// (std::memcmp), along with factor()'s return value, usedDenseMode() and
-// factorNonzeros() (DESIGN.md §12.3). Plans depend on this: node LPs are
-// degenerate 0-1 relaxations with alternative optima, so a last-bit change
-// can flip a pricing or ratio-test tie.
+// (std::memcmp), along with factor()'s return value and factorNonzeros()
+// (DESIGN.md §12.3). Plans depend on this: node LPs are degenerate 0-1
+// relaxations with alternative optima, so a last-bit change can flip a
+// pricing or ratio-test tie.
 //
 // One BasisLu object serves every basis of a test, so the working storage
 // it reuses across factor() calls of different sizes is exercised too.
@@ -34,14 +34,12 @@ namespace pdw::ilp {
 namespace {
 
 using Columns = std::vector<BasisLu::SparseColumn>;
-using reference::LuOutcome;
 using reference::ReferenceLu;
 
 /// Outcomes and byte mismatches over the bases one test compared.
 struct Tally {
   int sparse = 0;
   int singular = 0;
-  int dense = 0;
   long solves = 0;  ///< FTRAN + BTRAN pairs compared
   long mismatches = 0;
 };
@@ -66,49 +64,38 @@ void compareSolves(const BasisLu& lu, const ReferenceLu& ref,
 }
 
 /// Factor `cols` with both and compare everything observable: the return
-/// value and mode, factorNonzeros(), and — on the sparse path — FTRAN and
-/// BTRAN of every unit vector and of `random_vectors` random vectors.
+/// value, and — when the basis is nonsingular — factorNonzeros() and FTRAN
+/// and BTRAN of every unit vector and of `random_vectors` random vectors.
 void compareFactor(BasisLu& lu, const Columns& cols, util::Rng& rng,
                    Tally* tally, int random_vectors = 4) {
   const int m = static_cast<int>(cols.size());
   ReferenceLu ref;
-  const LuOutcome outcome = ref.factor(m, cols);
+  const bool ref_ok = ref.factor(m, cols);
   const bool ok = lu.factor(m, cols);
-  switch (outcome) {
-    case LuOutcome::Sparse: {
-      ++tally->sparse;
-      ASSERT_TRUE(ok) << "m=" << m;
-      ASSERT_FALSE(lu.usedDenseMode()) << "m=" << m;
-      EXPECT_EQ(lu.factorNonzeros(), ref.factorNonzeros()) << "m=" << m;
-      std::vector<double> e(static_cast<std::size_t>(m), 0.0);
-      for (int i = 0; i < m; ++i) {
-        e[static_cast<std::size_t>(i)] = 1.0;
-        compareSolves(lu, ref, e, tally);
-        e[static_cast<std::size_t>(i)] = 0.0;
-      }
-      for (int t = 0; t < random_vectors; ++t) {
-        std::vector<double> v(static_cast<std::size_t>(m));
-        for (double& x : v) x = 2.0 * rng.uniform() - 1.0;
-        compareSolves(lu, ref, v, tally);
-      }
-      break;
-    }
-    case LuOutcome::Singular:
-      ++tally->singular;
-      EXPECT_FALSE(ok) << "m=" << m;
-      EXPECT_FALSE(lu.usedDenseMode()) << "m=" << m;
-      break;
-    case LuOutcome::Dense:
-      ++tally->dense;
-      EXPECT_TRUE(lu.usedDenseMode()) << "m=" << m;
-      break;
+  if (!ref_ok) {
+    ++tally->singular;
+    EXPECT_FALSE(ok) << "m=" << m;
+    return;
+  }
+  ++tally->sparse;
+  ASSERT_TRUE(ok) << "m=" << m;
+  EXPECT_EQ(lu.factorNonzeros(), ref.factorNonzeros()) << "m=" << m;
+  std::vector<double> e(static_cast<std::size_t>(m), 0.0);
+  for (int i = 0; i < m; ++i) {
+    e[static_cast<std::size_t>(i)] = 1.0;
+    compareSolves(lu, ref, e, tally);
+    e[static_cast<std::size_t>(i)] = 0.0;
+  }
+  for (int t = 0; t < random_vectors; ++t) {
+    std::vector<double> v(static_cast<std::size_t>(m));
+    for (double& x : v) x = 2.0 * rng.uniform() - 1.0;
+    compareSolves(lu, ref, v, tally);
   }
 }
 
 void report(const Tally& tally) {
   ::testing::Test::RecordProperty("sparse", tally.sparse);
   ::testing::Test::RecordProperty("singular", tally.singular);
-  ::testing::Test::RecordProperty("dense", tally.dense);
   ::testing::Test::RecordProperty("solves", static_cast<int>(tally.solves));
   EXPECT_EQ(tally.mismatches, 0) << "of " << 2 * tally.solves << " solves";
 }
@@ -249,7 +236,7 @@ TEST(LuDifferential, CancellationCreatesColumnSingleton) {
   addCancellingBlock(&block, 0, 0, 1.0);
   compareFactor(lu, block, rng, &tally);
   ReferenceLu ref;
-  ASSERT_EQ(ref.factor(3, block), LuOutcome::Sparse);
+  ASSERT_TRUE(ref.factor(3, block));
   // Three pivots, L multipliers 2 (row 1) and 0.5 (row 2), and one U entry
   // (row 0's p1); row 1's p1 entry cancelled away.
   EXPECT_EQ(ref.factorNonzeros(), 3 + 2 + 1);
@@ -320,14 +307,14 @@ TEST(LuDifferential, SingularBases) {
   report(tally);
 }
 
-TEST(LuDifferential, FillInAbortsToDenseMode) {
-  // Random bases sparse enough for the sparse path (density <= 0.18) whose
-  // elimination fills in past the abort mark, interleaved with sparse ones
-  // so the reused working storage sees both.
+TEST(LuDifferential, FillHeavyBases) {
+  // Random bases with about 16 entries per column whose elimination fills
+  // in heavily: the factors hold more than 0.30 * m^2 nonzeros, close to a
+  // third of a dense LU's m^2. Sparse bases are interleaved so the reused
+  // working storage sees both.
   util::Rng rng(99);
   BasisLu lu;
   Tally tally;
-  int fill_aborts = 0;
   for (int trial = 0; trial < 8; ++trial) {
     const int m = rng.intIn(120, 160);
     Columns cols(static_cast<std::size_t>(m));
@@ -338,16 +325,14 @@ TEST(LuDifferential, FillInAbortsToDenseMode) {
       for (const auto& [row, value] : entries)
         cols[static_cast<std::size_t>(p)].emplace_back(row, value);
     }
-    const int dense_before = tally.dense;
     compareFactor(lu, cols, rng, &tally);
-    if (tally.dense > dense_before) {
-      ++fill_aborts;
-      EXPECT_TRUE(lu.valid());
-    }
+    ASSERT_TRUE(lu.valid()) << "m=" << m;
+    EXPECT_GT(static_cast<double>(lu.factorNonzeros()),
+              0.30 * static_cast<double>(m) * m)
+        << "m=" << m;
     compareFactor(lu, slackHeavyBasis(rng, m, 0.75, 2, {1.0, -3.0, 0.5}), rng,
                   &tally);
   }
-  EXPECT_GE(fill_aborts, 4);
   report(tally);
 }
 

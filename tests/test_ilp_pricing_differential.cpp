@@ -66,22 +66,28 @@ struct Tally {
   long mismatches = 0;
   long missing = 0;   ///< nonzero nonbasic entries outside the candidates
   long unordered = 0; ///< candidate lists that do not strictly ascend
-  long column_wise = 0;  ///< rows dense enough for the column-wise path
+  long dense = 0;     ///< rows with more than kDenseRho of rho nonzero
 };
+
+/// A rho with more than this share of nonzeros counts as dense. No pivot
+/// row of PDW's models reaches it (DESIGN.md §12.2), so only the random
+/// rows below test the scatter on dense rho.
+constexpr double kDenseRho = 0.65;
 
 /// Price `rho` with both and compare every nonbasic entry.
 void compareRow(PivotRowPricer& pricer, const Csc& csc, const Csr& csr,
                 const std::vector<double>& rho,
                 const std::vector<int>& pos_of, Tally* tally) {
-  pricer.price(csc, csr, rho, pos_of);
+  const int n = static_cast<int>(csc.col_start.size()) - 1;
+  pricer.price(csr, n, rho);
   const std::vector<double> ref = referencePrice(csc, rho, pos_of);
   const std::vector<double>& row = pricer.row();
   ++tally->rows;
   const auto nonzeros = std::count_if(rho.begin(), rho.end(),
                                       [](double r) { return r != 0.0; });
   if (static_cast<double>(nonzeros) >
-      PivotRowPricer::kColumnWiseDensity * static_cast<double>(rho.size()))
-    ++tally->column_wise;
+      kDenseRho * static_cast<double>(rho.size()))
+    ++tally->dense;
   ASSERT_EQ(row.size(), ref.size());
   std::vector<char> candidate(ref.size(), 0);
   const std::span<const int> cands = pricer.candidates();
@@ -238,9 +244,9 @@ TEST(PricingDifferential, RandomMatricesWithCutRows) {
     }
   }
   EXPECT_GE(tally.nonzero, 10000);
-  // Both pricing paths, each over hundreds of rows.
-  EXPECT_GE(tally.column_wise, 200);
-  EXPECT_GE(tally.rows - tally.column_wise, 500);
+  // Sparse and dense rho, each over hundreds of rows.
+  EXPECT_GE(tally.dense, 200);
+  EXPECT_GE(tally.rows - tally.dense, 500);
   report(tally);
 }
 

@@ -84,7 +84,7 @@ TEST(WarmPath, WarmMatchesColdAcrossPerturbedBounds) {
       base_lower.push_back(m.var(j).lower);
       base_upper.push_back(m.var(j).upper);
     }
-    warm_engine->coldSolve(base_lower, base_upper);
+    warm_engine->solve(base_lower, base_upper, /*allow_warm=*/false);
 
     for (int iter = 0; iter < 20; ++iter) {
       std::vector<double> lower = base_lower;
@@ -100,7 +100,8 @@ TEST(WarmPath, WarmMatchesColdAcrossPerturbedBounds) {
       bool used_warm = false;
       const LpResult warm = warm_engine->solve(
           lower, upper, /*allow_warm=*/true, &used_warm);
-      const LpResult cold = cold_engine->coldSolve(lower, upper);
+      const LpResult cold =
+          cold_engine->solve(lower, upper, /*allow_warm=*/false);
       ASSERT_EQ(warm.status, cold.status)
           << "instance " << inst << " iteration " << iter;
       if (cold.status == LpStatus::Optimal) {
@@ -243,7 +244,8 @@ TEST(EngineDeadline, ExpiredBudgetStopsBeforeAnyWork) {
   engine->setFlightRecorder(&flight);
   std::this_thread::sleep_for(std::chrono::milliseconds(2));
 
-  const LpResult cold = engine->coldSolve(modelLower(m), modelUpper(m));
+  const LpResult cold =
+      engine->solve(modelLower(m), modelUpper(m), /*allow_warm=*/false);
   EXPECT_EQ(cold.status, LpStatus::IterLimit);
   EXPECT_EQ(cold.iterations, 0);
   EXPECT_EQ(cold.factorizations, 0);
@@ -269,9 +271,9 @@ TEST(EngineDeadline, BudgetRunningOutMidSearchIsNotAWarmMiss) {
   const std::unique_ptr<LpBackend> engine = makeLpBackend(m, params);
   engine->setFlightRecorder(&flight);
 
-  const LpResult cold = engine->coldSolve(modelLower(m), modelUpper(m));
+  const LpResult cold =
+      engine->solve(modelLower(m), modelUpper(m), /*allow_warm=*/false);
   ASSERT_EQ(cold.status, LpStatus::Optimal);
-  ASSERT_TRUE(engine->warmReady());
   const std::int64_t refactorizations =
       flight.count(obs::FlightEventKind::Refactorization);
   std::this_thread::sleep_for(std::chrono::milliseconds(300));
@@ -344,8 +346,10 @@ TEST(EngineDeadline, NeverBindingLimitIsBitIdentical) {
   const Model lp = makeRandomLp(rng, 30, 20);
   const std::unique_ptr<LpBackend> a = makeLpBackend(lp, finite);
   const std::unique_ptr<LpBackend> b = makeLpBackend(lp, unbounded);
-  const LpResult ra = a->coldSolve(modelLower(lp), modelUpper(lp));
-  const LpResult rb = b->coldSolve(modelLower(lp), modelUpper(lp));
+  const LpResult ra =
+      a->solve(modelLower(lp), modelUpper(lp), /*allow_warm=*/false);
+  const LpResult rb =
+      b->solve(modelLower(lp), modelUpper(lp), /*allow_warm=*/false);
   ASSERT_EQ(ra.status, rb.status);
   EXPECT_EQ(ra.iterations, rb.iterations);
   expectSameBits(ra.values, rb.values);
